@@ -7,7 +7,6 @@ support diameter it saturates, so both ends get closed-form bounds
 instead of quadrature nodes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,19 @@ class BesovNorm:
         return self.orlicz_part + self.seminorm_part
 
 
-def saturated_modulus(f: GridFunction, phi: YoungFunction) -> float:
-    """Shift-difference norm once the copies no longer overlap.
+def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
+    """Integral of Psi(t) * omega_sat dt/t over [t_hi, infinity).
 
-    Equals the Luxemburg norm of two disjoint copies of |f|, computed by
-    stacking the values so the modular doubles exactly.
+    The modulus is constant (saturated) past t_hi, so the tail has the
+    closed form omega_sat * Psi(t_hi) / zero_exponent.
     """
-    stacked = np.stack([f.values, f.values])
-    return luxemburg_norm(stacked, phi, cell_volume=f.cell_volume).norm
+    if psi.zero_exponent <= 0.0:
+        raise DivergenceError(
+            "seminorm tail integral diverges (weight is not integrable "
+            "against a bounded modulus)",
+            end="tail",
+        )
+    return omega_sat * float(psi.eval(t_hi)) / psi.zero_exponent
 
 
 def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
@@ -91,15 +95,7 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
             end="head",
         )
 
-    # tail: omega is constant past the window
-    if psi.zero_exponent <= 0.0:
-        raise DivergenceError(
-            "seminorm tail integral diverges (weight is not integrable "
-            "against a bounded modulus)",
-            end="tail",
-        )
-    omega_sat = cache.saturated()
-    tail = omega_sat * float(psi.eval(t_hi)) / psi.zero_exponent
+    tail = saturated_tail(psi, cache.saturated(), t_hi)
 
     return BesovNorm(orlicz, mid + head + tail, head, tail, head_truncated, curve)
 

@@ -38,8 +38,8 @@ EXIT_GUARD = 5
 _OVERRIDABLE = {
     "phi": str, "psi": str, "dim": int, "smin": float, "smax": float,
     "points": int, "quad_nodes": int, "alpha": float, "radii": str,
-    "offsets": str, "r": float, "seed": int, "jobs": int, "output": str,
-    "samples": int, "n": int, "spacing": float, "tmin": float, "tmax": float,
+    "offsets": str, "r": float, "seed": int, "samples": int, "n": int,
+    "tmin": float, "tmax": float,
 }
 
 
@@ -101,9 +101,15 @@ def _build_parser():
         description="Numerical toolkit for an Orlicz-modulus embedding of BV",
     )
     parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker pool size (recorded; runs are serial)")
     sub = parser.add_subparsers(dest="command")
+
+    # the grid-function source, shared by the commands that read one
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", help="grid file (.grid with header, or raw .csv)")
+    source.add_argument("--fixture", choices=["staircase"])
+    source.add_argument("--dim", type=int, default=None)
+    source.add_argument("--shape", help="comma-separated extents for raw csv input")
+    source.add_argument("--spacing", type=float, default=None)
 
     pc = sub.add_parser("check-condition", help="evaluate the two-integral condition")
     pc.add_argument("--phi", default=None)
@@ -117,19 +123,13 @@ def _build_parser():
     pc.add_argument("--csv", help="write the (s, value) curve here")
     pc.add_argument("--output", default=None)
 
-    pd = sub.add_parser("decompose", help="layer decomposition of a grid function")
-    pd.add_argument("--input", help="grid file (.grid with header, or raw .csv)")
-    pd.add_argument("--fixture", choices=["staircase"])
-    pd.add_argument("--dim", type=int, default=None)
-    pd.add_argument("--shape", help="comma-separated extents for raw csv input")
-    pd.add_argument("--spacing", type=float, default=None)
+    pd = sub.add_parser("decompose", parents=[source],
+                        help="layer decomposition of a grid function")
     pd.add_argument("--outdir", help="write molecule files and manifest here")
     pd.add_argument("--verify", action="store_true")
     pd.add_argument("--output", default=None)
 
-    pn = sub.add_parser("norms", help="norm bundle of a grid function")
-    pn.add_argument("--input")
-    pn.add_argument("--fixture", choices=["staircase"])
+    pn = sub.add_parser("norms", parents=[source], help="norm bundle of a grid function")
     pn.add_argument("--phi", default=None)
     pn.add_argument("--psi", default=None)
     pn.add_argument("--tmin", type=float, default=None)
@@ -178,10 +178,24 @@ def _resolve(args, key, builtin):
         return val
     env = os.environ.get("BOL_" + key.upper())
     if env is not None:
-        return _OVERRIDABLE.get(key, str)(env)
+        return _convert(key, env, "BOL_" + key.upper())
     if args._config_values and key in args._config_values:
-        return _OVERRIDABLE.get(key, str)(args._config_values[key])
+        return _convert(key, args._config_values[key], f"config key {key!r}")
     return builtin
+
+
+def _convert(key, raw, source):
+    try:
+        return _OVERRIDABLE.get(key, str)(raw)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed value {raw!r} for {source}") from exc
+
+
+def _resolve_dim(args):
+    dim = _resolve(args, "dim", 2)
+    if dim < 1:
+        raise DomainError("dimension must be at least 1")
+    return dim
 
 
 def _load_input(args):
@@ -211,7 +225,7 @@ def _load_input(args):
 def _cmd_check_condition(args):
     phi = parse_young_spec(_resolve(args, "phi", "power:p=1.3"))
     psi = parse_weight_spec(_resolve(args, "psi", "powerweight:theta=0.5385"))
-    dim = int(_resolve(args, "dim", 2))
+    dim = _resolve_dim(args)
     smin = float(_resolve(args, "smin", 1e-6))
     smax = float(_resolve(args, "smax", 1e12))
     points = int(_resolve(args, "points", 97))
@@ -316,7 +330,7 @@ def _cmd_example5(args):
 def _cmd_necessity(args):
     phi = parse_young_spec(_resolve(args, "phi", "power:p=1.3"))
     psi = parse_weight_spec(_resolve(args, "psi", "powerweight:theta=0.5385"))
-    dim = int(_resolve(args, "dim", 2))
+    dim = _resolve_dim(args)
     radii = _float_list(_resolve(args, "radii", "1,0.5,0.25,0.125"))
     rec = necessity_ball_experiment(phi, psi, dim, radii)
     _emit(rec, _config_dict(args), args.output)
@@ -334,7 +348,7 @@ def _print_ratio_table(rec):
 
 
 def _cmd_lemma6(args):
-    dim = int(_resolve(args, "dim", 2))
+    dim = _resolve_dim(args)
     r = float(_resolve(args, "r", 1.0))
     offsets = _float_list(_resolve(args, "offsets", "0.1,0.5,0.9"))
     samples = int(_resolve(args, "samples", 10_000_000))
@@ -348,7 +362,7 @@ def _cmd_lemma6(args):
 
 
 def _cmd_sobolev(args):
-    dim = int(_resolve(args, "dim", 2))
+    dim = _resolve_dim(args)
     n = int(_resolve(args, "n", 32))
     seed = int(_resolve(args, "seed", 7))
     corpus = make_corpus(seed=seed, dim=dim, n=n)

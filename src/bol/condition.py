@@ -167,11 +167,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
             end="tail",
         )
     value = (first if not math.isnan(first) else 0.0) + tail_val
-    rem = (first_rem if math.isfinite(first_rem) else math.inf)
-    rem = rem + tail_rem if math.isfinite(rem) and math.isfinite(tail_rem) else math.inf
-    if not (head_div or tail_div):
-        rem = first_rem + tail_rem
-    return ConditionValue(s, value, rem, head_div, tail_div)
+    return ConditionValue(s, value, first_rem + tail_rem, head_div, tail_div)
 
 
 def _decade_slope(s_grid, values, which):
@@ -271,15 +267,7 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5,
     if s < r * (1 - 1e-12):
         raise DomainError("second-bound scale must satisfy s >= r")
     ls = math.log(s)
-    offs = [np.linspace(0.0, 100.0, 2001)]
-    tail = []
-    x = 100.0
-    while x < x_span:
-        x *= geo_step
-        tail.append(min(x, x_span))
-    if tail:
-        offs.append(np.asarray(tail))
-    x = ls + np.concatenate(offs)
+    x = ls + ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=geo_step).nodes()
 
     log_integrand = (
         ls - x - np.asarray(phi.inv_log(x + ls)) - np.asarray(phi.inv_log(-2.0 * x))

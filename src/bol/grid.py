@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, ResourceGuardError
 
 MAX_CELLS_PER_AXIS = 10_000
@@ -75,7 +74,18 @@ def total_variation(f: GridFunction) -> float:
     jumps across the box boundary.  The coarea identity over thresholds
     is exact for this scheme.
     """
-    return float(_kernels.total_variation_sum(f.values, f.spacing))
+    values = f.values
+    d = values.ndim
+    total = 0.0
+    for axis in range(d):
+        padded = np.concatenate(
+            [values, np.zeros_like(np.take(values, [0], axis=axis))], axis=axis
+        )
+        jumps = np.abs(np.diff(padded, axis=axis)).sum()
+        # the jump into the box at index 0 (difference against the zero outside)
+        jumps += np.abs(np.take(values, [0], axis=axis)).sum()
+        total += jumps
+    return float(total * f.spacing ** (d - 1))
 
 
 def shift(f: GridFunction, k) -> GridFunction:
@@ -87,38 +97,29 @@ def shift(f: GridFunction, k) -> GridFunction:
     return GridFunction(f.spacing, new_origin, f.values)
 
 
+def shift_difference_values(values: np.ndarray, k) -> np.ndarray:
+    """Raw array of f(. + k*h) - f(.) on the union of both supports.
+
+    ``k`` is an integer lattice vector, one entry per axis of ``values``.
+    """
+    shape = tuple(n + abs(int(ki)) for n, ki in zip(values.shape, k))
+    out = np.zeros(shape)
+    sl_f = tuple(slice(max(int(ki), 0), max(int(ki), 0) + n) for n, ki in zip(values.shape, k))
+    sl_g = tuple(slice(max(-int(ki), 0), max(-int(ki), 0) + n) for n, ki in zip(values.shape, k))
+    out[sl_g] = values
+    out[sl_f] -= values
+    return out
+
+
 def shift_difference(f: GridFunction, k) -> GridFunction:
     """f(. + k*h) - f(.) on the union of both supports."""
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (f.dim,):
         raise DomainError("shift vector length must match dimension")
-    shape = tuple(n + abs(int(ki)) for n, ki in zip(f.shape, k))
-    out = np.zeros(shape)
-    sl_f = tuple(slice(max(int(ki), 0), max(int(ki), 0) + n) for n, ki in zip(f.shape, k))
-    sl_g = tuple(slice(max(-int(ki), 0), max(-int(ki), 0) + n) for n, ki in zip(f.shape, k))
-    out[sl_g] += f.values
-    out[sl_f] -= f.values
     origin = tuple(
         o - max(int(ki), 0) * f.spacing for o, ki in zip(f.origin, k)
     )
-    return GridFunction(f.spacing, origin, out)
-
-
-def restrict_to(f: GridFunction, like: GridFunction) -> GridFunction:
-    """Values of f on the box of ``like`` (zero where f is not defined)."""
-    out = np.zeros(like.shape)
-    idx_f = []
-    idx_o = []
-    for o_f, o_l, n_f, n_l in zip(f.origin, like.origin, f.shape, like.shape):
-        off = round((o_l - o_f) / f.spacing)
-        lo = max(0, off)
-        hi = min(n_f, off + n_l)
-        if lo >= hi:
-            return GridFunction(like.spacing, like.origin, out)
-        idx_f.append(slice(lo, hi))
-        idx_o.append(slice(lo - off, hi - off))
-    out[tuple(idx_o)] = f.values[tuple(idx_f)]
-    return GridFunction(like.spacing, like.origin, out)
+    return GridFunction(f.spacing, origin, shift_difference_values(f.values, k))
 
 
 def unit_ball_volume(d: int) -> float:

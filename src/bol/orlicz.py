@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .grid import GridFunction, shift_difference, total_variation
+from .grid import (GridFunction, shift_difference, shift_difference_values,
+                   total_variation)
 from .young import YoungFunction
 
 SHIFT_BUDGET = 1_000_000
@@ -25,9 +25,6 @@ class ModulusCurve:
     ts: np.ndarray
     values: np.ndarray
     shift_budget: int
-
-    def as_rows(self):
-        return list(zip(self.ts.tolist(), self.values.tolist()))
 
 
 def _modular(abs_vals, cell_vol, phi, lam):
@@ -197,7 +194,7 @@ def modulus_curve(f: GridFunction, phi: YoungFunction, ts) -> ModulusCurve:
 
 
 def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
-    """sup of the L1 shift-difference norm; fast kernel path, no bisection."""
+    """sup of the L1 shift-difference norm; no bisection."""
     if t <= 0:
         raise DomainError("modulus needs t > 0")
     h = f.spacing
@@ -208,8 +205,10 @@ def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
     shifts = lattice_shifts(f.dim, t_eff / h, budget)
     if len(shifts) == 0:
         return 0.0
-    sums = _kernels.shift_l1_batch(f.values, shifts, h)
-    return float(sums.max()) * scale
+    sums = np.empty(len(shifts))
+    for i, k in enumerate(shifts):
+        sums[i] = np.abs(shift_difference_values(f.values, k)).sum()
+    return float((sums * f.cell_volume).max()) * scale
 
 
 def check_lemma_omega1(f: GridFunction, ts):

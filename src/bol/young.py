@@ -36,7 +36,6 @@ class YoungFunction:
     eval: Callable
     inv: Callable
     log_inv: Optional[Callable] = None
-    growth_exponent_hint: Optional[float] = None
 
     def inv_log(self, log_x):
         if self.log_inv is not None:
@@ -133,7 +132,6 @@ def make_power_young(p: float) -> YoungFunction:
         eval=ev,
         inv=inv,
         log_inv=lambda lx: _as_array(lx) / p,
-        growth_exponent_hint=p,
     )
 
 
@@ -228,7 +226,6 @@ def make_section5_young(alpha: float) -> YoungFunction:
         eval=ev,
         inv=inv,
         log_inv=log_inv,
-        growth_exponent_hint=1.0,
     )
 
 
@@ -261,13 +258,11 @@ def make_table_young(path: str) -> YoungFunction:
             res = np.exp(np.interp(np.log(np.maximum(s, 1e-300)), lv, lt))
         return np.where(s > 0.0, res, 0.0)
 
-    tail_slope = (lv[-1] - lv[-2]) / (lt[-1] - lt[-2])
     return YoungFunction(
         kind="table",
         params={"file": path},
         eval=ev,
         inv=inv,
-        growth_exponent_hint=float(tail_slope),
     )
 
 

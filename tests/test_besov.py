@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bol.besov import (BesovNorm, QuadratureConfig, besov_bv_ratio,
-                       besov_orlicz_norm, saturated_modulus)
+                       besov_orlicz_norm)
 from bol.errors import DivergenceError, DomainError
 from bol.grid import GridFunction, ball_indicator
+from bol.orlicz import ShiftNormCache
 from bol.young import critical_theta, make_power_weight, make_power_young
 
 PHI = make_power_young(1.3)
@@ -74,7 +75,7 @@ def test_saturated_modulus_doubles_the_modular():
     # two disjoint unit-value squares of measure 1 each: norm of an
     # indicator of measure 2
     expect = 1.0 / float(PHI.inv(0.5))
-    assert saturated_modulus(f, PHI) == pytest.approx(expect, rel=1e-12)
+    assert ShiftNormCache(f, PHI).saturated() == pytest.approx(expect, rel=1e-12)
 
 
 def test_quadrature_refinement_is_stable():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import bol
 from bol.cli import main
 from bol.grid import GridFunction, save_grid_function
 
@@ -27,9 +28,12 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_unknown_command_is_usage_error():
+    # the child imports the same bol package as this process
+    src = os.path.dirname(os.path.dirname(bol.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bol.cli", "frobnicate"],
-        capture_output=True,
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 2
 
@@ -154,6 +158,32 @@ def test_env_and_config_precedence(tmp_path, monkeypatch):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert run_cli(["--config", str(cfg), "report"]) == 3
+    for cfg_values in ({"bogus": 1}, {"jobs": 2}, {"output": str(tmp_path / "o.json")},
+                       {"spacing": 0.5}):
+        cfg.write_text(json.dumps(cfg_values))
+        assert run_cli(["--config", str(cfg), "report"]) == 3
+    assert not (tmp_path / "o.json").exists()
     capsys.readouterr()
+
+
+def test_norms_csv_input_uses_spacing(tmp_path):
+    path = tmp_path / "f.csv"
+    vals = [0.0, 1.5, -2.0, 2.0, 0.5]
+    path.write_text(",".join(map(repr, vals)) + "\n")
+    out = tmp_path / "n.json"
+    assert run_cli(["norms", "--input", str(path), "--dim", "1", "--spacing", "0.5",
+                    "--output", str(out)]) == 0
+    assert read_json(out)["report"]["l1"] == pytest.approx(0.5 * sum(abs(v) for v in vals))
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({"BOL_DIM": "abc"}, ["check-condition"]),
+    ({}, ["lemma6", "--dim", "3", "--samples", "0"]),
+    ({}, ["check-condition", "--dim", "0"]),
+    ({}, ["necessity", "--dim", "-1"]),
+])
+def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    assert run_cli(argv) == 3
+    assert "error:" in capsys.readouterr().err

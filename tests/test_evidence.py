@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bol.corpus import make_corpus
-from bol.errors import DomainError
-from bol.evidence import (ball_symdiff_volume, lemma6_check,
+from bol.errors import DivergenceError, DomainError
+from bol.evidence import (ball_besov_parts, ball_symdiff_volume, lemma6_check,
                           measured_iso_constant, necessity_ball_experiment,
                           sobolev_check, sufficiency_molecule_estimates)
 from bol.grid import GridFunction, unit_ball_volume
@@ -71,6 +71,13 @@ def test_necessity_failing_pair_ratios_grow():
     ratios = [r["ratio"] for r in rec.measured["rows"]]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert rec.measured["growth_factor"] > 1.3
+
+
+def test_ball_parts_nonintegrable_tail_raises():
+    psi = make_power_weight(-0.2)  # not integrable against a constant modulus
+    with pytest.raises(DivergenceError) as exc:
+        ball_besov_parts(PHI, psi, 2, 0.5)
+    assert exc.value.end == "tail"
 
 
 def test_necessity_rejects_bad_radii():

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bol import _kernels
 from bol.errors import DomainError, ResourceGuardError
 from bol.grid import (GridFunction, ball_indicator, load_grid_function,
                       lp_norm, save_grid_function, shift, shift_difference,
-                      total_variation, unit_ball_volume)
+                      shift_difference_values, total_variation,
+                      unit_ball_volume)
+from bol.orlicz import l1_modulus, lattice_shifts
 
 
 def box2d(n=8, h=0.25, value=1.0):
@@ -40,25 +42,57 @@ def test_1d_indicator_tv():
     assert total_variation(f) == pytest.approx(2.0)
 
 
-def test_tv_backends_agree():
+def _at(values, idx):
+    """f at a cell index, zero outside the box."""
+    inside = all(0 <= i < n for i, n in zip(idx, values.shape))
+    return float(values[tuple(idx)]) if inside else 0.0
+
+
+def _tv_by_cells(values, h):
+    """Sum over every pair of neighbouring cells of the zero-extended f."""
+    total = 0.0
+    ranges = [range(-1, n) for n in values.shape]
+    for idx in itertools.product(*ranges):
+        for axis in range(values.ndim):
+            nxt = list(idx)
+            nxt[axis] += 1
+            total += abs(_at(values, nxt) - _at(values, idx))
+    return total * h ** (values.ndim - 1)
+
+
+def _shift_l1_by_cells(values, k, h):
+    """L1 norm of f(. + k*h) - f(.) summed cell by cell."""
+    ranges = [range(min(0, -ki), max(n, n - ki)) for n, ki in zip(values.shape, k)]
+    total = 0.0
+    for idx in itertools.product(*ranges):
+        moved = [i + ki for i, ki in zip(idx, k)]
+        total += abs(_at(values, moved) - _at(values, idx))
+    return total * h ** values.ndim
+
+
+def test_tv_matches_cell_loop():
     rng = np.random.default_rng(3)
-    v2 = rng.uniform(-1, 1, (13, 9))
-    v1 = rng.uniform(-1, 1, 40)
-    assert _kernels.total_variation_sum(v2, 0.3) == pytest.approx(
-        _kernels._tv_numpy(v2, 0.3), rel=1e-13
-    )
-    assert _kernels.total_variation_sum(v1, 0.3) == pytest.approx(
-        _kernels._tv_numpy(v1, 0.3), rel=1e-13
-    )
+    for shape in ((40,), (13, 9), (5, 4, 6)):
+        f = GridFunction(0.3, (0.0,) * len(shape), rng.uniform(-1, 1, shape))
+        assert total_variation(f) == pytest.approx(_tv_by_cells(f.values, 0.3), rel=1e-12)
 
 
-def test_shift_l1_backends_agree():
+def test_shift_l1_matches_cell_loop():
     rng = np.random.default_rng(4)
-    v = rng.uniform(-1, 1, (12, 12))
-    ks = np.array([[1, 0], [0, -2], [3, 3], [-2, 1]])
-    fast = _kernels.shift_l1_batch(v, ks, 0.5)
-    slow = _kernels._shift_l1_numpy(v, ks, 0.5)
-    assert np.allclose(fast, slow, rtol=1e-13)
+    cases = [
+        ((12, 12), [[1, 0], [0, -2], [3, 3], [-2, 1], [15, -3]]),  # last: longer than the grid
+        ((20,), [[1], [-7], [25]]),
+        ((4, 5, 3), [[1, 0, 0], [0, -1, 2], [5, 1, -4]]),
+    ]
+    for shape, ks in cases:
+        v = rng.uniform(-1, 1, shape)
+        for k in ks:
+            fast = np.abs(shift_difference_values(v, k)).sum() * 0.5 ** v.ndim
+            assert fast == pytest.approx(_shift_l1_by_cells(v, k, 0.5), rel=1e-12)
+        # l1_modulus is the largest of these sums over the lattice ball
+        f = GridFunction(0.5, (0.0,) * v.ndim, v)
+        expect = max(_shift_l1_by_cells(v, k, 0.5) for k in lattice_shifts(v.ndim, 3.0))
+        assert l1_modulus(f, 1.5) == pytest.approx(expect, rel=1e-12)
 
 
 def test_shift_moves_origin():
