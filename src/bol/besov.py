@@ -75,7 +75,7 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
 
     ts = np.geomspace(t_lo, t_hi, quad.nodes)
     cache = ShiftNormCache(f, phi)
-    omega = np.array([cache.sup_up_to(float(t)) for t in ts])
+    omega = cache.sup_up_to(ts)
     weights = np.asarray(psi.eval(ts), dtype=np.float64)
     mid = float(np.trapezoid(weights * omega / ts, ts))
     curve = ModulusCurve(ts, omega, cache.evaluated)

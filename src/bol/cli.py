@@ -191,9 +191,9 @@ def _convert(key, raw, source):
         raise DomainError(f"malformed value {raw!r} for {source}") from exc
 
 
-def _resolve_dim(args):
-    dim = _resolve(args, "dim", 2)
-    if dim < 1:
+def _resolve_dim(args, builtin=2):
+    dim = _resolve(args, "dim", builtin)
+    if dim is not None and dim < 1:
         raise DomainError("dimension must be at least 1")
     return dim
 
@@ -206,19 +206,20 @@ def _load_input(args):
     if not args.input:
         raise DomainError("need --input or --fixture")
     if args.input.endswith(".csv"):
-        if args.dim is None:
+        dim = _resolve_dim(args, None)
+        if dim is None:
             raise DomainError("raw csv input needs --dim (no header present)")
         vals = np.loadtxt(args.input, delimiter=",", ndmin=1).ravel()
         if args.shape:
             shape = tuple(int(x) for x in args.shape.split(","))
-        elif args.dim == 1:
+        elif dim == 1:
             shape = (vals.size,)
         else:
             raise DomainError("raw csv input with dim > 1 needs --shape")
-        if len(shape) != args.dim:
+        if len(shape) != dim:
             raise DomainError("--shape length must equal --dim")
         h = args.spacing if args.spacing is not None else 1.0
-        return GridFunction(h, (0.0,) * args.dim, vals.reshape(shape))
+        return GridFunction(h, (0.0,) * dim, vals.reshape(shape))
     return load_grid_function(args.input)
 
 

@@ -31,24 +31,24 @@ class ExperimentRecord:
 # -- exact symmetric-difference volumes of equal balls -------------------------
 
 def ball_symdiff_volume(d: int, r: float, center_dist: float) -> float:
-    """Volume of the symmetric difference of two radius-r balls (d <= 3)."""
+    """Volume of the symmetric difference of two radius-r balls (d <= 3).
+
+    Written directly in the offset delta (no full-minus-intersection
+    subtraction), so it keeps full relative accuracy as delta -> 0.
+    """
     if center_dist < 0 or r <= 0:
         raise DomainError("radius must be positive and distance nonnegative")
-    vd = unit_ball_volume(d)
-    full = 2.0 * vd * r ** d
+    if d not in (1, 2, 3):
+        raise DomainError("exact symmetric difference implemented for d <= 3")
     if center_dist >= 2.0 * r:
-        return full
+        return 2.0 * unit_ball_volume(d) * r ** d
     delta = center_dist
     if d == 1:
-        inter = 2.0 * r - delta
-    elif d == 2:
-        inter = 2.0 * r * r * math.acos(delta / (2.0 * r)) \
-            - 0.5 * delta * math.sqrt(4.0 * r * r - delta * delta)
-    elif d == 3:
-        inter = math.pi * (4.0 * r + delta) * (2.0 * r - delta) ** 2 / 12.0
-    else:
-        raise DomainError("exact symmetric difference implemented for d <= 3")
-    return full - 2.0 * inter
+        return 2.0 * delta
+    if d == 2:
+        return 4.0 * r * r * math.asin(delta / (2.0 * r)) \
+            + delta * math.sqrt(4.0 * r * r - delta * delta)
+    return math.pi * delta * (12.0 * r * r - delta * delta) / 6.0
 
 
 def _mc_symdiff_volume(dim, radius, center_dist, n_samples, seed):

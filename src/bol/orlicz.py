@@ -11,6 +11,8 @@ from .grid import (GridFunction, shift_difference, shift_difference_values,
 from .young import YoungFunction
 
 SHIFT_BUDGET = 1_000_000
+# table cells (rows x padded width) per batched solve; bounds the working set
+_CHUNK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -27,8 +29,67 @@ class ModulusCurve:
     shift_budget: int
 
 
-def _modular(abs_vals, cell_vol, phi, lam):
-    return float(phi.eval(abs_vals / lam).sum() * cell_vol)
+def _luxemburg_rows(table, weights, phi: YoungFunction):
+    """Luxemburg norms of many value histograms at once.
+
+    Row i of ``table`` holds distinct |values|, zero-padded, and the same
+    row of ``weights`` their counts times the cell volume, so the modular
+    of row i at lambda is sum(weights[i] * Phi(table[i] / lambda)).  Every
+    row runs the scalar algorithm on its own active set: a doubling upper
+    bracket from the largest value, a halving lower bracket (norm 0 once it
+    falls below 1e-300), then bisection until hi - lo <= 1e-14 * hi; the
+    norm is hi.  Returns (norms, iterations, residuals), one entry per row.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = len(table)
+    norms = np.zeros(rows)
+    iters = np.zeros(rows, dtype=np.int64)
+    resid = np.zeros(rows)
+
+    def modular(idx, lam):
+        return (phi.eval(table[idx] / lam[:, None]) * weights[idx]).sum(axis=1)
+
+    hi = table.max(axis=1, initial=0.0)
+    live = np.flatnonzero(hi > 0.0)
+    if live.size == 0:
+        return norms, iters, resid
+    j_hi = modular(live, hi[live])
+    if not np.all(np.isfinite(j_hi)):
+        raise DomainError("modular is not finite at the initial bracket; mis-scaled input")
+    act = live[j_hi > 1.0]
+    while act.size:
+        hi[act] *= 2.0
+        iters[act] += 1
+        if iters[act].max() > 200:
+            raise ConvergenceError("bracket growth failed in luxemburg_norm")
+        act = act[modular(act, hi[act]) > 1.0]
+    lo = hi / 2.0
+    act = live
+    while act.size:
+        act = act[modular(act, lo[act]) <= 1.0]
+        lo[act] /= 2.0
+        iters[act] += 1
+        gone = lo[act] < 1e-300
+        if gone.any():
+            live = np.setdiff1d(live, act[gone], assume_unique=True)
+            act = act[~gone]
+        if act.size and iters[act].max() > 2200:
+            raise ConvergenceError("lower bracket failed in luxemburg_norm")
+    act = live
+    for _ in range(200):
+        if not act.size:
+            break
+        iters[act] += 1
+        mid = 0.5 * (lo[act] + hi[act])
+        inside = modular(act, mid) <= 1.0
+        hi[act] = np.where(inside, mid, hi[act])
+        lo[act] = np.where(inside, lo[act], mid)
+        act = act[~(hi[act] - lo[act] <= 1e-14 * hi[act])]
+    if live.size:
+        norms[live] = hi[live]
+        resid[live] = np.abs(modular(live, hi[live]) - 1.0)
+    return norms, iters, resid
 
 
 def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> LuxemburgResult:
@@ -36,7 +97,7 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
 
     Accepts a GridFunction or a raw value array plus its cell volume.
     The modular is strictly decreasing in lambda, so a doubling bracket
-    plus bisection is total.
+    plus bisection is total.  It runs on the histogram of distinct |values|.
     """
     if isinstance(f_or_values, GridFunction):
         vals = f_or_values.values
@@ -44,39 +105,9 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     else:
         vals = np.asarray(f_or_values, dtype=np.float64)
         vol = float(cell_volume)
-    a = np.abs(vals[vals != 0.0])
-    if a.size == 0:
-        return LuxemburgResult(0.0, 0, 0.0)
-    hi = float(a.max())
-    it = 0
-    j_hi = _modular(a, vol, phi, hi)
-    if not math.isfinite(j_hi):
-        raise DomainError("modular is not finite at the initial bracket; mis-scaled input")
-    while j_hi > 1.0:
-        hi *= 2.0
-        j_hi = _modular(a, vol, phi, hi)
-        it += 1
-        if it > 200:
-            raise ConvergenceError("bracket growth failed in luxemburg_norm")
-    lo = hi / 2.0
-    while _modular(a, vol, phi, lo) <= 1.0:
-        lo /= 2.0
-        it += 1
-        if lo < 1e-300:
-            return LuxemburgResult(0.0, it, 0.0)
-        if it > 2200:
-            raise ConvergenceError("lower bracket failed in luxemburg_norm")
-    for _ in range(200):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if _modular(a, vol, phi, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    lam = hi
-    return LuxemburgResult(lam, it, abs(_modular(a, vol, phi, lam) - 1.0))
+    a, counts = np.unique(np.abs(vals[vals != 0.0]), return_counts=True)
+    norms, iters, resid = _luxemburg_rows(a[None, :], (counts * vol)[None, :], phi)
+    return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
 def lattice_shifts(dim: int, max_len_cells: float, budget: int = SHIFT_BUDGET):
@@ -94,13 +125,8 @@ def lattice_shifts(dim: int, max_len_cells: float, budget: int = SHIFT_BUDGET):
     keep = (norms > 0) & (norms <= max_len_cells + 1e-12)
     mesh, norms = mesh[keep], norms[keep]
     # one representative per antipodal pair: first nonzero component positive
-    rep = np.zeros(len(mesh), dtype=bool)
-    for i, k in enumerate(mesh):
-        for c in k:
-            if c != 0:
-                rep[i] = c > 0
-                break
-    mesh, norms = mesh[rep], norms[rep]
+    first = mesh[np.arange(len(mesh)), np.argmax(mesh != 0, axis=1)]
+    mesh, norms = mesh[first > 0], norms[first > 0]
     if len(mesh) > budget:
         raise ResourceGuardError("shift budget exceeded; coarsen the grid",
                                  guard="shift_budget")
@@ -112,7 +138,8 @@ class ShiftNormCache:
     """Lazy per-shift Orlicz norms of f(.+k*h)-f with a running prefix max.
 
     Shared between modulus queries at different t so the lattice sup is
-    computed once per shift vector.
+    computed once per shift vector.  Shifts are appended in order of
+    length, so ``_lens`` stays sorted.
     """
 
     def __init__(self, f: GridFunction, phi: YoungFunction, budget: int = SHIFT_BUDGET):
@@ -131,13 +158,25 @@ class ShiftNormCache:
         shifts = lattice_shifts(self.f.dim, len_cells, self.budget)
         lens = np.sqrt((shifts ** 2).sum(axis=1))
         new = lens > self._max_len + 1e-12
-        for k in shifts[new]:
-            d = shift_difference(self.f, k)
-            self._norms = np.append(
-                self._norms, luxemburg_norm(d, self.phi).norm
-            )
-        self._shifts = np.vstack([self._shifts, shifts[new]])
-        self._lens = np.append(self._lens, lens[new])
+        shifts, lens = shifts[new], lens[new]
+        norms = np.empty(len(shifts))
+        vol = self.f.cell_volume
+        # each shift difference becomes one row of (distinct |value|, count);
+        # rows are solved together, a bounded number of table cells at a time
+        pending, width, start = [], 0, 0
+        for i, k in enumerate(shifts):
+            d = shift_difference_values(self.f.values, k)
+            hist = np.unique(np.abs(d[d != 0.0]), return_counts=True)
+            if pending and (len(pending) + 1) * max(width, hist[0].size) > _CHUNK_CELLS:
+                norms[start:i] = _solve_histograms(pending, width, vol, self.phi)
+                pending, width, start = [], 0, i
+            pending.append(hist)
+            width = max(width, hist[0].size)
+        if pending:
+            norms[start:] = _solve_histograms(pending, width, vol, self.phi)
+        self._shifts = np.vstack([self._shifts, shifts])
+        self._lens = np.append(self._lens, lens)
+        self._norms = np.append(self._norms, norms)
         self._max_len = len_cells
 
     def saturated(self) -> float:
@@ -150,15 +189,30 @@ class ShiftNormCache:
             ).norm
         return self._saturated
 
-    def sup_up_to(self, t: float) -> float:
+    def sup_up_to(self, t):
+        """Lattice sup of the shift-difference norms over lengths <= t.
+
+        ``t`` is a scalar or an array (e.g. all quadrature nodes); the cache
+        is extended once, to the longest shift any entry needs, and a scalar
+        gives a float.
+        """
+        ts = np.asarray(t, dtype=np.float64)
         h = self.f.spacing
         # any translation longer than the support diameter separates the
         # copies, so the sup beyond that point is the saturated norm
         cap = self.f.support_diameter() + h
-        if t > cap + h:
-            return max(self.sup_up_to(cap), self.saturated())
-        if t < h:
-            self._extend(1.0)
+        beyond = ts > cap + h
+        below = ts < h
+        if ts.size:
+            self._extend(float(np.where(beyond, cap, np.where(below, h, ts)).max()) / h)
+        # shifts of length <= t form a prefix of the length-sorted cache
+        count = np.searchsorted(self._lens * h, np.where(beyond, cap, ts) + 1e-12 * h,
+                                side="right")
+        prefix = np.maximum.accumulate(np.append(0.0, self._norms))
+        out = prefix[count]
+        if beyond.any():
+            out = np.where(beyond, np.maximum(out, self.saturated()), out)
+        if below.any():
             axis_max = 0.0
             for axis in range(self.f.dim):
                 k = np.zeros(self.f.dim, dtype=np.int64)
@@ -166,14 +220,23 @@ class ShiftNormCache:
                 idx = np.where((self._shifts == k).all(axis=1))[0]
                 if idx.size:
                     axis_max = max(axis_max, self._norms[idx[0]])
-            return axis_max * (t / h)  # documented linear under-approximation
-        self._extend(t / h)
-        mask = self._lens * h <= t + 1e-12 * h
-        return float(self._norms[mask].max()) if mask.any() else 0.0
+            # documented linear under-approximation below one cell
+            out = np.where(below, axis_max * (ts / h), out)
+        return float(out) if ts.ndim == 0 else out
 
     @property
     def evaluated(self):
         return len(self._norms)
+
+
+def _solve_histograms(hists, width, cell_volume, phi):
+    """Luxemburg norms of (distinct |value|, count) pairs, padded to ``width``."""
+    table = np.zeros((len(hists), width))
+    weights = np.zeros((len(hists), width))
+    for row, (vals, counts) in enumerate(hists):
+        table[row, :vals.size] = vals
+        weights[row, :vals.size] = counts * cell_volume
+    return _luxemburg_rows(table, weights, phi)[0]
 
 
 def modulus_of_continuity(f: GridFunction, phi: YoungFunction, t: float,
@@ -189,7 +252,7 @@ def modulus_of_continuity(f: GridFunction, phi: YoungFunction, t: float,
 def modulus_curve(f: GridFunction, phi: YoungFunction, ts) -> ModulusCurve:
     ts = np.sort(np.asarray(ts, dtype=np.float64))
     cache = ShiftNormCache(f, phi)
-    vals = np.array([cache.sup_up_to(t) for t in ts])
+    vals = cache.sup_up_to(ts)
     return ModulusCurve(ts, vals, cache.evaluated)
 
 

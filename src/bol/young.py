@@ -136,26 +136,38 @@ def make_power_young(p: float) -> YoungFunction:
 
 
 def _invert_monotone(inv, s, rel_tol=1e-12, max_iter=200):
-    """Solve inv(t) = s for t by bracketed bisection with doubling bracket."""
-    if s <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
+    """Solve inv(t) = s for t elementwise by bracketed bisection.
+
+    Each element doubles its own bracket from [0, 1] until inv(hi) >= s,
+    then bisects until hi - lo <= rel_tol * hi and returns the midpoint;
+    s <= 0 maps to 0.  ``inv`` must act elementwise on arrays.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    flat = s.ravel()
+    lo = np.zeros(flat.size)
+    hi = np.ones(flat.size)
+    todo = np.flatnonzero(~(flat <= 0.0))
+    act = todo[inv(hi[todo]) < flat[todo]]
     it = 0
-    while inv(hi) < s:
-        lo = hi
-        hi *= 2.0
+    while act.size:
+        lo[act] = hi[act]
+        hi[act] *= 2.0
         it += 1
         if it > 2000:
             raise ArithmeticError("bracket growth failed")
+        act = act[inv(hi[act]) < flat[act]]
+    act = todo
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if inv(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
+        if not act.size:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[act] + hi[act])
+        below = inv(mid) < flat[act]
+        lo[act] = np.where(below, mid, lo[act])
+        hi[act] = np.where(below, hi[act], mid)
+        act = act[~(hi[act] - lo[act] <= rel_tol * hi[act])]
+    out = np.zeros(flat.size)
+    out[todo] = 0.5 * (lo[todo] + hi[todo])
+    return out.reshape(s.shape)
 
 
 def section5_params(alpha: float) -> Section5Params:
@@ -174,7 +186,8 @@ def section5_params(alpha: float) -> Section5Params:
 
 def make_section5_young(alpha: float) -> YoungFunction:
     """Three-piece inverse: slow correction below 1/r, linear middle,
-    reciprocal correction above r.  The forward map comes from bisection."""
+    reciprocal correction above r.  The forward map comes from one
+    bisection over the whole argument array."""
     par = section5_params(alpha)
     r, p_lin, q_lin = par.r, par.p_lin, par.q_lin
 
@@ -215,10 +228,8 @@ def make_section5_young(alpha: float) -> YoungFunction:
         return out[0] if scalar else out
 
     def ev(t):
-        t = _as_array(t)
-        if t.ndim == 0:
-            return _invert_monotone(lambda x: inv(float(x)), float(t))
-        return np.array([_invert_monotone(lambda x: inv(float(x)), float(v)) for v in t])
+        out = _invert_monotone(inv, _as_array(t))
+        return float(out) if out.ndim == 0 else out
 
     return YoungFunction(
         kind="section5",

@@ -102,6 +102,27 @@ def test_decompose_csv_needs_dim(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_csv_dim_from_environment(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("0,1,2,1,0\n")
+    monkeypatch.setenv("BOL_DIM", "1")
+    assert run_cli(["decompose", "--input", str(path)]) == 0
+    monkeypatch.setenv("BOL_DIM", "0")
+    assert run_cli(["decompose", "--input", str(path)]) == 3
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_csv_dim_from_config(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("0,1.5,2,1,0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 1}))
+    out = tmp_path / "n.json"
+    assert run_cli(["--config", str(cfg), "norms", "--input", str(path),
+                    "--output", str(out)]) == 0
+    assert read_json(out)["report"]["l1"] == pytest.approx(4.5)
+
+
 def test_decompose_grid_file_input(tmp_path):
     f = GridFunction(0.5, (0.0, 0.0), np.array([[1.0, 2.0], [0.0, 1.0]]))
     path = tmp_path / "f.grid"

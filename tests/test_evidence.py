@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,39 @@ def test_symdiff_oracles():
         assert far == pytest.approx(2.0 * unit_ball_volume(d))
     with pytest.raises(DomainError):
         ball_symdiff_volume(4, 1.0, 0.5)
+
+
+def mp_symdiff_volume(d, r, delta):
+    """Full volume minus twice the lens, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        r, x = mpmath.mpf(r), mpmath.mpf(delta)
+        if d == 1:
+            lens = 2 * r - x
+        elif d == 2:
+            lens = 2 * r * r * mpmath.acos(x / (2 * r)) - x / 2 * mpmath.sqrt(4 * r * r - x * x)
+        else:
+            lens = mpmath.pi * (4 * r + x) * (2 * r - x) ** 2 / 12
+        full = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1) * r ** d
+        return full - 2 * lens
+
+
+def test_symdiff_matches_mpmath_at_all_offsets():
+    for d in (1, 2, 3):
+        for r in (0.5, 1.0, 3.0):
+            for frac in (1e-17, 1e-15, 1e-12, 1e-6, 0.01, 0.3, 0.9, 0.9995):
+                delta = frac * 2.0 * r
+                want = mp_symdiff_volume(d, r, delta)
+                got = ball_symdiff_volume(d, r, delta)
+                assert abs(got - want) <= 2e-15 * want, (d, r, frac)
+
+
+def test_ball_parts_survive_tiny_head_cutoff():
+    for d in (2, 3):
+        orlicz, seminorm, diverged = ball_besov_parts(
+            PHI, PSI_CRIT, d, 1.0, head_cutoff=1e-17
+        )
+        assert orlicz > 0 and math.isfinite(seminorm) and seminorm > 0
+        assert not diverged
 
 
 def test_symdiff_monotone_in_distance():

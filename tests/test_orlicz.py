@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
-from bol.grid import GridFunction, ball_indicator, lp_norm, total_variation
-from bol.orlicz import (ShiftNormCache, check_infima_bound, check_lemma_omega1,
-                        l1_modulus, lattice_shifts, luxemburg_norm,
-                        modulus_curve, modulus_of_continuity)
-from bol.young import make_power_young
+from bol.grid import (GridFunction, ball_indicator, lp_norm, shift_difference,
+                      total_variation)
+from bol.orlicz import (ShiftNormCache, _luxemburg_rows, check_infima_bound,
+                        check_lemma_omega1, l1_modulus, lattice_shifts,
+                        luxemburg_norm, modulus_curve, modulus_of_continuity)
+from bol.young import make_power_young, make_section5_young
 
 
 def random_grid(seed, n=12, h=0.25, dim=2):
@@ -105,3 +111,145 @@ def test_infima_bound_on_ball():
     b = ball_indicator(2, 1.0, 0.1)
     lhs, rhs, ok = check_infima_bound(b.grid, phi, [1, 0])
     assert ok and lhs > 0 and rhs > 0
+
+
+def reference_row(vals, weights, phi):
+    """Scalar Luxemburg bisection on one (value, weight) row, as
+    luxemburg_norm ran it per shift before the row-wise solver."""
+    def modular(lam):
+        return float((phi.eval(vals / lam) * weights).sum())
+
+    if not np.any(vals > 0.0):
+        return 0.0, 0, 0.0
+    hi = float(vals.max())
+    it = 0
+    j_hi = modular(hi)
+    assert math.isfinite(j_hi)
+    while j_hi > 1.0:
+        hi *= 2.0
+        j_hi = modular(hi)
+        it += 1
+        assert it <= 200
+    lo = hi / 2.0
+    while modular(lo) <= 1.0:
+        lo /= 2.0
+        it += 1
+        if lo < 1e-300:
+            return 0.0, it, 0.0
+        assert it <= 2200
+    for _ in range(200):
+        it += 1
+        mid = 0.5 * (lo + hi)
+        if modular(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    return hi, it, abs(modular(hi) - 1.0)
+
+
+def assert_rows_match_reference(table, weights, phi):
+    norms, iters, resid = _luxemburg_rows(table, weights, phi)
+    for i in range(len(table)):
+        norm, it, res = reference_row(table[i], weights[i], phi)
+        assert norms[i] == norm
+        assert iters[i] == it
+        assert resid[i] == res
+
+
+histogram_row = st.lists(
+    st.tuples(st.floats(1e-6, 1e6), st.integers(1, 50)), min_size=0, max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(histogram_row, min_size=1, max_size=5),
+       vol=st.floats(1e-4, 1.0), p=st.sampled_from([1.3, 2.5]))
+def test_luxemburg_rows_match_scalar_reference(rows, vol, p):
+    # zero rows, single values, zero padding, and values from 1e-6 to 1e6
+    # that make the upper bracket grow or the lower bracket shrink
+    width = max(len(r) for r in rows)
+    table = np.zeros((len(rows), width))
+    weights = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, (v, c) in enumerate(row):
+            table[i, j] = v
+            weights[i, j] = c * vol
+    assert_rows_match_reference(table, weights, make_power_young(p))
+
+
+def test_luxemburg_rows_match_scalar_reference_section5():
+    table = np.array([[1e-6, 0.3, 2.0], [5e5, 0.0, 0.0], [0.0, 0.0, 0.0], [7.0, 7.5, 0.0]])
+    weights = np.array([[3.0, 1.0, 0.5], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0], [40.0, 2.0, 0.0]])
+    assert_rows_match_reference(table, weights, make_section5_young(0.1))
+
+
+def test_luxemburg_rows_zero_rows_and_guard():
+    phi = make_power_young(1.3)
+    norms, iters, resid = _luxemburg_rows(np.zeros((3, 2)), np.ones((3, 2)), phi)
+    assert norms.tolist() == [0.0] * 3 and iters.tolist() == [0] * 3
+    with pytest.raises(DomainError):
+        _luxemburg_rows(np.array([[1.0, 2.0]]), np.array([[np.inf, 1.0]]), phi)
+
+
+def old_lattice_shifts(dim, max_len_cells):
+    """lattice_shifts with its former per-vector antipodal loop."""
+    m = int(math.floor(max_len_cells + 1e-12))
+    if m < 1:
+        return np.zeros((0, dim), dtype=np.int64)
+    axes = [np.arange(-m, m + 1)] * dim
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    norms = np.sqrt((mesh ** 2).sum(axis=1))
+    keep = (norms > 0) & (norms <= max_len_cells + 1e-12)
+    mesh, norms = mesh[keep], norms[keep]
+    rep = np.zeros(len(mesh), dtype=bool)
+    for i, k in enumerate(mesh):
+        for c in k:
+            if c != 0:
+                rep[i] = c > 0
+                break
+    mesh, norms = mesh[rep], norms[rep]
+    return mesh[np.argsort(norms, kind="stable")]
+
+
+@pytest.mark.parametrize("dim, radii", [(1, (0.5, 1.0, 7.3, 40.0)),
+                                        (2, (1.0, 1.5, 5.0, 24.0)),
+                                        (3, (1.0, 2.2, 6.0))])
+def test_lattice_shifts_match_loop_representatives(dim, radii):
+    for radius in radii:
+        assert np.array_equal(lattice_shifts(dim, radius), old_lattice_shifts(dim, radius))
+
+
+def test_sup_up_to_array_matches_scalar_calls():
+    phi = make_power_young(1.3)
+    f = random_grid(4, n=6, h=0.25)
+    cap = f.support_diameter() + f.spacing
+    ts = np.array([0.05, 0.2, 0.25, 0.3, 0.6, 1.0, cap, cap + 0.2, cap + 0.3, 10.0])
+    batched = ShiftNormCache(f, phi).sup_up_to(ts)
+    scalar = ShiftNormCache(f, phi)
+    assert batched.shape == ts.shape
+    for t, got in zip(ts, batched):
+        want = scalar.sup_up_to(float(t))
+        assert isinstance(want, float)
+        assert got == want
+    # and, from one cell up to the cap, against a direct sup over
+    # shift-difference norms
+    for t, got in zip(ts[2:7], batched[2:7]):
+        best = max((luxemburg_norm(shift_difference(f, k), phi).norm
+                    for k in lattice_shifts(2, t / f.spacing)), default=0.0)
+        assert got == pytest.approx(best, rel=1e-15)
+
+
+def test_shift_norms_do_not_depend_on_the_chunk_budget(monkeypatch):
+    phi = make_power_young(1.3)
+    f = random_grid(5, n=5, h=0.2)
+    whole = ShiftNormCache(f, phi)
+    whole.sup_up_to(1.0)
+    monkeypatch.setattr(bol.orlicz, "_CHUNK_CELLS", 16)
+    chunked = ShiftNormCache(f, phi)
+    chunked.sup_up_to(1.0)
+    assert chunked.evaluated == whole.evaluated > 10
+    # another padding width only reassociates a row's modular sum, which can
+    # move a bisection decision by one step of the 1e-14 tolerance
+    assert np.allclose(chunked._norms, whole._norms, rtol=4e-14, atol=0.0)

@@ -73,6 +73,27 @@ def test_section5_forward_inverts_the_inverse():
         assert float(phi.inv(phi.eval(t))) == pytest.approx(t, rel=1e-9)
 
 
+def test_section5_eval_array_matches_scalar_calls():
+    phi = make_section5_young(0.1)
+    r = SECTION5_R
+    t = np.array([[0.0, -1.0, 1e-30, 1.0 / r],
+                  [0.5, 3.0, r, 1e40]])
+    arr = phi.eval(t)
+    assert arr.shape == t.shape
+    for x, got in zip(t.ravel(), arr.ravel()):
+        assert got == phi.eval(float(x))
+    assert type(phi.eval(2.0)) is float
+    assert phi.eval(-3.0) == 0.0
+
+
+def test_section5_eval_inverts_inv_across_branch_points():
+    phi = make_section5_young(0.1)
+    r = SECTION5_R
+    ts = np.concatenate([x * np.geomspace(1e-3, 1e3, 25) for x in (1.0 / r, 1.0, r)])
+    back = phi.eval(phi.inv(ts))
+    assert np.allclose(back, ts, rtol=1e-12, atol=0.0)
+
+
 def test_section5_monotone_and_convex_for_large_arguments():
     phi = make_section5_young(0.1)
     rep = validate_young(phi, np.geomspace(1.0, 1e6, 48))
