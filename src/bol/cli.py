@@ -178,10 +178,14 @@ def _resolve(args, key, builtin):
         return val
     env = os.environ.get("BOL_" + key.upper())
     if env is not None:
-        return _convert(key, env, "BOL_" + key.upper())
-    if args._config_values and key in args._config_values:
-        return _convert(key, args._config_values[key], f"config key {key!r}")
-    return builtin
+        val = _convert(key, env, "BOL_" + key.upper())
+    elif key in args._config_values:
+        val = _convert(key, args._config_values[key], f"config key {key!r}")
+    else:
+        return builtin
+    # embedded in the report's config next to the flags; builtins stay out
+    args._resolved[key] = val
+    return val
 
 
 def _convert(key, raw, source):
@@ -407,10 +411,12 @@ _PATH_KEYS = {"output", "csv", "outdir", "config"}
 
 
 def _config_dict(args):
-    """Resolved config for provenance; output destinations are excluded so
-    identical runs emit byte-identical reports wherever they are written."""
-    return {k: v for k, v in sorted(vars(args).items())
-            if not k.startswith("_") and v is not None and k not in _PATH_KEYS}
+    """Resolved config for provenance: the flags given plus every value
+    taken from BOL_* or the config file.  Output destinations are excluded
+    so identical runs emit byte-identical reports wherever they are written."""
+    given = {k: v for k, v in vars(args).items()
+             if not k.startswith("_") and v is not None and k not in _PATH_KEYS}
+    return {**args._resolved, **given}
 
 
 def parse_args(argv):
@@ -420,6 +426,7 @@ def parse_args(argv):
         parser.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
     args._config_values = {}
+    args._resolved = {}
     if args.config:
         try:
             with open(args.config) as fh:

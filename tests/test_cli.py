@@ -123,6 +123,34 @@ def test_csv_dim_from_config(tmp_path):
     assert read_json(out)["report"]["l1"] == pytest.approx(4.5)
 
 
+def test_config_embeds_values_from_environment(tmp_path, monkeypatch):
+    path = tmp_path / "f.csv"
+    path.write_text("0,1,2,1,0\n")
+    out = tmp_path / "d.json"
+    monkeypatch.setenv("BOL_DIM", "1")
+    assert run_cli(["decompose", "--input", str(path), "--output", str(out)]) == 0
+    assert read_json(out)["config"] == {"command": "decompose", "dim": 1, "input": str(path),
+                                        "verify": False}
+    # a flag still wins, and shows as given
+    assert run_cli(["lemma6", "--offsets", "0.5", "--samples", "10", "--dim", "2",
+                    "--output", str(out)]) == 0
+    assert read_json(out)["config"]["dim"] == 2
+
+
+def test_config_embeds_values_from_config_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.05, "seed": 3}))
+    out = tmp_path / "o.json"
+    assert run_cli(["--config", str(cfg), "example5", "--s-multiples", "10",
+                    "--output", str(out)]) == 0
+    config = read_json(out)["config"]
+    # example5 resolves alpha but never seed
+    assert config["alpha"] == 0.05 and "seed" not in config
+    # builtin defaults stay out: a flags-only report carries only the flags
+    assert run_cli(["example5", "--s-multiples", "10", "--output", str(out)]) == 0
+    assert "alpha" not in read_json(out)["config"]
+
+
 def test_decompose_grid_file_input(tmp_path):
     f = GridFunction(0.5, (0.0, 0.0), np.array([[1.0, 2.0], [0.0, 1.0]]))
     path = tmp_path / "f.grid"

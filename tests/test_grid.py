@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bol.errors import DomainError, ResourceGuardError
 from bol.grid import (GridFunction, ball_indicator, load_grid_function,
@@ -93,6 +96,75 @@ def test_shift_l1_matches_cell_loop():
         f = GridFunction(0.5, (0.0,) * v.ndim, v)
         expect = max(_shift_l1_by_cells(v, k, 0.5) for k in lattice_shifts(v.ndim, 3.0))
         assert l1_modulus(f, 1.5) == pytest.approx(expect, rel=1e-12)
+
+
+# per-dimension caps on the support extent and on t/h keep the cell loop small
+_CAPS = {1: (9, 6.0), 2: (5, 3.5), 3: (4, 2.2)}
+
+
+@st.composite
+def bordered_grids(draw):
+    """(values, spacing, t/h): a support of random extents, zeros allowed inside
+    it, framed by a zero border of 0-2 cells on each side of each axis."""
+    dim = draw(st.integers(1, 3))
+    cap, t_cap = _CAPS[dim]
+    inner = tuple(draw(st.integers(1, cap)) for _ in range(dim))
+    level = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    core = draw(arrays(np.float64, inner, elements=level))
+    border = [(draw(st.integers(0, 2)), draw(st.integers(0, 2))) for _ in range(dim)]
+    h = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    return np.pad(core, border), h, draw(st.floats(0.05, t_cap))
+
+
+def _box_extents(values):
+    nz = np.nonzero(values)
+    return [int(idx.max() - idx.min() + 1) for idx in nz] if nz[0].size else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=bordered_grids())
+@example(case=(np.zeros((3, 4)), 0.5, 2.0))            # all zero
+@example(case=(np.zeros(1), 1.0, 0.3))                 # all zero, one cell
+@example(case=(np.array([[0.0, 0.0], [0.0, -1.5]]), 0.5, 1.0))  # single cell
+@example(case=(np.full((1, 1, 1), 2.0), 0.1, 0.4))     # single cell, t < h
+@example(case=(np.pad(np.ones((2, 5)), 1), 0.5, 2.0))  # clears the support on axis 0
+@example(case=(np.pad(np.arange(64.0).reshape(4, 4, 4) % 7 - 3, 1), 0.5, 2.1))  # 3-D overlap split
+def test_l1_modulus_matches_cell_loop_max(case):
+    values, h, t_cells = case
+    f = GridFunction(h, (0.0,) * values.ndim, values)
+    t = t_cells * h
+    got = l1_modulus(f, t)
+    shifts = lattice_shifts(values.ndim, max(t, h) / h)
+    scale = min(t / h, 1.0)
+    expect = max(_shift_l1_by_cells(values, k, h) for k in shifts) * scale
+    assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
+    # ||f(. + k h) - f||_1 <= 2 ||f||_1, with equality once a shift clears the support
+    saturated = 2.0 * math.fsum(np.abs(values).ravel()) * h ** values.ndim * scale
+    assert got <= saturated * (1.0 + 1e-12)
+    ext = _box_extents(values)
+    if ext is not None and (np.abs(shifts) >= ext).any():
+        assert got == pytest.approx(saturated, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), t_cells=st.floats(0.05, 40.0), budget=st.integers(1, 200),
+       support=st.sampled_from(["zero", "cell", "full"]))
+def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget, support):
+    values = {"zero": np.zeros((3,) * dim), "cell": np.pad(np.ones((1,) * dim), 1),
+              "full": np.ones((3,) * dim)}[support]
+    f = GridFunction(0.5, (0.0,) * dim, values)
+    t = t_cells * 0.5
+    for bad in (0.0, -t):
+        with pytest.raises(DomainError):
+            l1_modulus(f, bad, budget=budget)
+    try:
+        lattice_shifts(dim, max(t, 0.5) / 0.5, budget)
+    except ResourceGuardError:
+        with pytest.raises(ResourceGuardError) as exc:
+            l1_modulus(f, t, budget=budget)
+        assert exc.value.guard == "shift_budget"
+    else:
+        assert l1_modulus(f, t, budget=budget) >= 0.0
 
 
 def test_shift_moves_origin():
