@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .besov import QuadratureConfig, besov_orlicz_norm
-from .condition import (ConditionQuad, condition_sup, section5_first_bound,
+from .condition import (condition_sup, section5_first_bound,
                         section5_second_bound)
 from .corpus import make_corpus
 from .errors import BolError, DivergenceError, DomainError, ResourceGuardError
@@ -37,7 +37,7 @@ EXIT_GUARD = 5
 
 _OVERRIDABLE = {
     "phi": str, "psi": str, "dim": int, "smin": float, "smax": float,
-    "points": int, "quad_nodes": int, "alpha": float, "radii": str,
+    "points": int, "alpha": float, "radii": str,
     "offsets": str, "r": float, "seed": int, "samples": int, "n": int,
     "tmin": float, "tmax": float,
 }
@@ -118,7 +118,6 @@ def _build_parser():
     pc.add_argument("--smin", type=float, default=None)
     pc.add_argument("--smax", type=float, default=None)
     pc.add_argument("--points", type=int, default=None)
-    pc.add_argument("--quad-nodes", type=int, default=None, dest="quad_nodes")
     pc.add_argument("--head-lower-limit", type=float, default=None)
     pc.add_argument("--csv", help="write the (s, value) curve here")
     pc.add_argument("--output", default=None)
@@ -234,12 +233,8 @@ def _cmd_check_condition(args):
     smin = float(_resolve(args, "smin", 1e-6))
     smax = float(_resolve(args, "smax", 1e12))
     points = int(_resolve(args, "points", 97))
-    quad = ConditionQuad()
-    qn = _resolve(args, "quad_nodes", None)
-    if qn is not None:
-        quad = ConditionQuad(n_mid=int(qn))
     rep = condition_sup(phi, psi, dim, s_range=(smin, smax), n_points=points,
-                        quad=quad, head_lower_limit=args.head_lower_limit)
+                        head_lower_limit=args.head_lower_limit)
     out = {
         "verdict": rep.verdict,
         "D_hat": rep.D_hat,

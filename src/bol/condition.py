@@ -6,7 +6,7 @@ range (the piecewise-exponential example) still integrate cleanly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,15 +33,15 @@ class ConditionQuad:
     geo_step: float = 1.004
 
     def nodes(self):
-        u = [np.linspace(0.0, self.u_mid, self.n_mid)]
-        tail = []
-        x = self.u_mid
-        while x < self.u_far:
-            x *= self.geo_step
-            tail.append(min(x, self.u_far))
-        if tail:
-            u.append(np.asarray(tail))
-        return np.concatenate(u)
+        near = np.linspace(0.0, self.u_mid, self.n_mid)
+        if self.u_mid >= self.u_far:
+            return near
+        # x_k = x_{k-1} * geo_step from x_0 = u_mid, multiplied in sequence,
+        # up to the first x_k >= u_far, which is clipped to u_far
+        n = int(math.log(self.u_far / self.u_mid) / math.log(self.geo_step)) + 2
+        x = np.multiply.accumulate(np.r_[self.u_mid, np.full(n, self.geo_step)])[1:]
+        x = x[: np.searchsorted(x, self.u_far) + 1]
+        return np.concatenate([near, np.minimum(x, self.u_far)])
 
 
 @dataclass(frozen=True)
@@ -66,52 +66,60 @@ class ConditionReport:
     rows: list = field(default_factory=list)
 
 
-def _trapz_exp(log_vals, u):
-    """Trapezoid of exp(log_vals) over the (nonuniform) grid u, max-scaled."""
-    m = float(np.max(log_vals))
+def log_domain_integral(log_vals, u):
+    """Integral over the grid u of the exponential of the piecewise-linear
+    interpolant of log_vals, exact on every node interval and max-scaled.
+
+    An interval with end values a, b contributes
+    du * e^max(a,b) * (1 - e^-|b-a|) / |b-a| (a short series when
+    |b - a| is tiny, 0 when an end is -inf).
+    """
+    lv = np.asarray(log_vals, dtype=np.float64)
+    m = float(np.max(lv))
     if not math.isfinite(m):
         return 0.0 if m == -math.inf else math.inf
-    return math.exp(m) * float(np.trapezoid(np.exp(log_vals - m), u))
-
-
-def _end_slope(log_vals, u, npts=5):
-    span = u[-1] - u[-npts]
-    if span <= 0:
-        return 0.0
-    return (log_vals[-1] - log_vals[-npts]) / span
+    hi = np.maximum(lv[:-1], lv[1:]) - m
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x = np.where(hi > -np.inf, np.abs(lv[1:] - lv[:-1]), 0.0)
+        factor = np.where(x < 1e-8, 1.0 - 0.5 * x, -np.expm1(-x) / x)
+        return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
 
 
 def _integrate_decaying(log_f, quad: ConditionQuad):
-    """Integrate exp(log_f(u)) du over [0, inf) with truncation control.
+    """Integrate exp(log_f(u)) du over [0, inf) on the nodes of ``quad``.
 
-    Returns (value, remainder, diverged).  If the integrand has not
-    dropped to a negligible level by u_far and its terminal log-slope is
-    above the divergence threshold, the value is the integral over
-    [0, u_mid] only and ``diverged`` is set.
+    The integral stops after the first node past u_mid from which the
+    integrand stays NEGLIGIBLE_LOG_DROP below its peak, or at u_far when
+    there is none.  Returns (value, remainder, slope, dropped): the
+    log-slope over the last five nodes kept, the exponential tail past
+    them, and whether the integrand dropped that far.  Each caller
+    decides from these whether its integral diverges.
     """
     u = quad.nodes()
-    lv = log_f(u)
-    peak = float(np.max(lv))
-    below = np.nonzero(lv < peak - NEGLIGIBLE_LOG_DROP)[0]
-    cut = None
-    for i in below:
-        if u[i] > quad.u_mid and float(np.max(lv[i:])) < peak - NEGLIGIBLE_LOG_DROP:
-            cut = i + 1
-            break
-    if cut is not None:
-        value = _trapz_exp(lv[:cut], u[:cut])
-        slope = _end_slope(lv[:cut], u[:cut])
-        lam = max(-slope, 1e-12)
-        remainder = math.exp(lv[cut - 1] - peak) * math.exp(peak) / lam
+    lv = np.asarray(log_f(u))
+    low = np.maximum.accumulate(lv[::-1])[::-1] < float(np.max(lv)) - NEGLIGIBLE_LOG_DROP
+    past = np.flatnonzero(low & (u > quad.u_mid))
+    cut = int(past[0]) + 1 if past.size else u.size
+    span = u[cut - 1] - u[cut - 5]
+    slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
+    with np.errstate(over="ignore"):
+        remainder = float(np.exp(lv[cut - 1])) / -slope if slope < 0 else math.inf
+    return log_domain_integral(lv[:cut], u[:cut]), remainder, slope, bool(past.size)
+
+
+def _condition_integral(log_f, quad: ConditionQuad):
+    """(value, remainder, diverged) of one condition integral.
+
+    It diverges when its integrand neither drops NEGLIGIBLE_LOG_DROP below
+    its peak nor ends with a log-slope at or below TAIL_SLOPE_LIMIT; the
+    value is then the integral over [0, u_mid] alone and the remainder
+    infinite.
+    """
+    value, remainder, slope, dropped = _integrate_decaying(log_f, quad)
+    if dropped or slope <= TAIL_SLOPE_LIMIT:
         return value, remainder, False
-    slope = _end_slope(lv, u)
-    if slope <= TAIL_SLOPE_LIMIT:
-        value = _trapz_exp(lv, u)
-        remainder = math.exp(lv[-1]) / (-slope)
-        return value, remainder, False
-    n_mid = np.searchsorted(u, quad.u_mid, side="right")
-    value = _trapz_exp(lv[:n_mid], u[:n_mid])
-    return value, math.inf, True
+    near = replace(quad, u_far=quad.u_mid)
+    return _integrate_decaying(log_f, near)[0], math.inf, True
 
 
 def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
@@ -134,7 +142,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
         else:
             umax = ls - math.log(head_lower_limit)
             u = np.linspace(0.0, umax, max(quad.n_mid, int(20 * umax) + 16))
-            head_val = _trapz_exp(np.asarray(psi.eval_log(u - ls)), u)
+            head_val = log_domain_integral(psi.eval_log(u - ls), u)
             head_rem, head_div = 0.0, False
     else:
         if psi.zero_exponent <= 0:
@@ -145,7 +153,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
                 )
             head_val, head_rem, head_div = math.nan, math.inf, True
         else:
-            head_val, head_rem, head_div = _integrate_decaying(
+            head_val, head_rem, head_div = _condition_integral(
                 lambda u: np.asarray(psi.eval_log(u - ls)), quad
             )
     first = math.exp(log_pref1) * head_val if not math.isnan(head_val) else math.nan
@@ -159,7 +167,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
             - np.asarray(phi.inv_log(lt + (d - 1) * ls))
         )
 
-    tail_val, tail_rem, tail_div = _integrate_decaying(tail_log, quad)
+    tail_val, tail_rem, tail_div = _condition_integral(tail_log, quad)
     if tail_div and raise_on_divergence:
         raise DivergenceError(
             "second integral diverges at its tail (integrand log-slope above "
@@ -247,41 +255,35 @@ def section5_first_bound(alpha: float, s_list):
         else:
             x = np.linspace(k, ls, 4000)
             log_integrand = x - np.asarray(phi.inv_log(-2.0 * x)) - 2.0 * x
-            value = math.exp(log_pref) * _trapz_exp(log_integrand, x)
+            value = math.exp(log_pref) * log_domain_integral(log_integrand, x)
         beta = alpha / math.log(ls) if ls > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
         rows.append((s, value, inter, value < 2.0))
     return rows
 
 
-def section5_second_bound(alpha: float, s: float, x_span: float = 1e5,
-                          geo_step: float = 1.002):
+def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
     """Second-integral value plus a truncation remainder bound.
 
     Integrates in x = ln t from ln s over a window of length x_span;
     node positions are append-only in x_span so enlarging the window
-    never perturbs the shared prefix.
+    never perturbs the shared prefix.  It diverges when the integrand
+    shows no decay at the truncation point or the remainder past it
+    exceeds the value.
     """
     phi = make_section5_young(alpha)
     r = SECTION5_R
     if s < r * (1 - 1e-12):
         raise DomainError("second-bound scale must satisfy s >= r")
     ls = math.log(s)
-    x = ls + ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=geo_step).nodes()
 
-    log_integrand = (
-        ls - x - np.asarray(phi.inv_log(x + ls)) - np.asarray(phi.inv_log(-2.0 * x))
-    )
-    value = _trapz_exp(log_integrand, x)
-    slope = _end_slope(log_integrand, x, npts=8)
-    if slope >= -1e-8:
-        raise DivergenceError(
-            "second-bound integrand shows no decay at the truncation point",
-            end="tail",
-        )
-    remainder = math.exp(log_integrand[-1]) / (-slope)
-    if remainder > max(value, 1e-300):
-        raise DivergenceError(
-            "second-bound truncation remainder does not shrink", end="tail"
-        )
+    def log_integrand(u):
+        x = ls + u
+        return ls - x - np.asarray(phi.inv_log(x + ls)) - np.asarray(phi.inv_log(-2.0 * x))
+
+    quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
+    value, remainder, slope, _ = _integrate_decaying(log_integrand, quad)
+    if slope >= -1e-8 or remainder > max(value, 1e-300):
+        raise DivergenceError("second-bound integrand does not decay past the window",
+                              end="tail")
     return value, remainder

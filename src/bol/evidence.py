@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import QuadratureConfig, besov_orlicz_norm, saturated_tail
-from .condition import ConditionQuad, condition_sup, condition_value
+from .condition import (ConditionQuad, condition_sup, condition_value,
+                        log_domain_integral)
 from .errors import DomainError
 from .grid import GridFunction, lp_norm, total_variation, unit_ball_volume
 from .molecules import decompose
@@ -138,16 +139,15 @@ def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
     The modulus is closed-form: the shift of length t produces a
     symmetric difference whose volume is exact for d <= 3, and the
     Luxemburg norm of an indicator is the reciprocal inverse at the
-    reciprocal measure.
+    reciprocal measure.  The seminorm integrates Psi(t) * omega(t) over
+    u = ln t with the exact log-domain rule on n_t nodes.
     """
     vol = unit_ball_volume(d) * r ** d
     orlicz = _indicator_orlicz_norm(phi, vol)
 
     def omega(ts):
-        return np.array([
-            _indicator_orlicz_norm(phi, ball_symdiff_volume(d, r, min(t, 2.0 * r)))
-            for t in ts
-        ])
+        vols = np.array([ball_symdiff_volume(d, r, min(t, 2.0 * r)) for t in ts])
+        return 1.0 / np.asarray(phi.inv(1.0 / vols))
 
     # head behavior: slope of Psi(t)*omega(t) near zero decides integrability
     t_probe = np.array([head_cutoff, head_cutoff * 1.001])
@@ -155,9 +155,8 @@ def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
     head_slope = (math.log(probe[1]) - math.log(probe[0])) / math.log(1.001)
     head_diverged = head_slope <= 1e-9
 
-    ts = np.geomspace(head_cutoff, 2.0 * r, n_t)
-    integrand = psi.eval(ts) * omega(ts)
-    seminorm = float(np.trapezoid(integrand / ts, ts))
+    u = np.linspace(math.log(head_cutoff), math.log(2.0 * r), n_t)
+    seminorm = log_domain_integral(np.asarray(psi.eval_log(u)) + np.log(omega(np.exp(u))), u)
     # omega is constant past the diameter
     seminorm += saturated_tail(psi, _indicator_orlicz_norm(phi, 2.0 * vol), 2.0 * r)
     return orlicz, seminorm, head_diverged

@@ -208,7 +208,7 @@ def test_env_and_config_precedence(tmp_path, monkeypatch):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for cfg_values in ({"bogus": 1}, {"jobs": 2}, {"output": str(tmp_path / "o.json")},
-                       {"spacing": 0.5}):
+                       {"spacing": 0.5}, {"quad_nodes": 600}):
         cfg.write_text(json.dumps(cfg_values))
         assert run_cli(["--config", str(cfg), "report"]) == 3
     assert not (tmp_path / "o.json").exists()

@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bol.condition import (ConditionQuad, condition_sup, condition_value,
-                           section5_first_bound, section5_second_bound)
+                           log_domain_integral, section5_first_bound,
+                           section5_second_bound)
 from bol.errors import DivergenceError, DomainError
 from bol.young import (SECTION5_R, critical_theta, make_power_weight,
                        make_power_young, make_section5_weight,
@@ -15,12 +19,15 @@ def closed_form(p):
     return p / (2.0 - p) + p / (p - 1.0)
 
 
-def test_critical_power_pair_matches_closed_form():
-    p = 1.3
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.2, 1.3, 1.4])
+def test_critical_power_pair_matches_closed_form(p, d):
+    # both integrands are exponentials in u = ln t, which the rule integrates exactly
     phi = make_power_young(p)
-    psi = make_power_weight(critical_theta(p, 2))
-    cv = condition_value(1.0, phi, psi, 2)
-    assert cv.value == pytest.approx(closed_form(p), rel=5e-4)
+    psi = make_power_weight(critical_theta(p, d))
+    cv = condition_value(1.0, phi, psi, d)
+    closed = p / (d - (d - 1) * p) + p / ((d - 1) * (p - 1))
+    assert cv.value == pytest.approx(closed, rel=1e-12)
     assert not cv.head_diverged and not cv.tail_diverged
 
 
@@ -28,7 +35,51 @@ def test_critical_pair_is_scale_free():
     phi = make_power_young(1.4)
     psi = make_power_weight(critical_theta(1.4, 2))
     vals = [condition_value(s, phi, psi, 2).value for s in (1e-4, 1.0, 1e6)]
-    assert max(vals) == pytest.approx(min(vals), rel=1e-6)
+    assert max(vals) == pytest.approx(min(vals), rel=1e-12)
+
+
+def exact_exp_sum(log_vals, u):
+    """Sum over node intervals of the integral of exp(linear interpolant), 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for a, b, du in zip(log_vals[:-1], log_vals[1:], np.diff(u)):
+            if a == -math.inf or b == -math.inf:
+                continue
+            a, b, du = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(du)
+            total += du * mpmath.exp(a) * (mpmath.expm1(b - a) / (b - a) if a != b else 1)
+        return total
+
+
+# per-interval log increments on both sides of the series switch at 1e-8
+_step = st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-1e-6, 1e-6),
+                  st.floats(-50.0, 50.0), st.just(-math.inf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.floats(-700.0, 700.0),
+       steps=st.lists(st.tuples(_step, st.floats(1e-3, 10.0)), min_size=1, max_size=40))
+def test_log_domain_integral_matches_exact_sum(start, steps):
+    # random piecewise-linear logs with flat, tiny, large and -inf increments
+    lv, u = [start], [0.0]
+    for inc, du in steps:
+        prev = lv[-1] if lv[-1] > -math.inf else start
+        lv.append(-math.inf if inc == -math.inf else min(prev + inc, 700.0))
+        u.append(u[-1] + du)
+    lv, u = np.array(lv), np.array(u)
+    got = log_domain_integral(lv, u)
+    want = exact_exp_sum(lv, u)
+    if want == 0:
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_log_domain_integral_non_finite_peaks():
+    u = np.array([0.0, 1.0, 2.0])
+    assert log_domain_integral(np.full(3, -math.inf), u) == 0.0
+    assert log_domain_integral(np.array([0.0, math.inf, 0.0]), u) == math.inf
+    # one finite end and one -inf end: the interpolant is -inf inside the interval
+    assert log_domain_integral(np.array([-math.inf, 0.0]), u[:2]) == 0.0
 
 
 def test_bounded_verdict_on_critical_pair():
@@ -104,6 +155,45 @@ def test_section5_second_bound_converges_under_doubling():
     v2, _ = section5_second_bound(0.1, SECTION5_R, x_span=2e5)
     assert abs(v2 - v1) / v1 < 1e-6
     assert rem1 < 1e-6 * v1
+
+
+def test_section5_second_bound_raises_only_on_short_slow_windows():
+    # the integrand decays like exp(-alpha x / (2 ln x)): for small alpha a
+    # 1e3 window leaves a remainder larger than the value
+    raised = set()
+    for alpha in (0.005, 0.01, 0.05, 0.1, 0.13):
+        for x_span in (1e3, 1e4, 1e5, 2e5):
+            try:
+                value, remainder = section5_second_bound(alpha, SECTION5_R, x_span=x_span)
+            except DivergenceError as exc:
+                assert exc.end == "tail"
+                raised.add((alpha, x_span))
+            else:
+                assert 0.0 <= remainder <= value
+    assert raised == {(0.005, 1e3), (0.01, 1e3)}
+
+
+def section5_log_inv_mp(phi, lx):
+    """The section5 closed-form log inverse, branch by branch, in mpmath."""
+    alpha, lr = phi.params["alpha"], mpmath.log(phi.params["r"])
+    if lx < -lr:
+        return lx + alpha * (-lx / 2) / mpmath.log(-lx / 2)
+    if lx < lr:
+        return mpmath.log(phi.params["p_lin"] * mpmath.exp(lx) + phi.params["q_lin"])
+    return lx - alpha * (lx / 2) / mpmath.log(lx / 2)
+
+
+def test_section5_second_bound_matches_mpmath_quadrature():
+    phi = make_section5_young(0.1)
+    with mpmath.workdps(30):
+        ls = mpmath.log(SECTION5_R)
+        integrand = lambda x: mpmath.exp(ls - x - section5_log_inv_mp(phi, x + ls)
+                                         - section5_log_inv_mp(phi, -2 * x))
+        want = mpmath.quad(integrand, [ls + w for w in (0, 1, 10, 100, 1e3, 1e4, 1e5)]
+                           + [mpmath.inf])
+    assert float(want) == pytest.approx(127.0045237538, rel=1e-11)
+    value, _ = section5_second_bound(0.1, SECTION5_R)
+    assert value == pytest.approx(float(want), rel=1e-7)
 
 
 def test_section5_pair_verdict_is_bounded():

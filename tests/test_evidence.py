@@ -62,6 +62,24 @@ def test_ball_parts_survive_tiny_head_cutoff():
         assert not diverged
 
 
+def test_ball_seminorm_matches_mpmath_quadrature():
+    # power pair: omega(t) = vol(t)^(1/p), so the seminorm is one smooth
+    # integral over [head_cutoff, 2r] plus the saturated closed-form tail
+    p, r, cutoff = 1.3, 1.0, 1e-8
+    for d in (2, 3):
+        theta = critical_theta(p, d)
+        with mpmath.workdps(30):
+            big_r = mpmath.mpf(r)
+            vol = lambda t: mp_symdiff_volume(d, big_r, t)
+            integrand = lambda t: t ** (-theta) * vol(t) ** (1 / mpmath.mpf(p)) / t
+            nodes = [cutoff * 10 ** k for k in range(9)] + [2 * big_r]
+            tail = vol(2 * big_r) ** (1 / mpmath.mpf(p)) * (2 * big_r) ** (-theta) / theta
+            want = mpmath.quad(integrand, nodes) + tail
+        _, seminorm, _ = ball_besov_parts(make_power_young(p), make_power_weight(theta),
+                                          d, r, head_cutoff=cutoff)
+        assert seminorm == pytest.approx(float(want), rel=5e-7), d
+
+
 def test_symdiff_monotone_in_distance():
     deltas = np.linspace(0.0, 2.0, 21)
     vols = [ball_symdiff_volume(2, 1.0, d) for d in deltas]
