@@ -15,19 +15,27 @@ from bol.young import (SECTION5_R, critical_theta, make_power_weight,
                        make_section5_young)
 
 
-def closed_form(p):
-    return p / (2.0 - p) + p / (p - 1.0)
+def closed_form(p, d=2):
+    return p / (d - (d - 1) * p) + p / ((d - 1) * (p - 1.0))
+
+
+def test_critical_power_pair_matches_closed_form():
+    # both integrands are exponentials in u = ln t, which the rule integrates exactly
+    p = 1.3
+    phi = make_power_young(p)
+    psi = make_power_weight(critical_theta(p, 2))
+    cv = condition_value(1.0, phi, psi, 2)
+    assert cv.value == pytest.approx(closed_form(p), rel=1e-12)
+    assert not cv.head_diverged and not cv.tail_diverged
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("p", [1.2, 1.3, 1.4])
-def test_critical_power_pair_matches_closed_form(p, d):
-    # both integrands are exponentials in u = ln t, which the rule integrates exactly
+def test_critical_power_pairs_match_closed_form_in_each_dim(p, d):
     phi = make_power_young(p)
     psi = make_power_weight(critical_theta(p, d))
     cv = condition_value(1.0, phi, psi, d)
-    closed = p / (d - (d - 1) * p) + p / ((d - 1) * (p - 1))
-    assert cv.value == pytest.approx(closed, rel=1e-12)
+    assert cv.value == pytest.approx(closed_form(p, d), rel=1e-12)
     assert not cv.head_diverged and not cv.tail_diverged
 
 
