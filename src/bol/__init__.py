@@ -19,8 +19,7 @@ from .grid import (Ball, GridFunction, ball_indicator, load_grid_function,
 from .molecules import (Decomposition, Molecule, decompose,
                         default_alpha_budget, molecule_count_bound,
                         verify_r1_r2, verify_r3, write_decomposition)
-from .orlicz import (ModulusCurve, ShiftNormCache, l1_modulus, luxemburg_norm,
-                     modulus_curve, modulus_of_continuity)
+from .orlicz import ModulusCurve, ShiftNormCache, l1_modulus, luxemburg_norm
 from .young import (SECTION5_R, WeightFunction, YoungFunction, critical_theta,
                     make_power_weight, make_power_young, make_section5_weight,
                     make_section5_young, make_table_young, parse_weight_spec,

@@ -212,15 +212,15 @@ def _load_input(args):
         dim = _resolve_dim(args, None)
         if dim is None:
             raise DomainError("raw csv input needs --dim (no header present)")
-        vals = np.loadtxt(args.input, delimiter=",", ndmin=1).ravel()
-        if args.shape:
-            shape = tuple(int(x) for x in args.shape.split(","))
-        elif dim == 1:
-            shape = (vals.size,)
-        else:
+        if dim > 1 and not args.shape:
             raise DomainError("raw csv input with dim > 1 needs --shape")
-        if len(shape) != dim:
-            raise DomainError("--shape length must equal --dim")
+        try:
+            vals = np.loadtxt(args.input, delimiter=",", ndmin=1).ravel()
+            shape = tuple(int(x) for x in args.shape.split(",")) if args.shape else vals.shape
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"unreadable csv input: {exc}") from exc
+        if len(shape) != dim or math.prod(shape) != vals.size:
+            raise DomainError(f"--shape must give {dim} extents holding the {vals.size} csv values")
         h = args.spacing if args.spacing is not None else 1.0
         return GridFunction(h, (0.0,) * dim, vals.reshape(shape))
     return load_grid_function(args.input)
@@ -294,7 +294,7 @@ def _cmd_norms(args):
         if psi_spec:
             psi = parse_weight_spec(psi_spec)
             quad = QuadratureConfig(
-                nodes=int(args.nodes) if args.nodes else 256,
+                nodes=args.nodes if args.nodes is not None else 256,
                 t_head=_resolve(args, "tmin", None),
                 t_tail=_resolve(args, "tmax", None),
             )

@@ -257,9 +257,7 @@ def sufficiency_molecule_estimates(f: GridFunction, phi: YoungFunction,
             rhs_small = (2.0 ** (d / (d - 1.0)) * alpha * 2.0 * linf
                          / float(phi.inv((2.0 * linf / tv) ** (d / (d - 1.0)))))
             for t in [0.5 * s_m, 0.25 * s_m]:
-                if t <= 0:
-                    continue
-                lhs = cache.sup_up_to(1.0 / t) if 1.0 / t > 0 else 0.0
+                lhs = cache.sup_up_to(1.0 / t)
                 passes = lhs <= rhs_small * 1.05 + 1e-12
                 ok = ok and passes
                 mol_rows.append({"t": t, "lhs": lhs, "rhs": rhs_small,

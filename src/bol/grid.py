@@ -6,6 +6,7 @@ origin + (i + 1/2) * h.  The function is zero outside the box.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,10 +196,14 @@ def save_grid_function(f: GridFunction, path: str) -> None:
 
 
 def load_grid_function(path: str) -> GridFunction:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        vals = np.array([float(line) for line in fh if line.strip()])
-    shape = tuple(header["shape"])
+    try:
+        with open(path) as fh:
+            header = json.loads(fh.readline())
+            vals = np.array([float(line) for line in fh if line.strip()])
+        shape = tuple(operator.index(n) for n in header["shape"])
+        spacing, origin = float(header["spacing"]), tuple(map(float, header["origin"]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # incl. json.JSONDecodeError
+        raise DomainError(f"unreadable grid file {path!r}: {exc!r}") from exc
     if vals.size != int(np.prod(shape)):
         raise DomainError("value count does not match the declared shape")
-    return GridFunction(header["spacing"], tuple(header["origin"]), vals.reshape(shape))
+    return GridFunction(spacing, origin, vals.reshape(shape))

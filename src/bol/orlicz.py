@@ -93,6 +93,37 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
     return norms, iters, resid
 
 
+def _histogram(values):
+    """(distinct |value|, count) over the nonzero entries of ``values``."""
+    return np.unique(np.abs(values[values != 0.0]), return_counts=True)
+
+
+def _solve_histograms(hists, cell_volume, phi: YoungFunction):
+    """(norms, iterations, residuals) of an iterable of (distinct |value|,
+    count) histograms: the one builder of zero-padded ``_luxemburg_rows``
+    tables.  Rows are solved together until one more would push rows x
+    padded width past ``_CHUNK_CELLS``, so the working set stays bounded."""
+    parts, pending, width = [], [], 0
+
+    def flush():
+        table = np.zeros((len(pending), width))
+        weights = np.zeros((len(pending), width))
+        for row, (vals, counts) in enumerate(pending):
+            table[row, :vals.size] = vals
+            weights[row, :vals.size] = counts * cell_volume
+        parts.append(_luxemburg_rows(table, weights, phi))
+
+    for hist in hists:
+        if pending and (len(pending) + 1) * max(width, hist[0].size) > _CHUNK_CELLS:
+            flush()
+            pending, width = [], 0
+        pending.append(hist)
+        width = max(width, hist[0].size)
+    if pending:
+        flush()
+    return tuple(map(np.concatenate, zip(*parts))) if parts else (np.zeros(0),) * 3
+
+
 def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> LuxemburgResult:
     """Smallest lambda with integral of Phi(|f|/lambda) at most 1.
 
@@ -101,13 +132,10 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     plus bisection is total.  It runs on the histogram of distinct |values|.
     """
     if isinstance(f_or_values, GridFunction):
-        vals = f_or_values.values
-        vol = f_or_values.cell_volume
+        vals, vol = f_or_values.values, f_or_values.cell_volume
     else:
-        vals = np.asarray(f_or_values, dtype=np.float64)
-        vol = float(cell_volume)
-    a, counts = np.unique(np.abs(vals[vals != 0.0]), return_counts=True)
-    norms, iters, resid = _luxemburg_rows(a[None, :], (counts * vol)[None, :], phi)
+        vals, vol = np.asarray(f_or_values, dtype=np.float64), float(cell_volume)
+    norms, iters, resid = _solve_histograms([_histogram(vals)], vol, phi)
     return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
@@ -140,14 +168,15 @@ class ShiftNormCache:
 
     Shared between modulus queries at different t so the lattice sup is
     computed once per shift vector.  Shifts are appended in order of
-    length, so ``_lens`` stays sorted.
+    length, so ``_lens`` stays sorted and the shifts of length <= t are a
+    prefix.  Every shift difference, and the saturated norm, is solved as
+    a histogram by ``_solve_histograms``.  Below one cell the modulus is
+    the unit-shift sup scaled by t/h (the same rule as ``l1_modulus``).
     """
 
-    def __init__(self, f: GridFunction, phi: YoungFunction, budget: int = SHIFT_BUDGET):
+    def __init__(self, f: GridFunction, phi: YoungFunction):
         self.f = f
         self.phi = phi
-        self.budget = budget
-        self._shifts = np.zeros((0, f.dim), dtype=np.int64)
         self._lens = np.zeros(0)
         self._norms = np.zeros(0)
         self._max_len = 0.0
@@ -156,105 +185,52 @@ class ShiftNormCache:
     def _extend(self, len_cells: float):
         if len_cells <= self._max_len:
             return
-        shifts = lattice_shifts(self.f.dim, len_cells, self.budget)
+        # the enumeration is length-sorted and stable, so the cached shifts are its prefix
+        shifts = lattice_shifts(self.f.dim, len_cells)[self.evaluated:]
         lens = np.sqrt((shifts ** 2).sum(axis=1))
-        new = lens > self._max_len + 1e-12
-        shifts, lens = shifts[new], lens[new]
-        norms = np.empty(len(shifts))
-        vol = self.f.cell_volume
-        # each shift difference becomes one row of (distinct |value|, count);
-        # rows are solved together, a bounded number of table cells at a time
-        pending, width, start = [], 0, 0
-        for i, k in enumerate(shifts):
-            d = shift_difference_values(self.f.values, k)
-            hist = np.unique(np.abs(d[d != 0.0]), return_counts=True)
-            if pending and (len(pending) + 1) * max(width, hist[0].size) > _CHUNK_CELLS:
-                norms[start:i] = _solve_histograms(pending, width, vol, self.phi)
-                pending, width, start = [], 0, i
-            pending.append(hist)
-            width = max(width, hist[0].size)
-        if pending:
-            norms[start:] = _solve_histograms(pending, width, vol, self.phi)
-        self._shifts = np.vstack([self._shifts, shifts])
+        hists = (_histogram(shift_difference_values(self.f.values, k)) for k in shifts)
+        norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]
         self._lens = np.append(self._lens, lens)
         self._norms = np.append(self._norms, norms)
         self._max_len = len_cells
 
     def saturated(self) -> float:
-        """Shift-difference norm once the copies no longer overlap:
-        the Luxemburg norm of two disjoint copies of f."""
+        """Shift-difference norm once the copies no longer overlap: the
+        Luxemburg norm of two disjoint copies of f, i.e. of f on cells of
+        twice the volume."""
         if self._saturated is None:
-            stacked = np.stack([self.f.values, self.f.values])
-            self._saturated = luxemburg_norm(
-                stacked, self.phi, cell_volume=self.f.cell_volume
-            ).norm
+            vol = 2.0 * self.f.cell_volume
+            self._saturated = luxemburg_norm(self.f.values, self.phi, cell_volume=vol).norm
         return self._saturated
 
     def sup_up_to(self, t):
         """Lattice sup of the shift-difference norms over lengths <= t.
 
-        ``t`` is a scalar or an array (e.g. all quadrature nodes); the cache
-        is extended once, to the longest shift any entry needs, and a scalar
-        gives a float.
+        ``t`` is a positive scalar or array (e.g. all quadrature nodes); the
+        cache is extended once, to the longest shift any entry needs, and a
+        scalar gives a float.
         """
         ts = np.asarray(t, dtype=np.float64)
+        if np.any(ts <= 0.0):
+            raise DomainError("modulus needs t > 0")
         h = self.f.spacing
+        t_eval, scale = np.maximum(ts, h), np.minimum(ts / h, 1.0)
         # any translation longer than the support diameter separates the
         # copies, so the sup beyond that point is the saturated norm
         cap = self.f.support_diameter() + h
-        beyond = ts > cap + h
-        below = ts < h
-        if ts.size:
-            self._extend(float(np.where(beyond, cap, np.where(below, h, ts)).max()) / h)
-        # shifts of length <= t form a prefix of the length-sorted cache
-        count = np.searchsorted(self._lens * h, np.where(beyond, cap, ts) + 1e-12 * h,
-                                side="right")
-        prefix = np.maximum.accumulate(np.append(0.0, self._norms))
-        out = prefix[count]
+        beyond = t_eval > cap + h
+        t_eval = np.where(beyond, cap, t_eval)
+        self._extend(float(t_eval.max(initial=0.0)) / h)
+        count = np.searchsorted(self._lens * h, t_eval + 1e-12 * h, side="right")
+        out = np.maximum.accumulate(np.append(0.0, self._norms))[count]
         if beyond.any():
             out = np.where(beyond, np.maximum(out, self.saturated()), out)
-        if below.any():
-            axis_max = 0.0
-            for axis in range(self.f.dim):
-                k = np.zeros(self.f.dim, dtype=np.int64)
-                k[axis] = 1
-                idx = np.where((self._shifts == k).all(axis=1))[0]
-                if idx.size:
-                    axis_max = max(axis_max, self._norms[idx[0]])
-            # documented linear under-approximation below one cell
-            out = np.where(below, axis_max * (ts / h), out)
+        out = out * scale
         return float(out) if ts.ndim == 0 else out
 
     @property
     def evaluated(self):
         return len(self._norms)
-
-
-def _solve_histograms(hists, width, cell_volume, phi):
-    """Luxemburg norms of (distinct |value|, count) pairs, padded to ``width``."""
-    table = np.zeros((len(hists), width))
-    weights = np.zeros((len(hists), width))
-    for row, (vals, counts) in enumerate(hists):
-        table[row, :vals.size] = vals
-        weights[row, :vals.size] = counts * cell_volume
-    return _luxemburg_rows(table, weights, phi)[0]
-
-
-def modulus_of_continuity(f: GridFunction, phi: YoungFunction, t: float,
-                          cache: ShiftNormCache = None) -> float:
-    """sup over lattice translations of length <= t of the shift-difference norm."""
-    if t <= 0:
-        raise DomainError("modulus needs t > 0")
-    if cache is None:
-        cache = ShiftNormCache(f, phi)
-    return cache.sup_up_to(t)
-
-
-def modulus_curve(f: GridFunction, phi: YoungFunction, ts) -> ModulusCurve:
-    ts = np.sort(np.asarray(ts, dtype=np.float64))
-    cache = ShiftNormCache(f, phi)
-    vals = cache.sup_up_to(ts)
-    return ModulusCurve(ts, vals, cache.evaluated)
 
 
 def _summed_area(values: np.ndarray) -> np.ndarray:
@@ -305,11 +281,8 @@ def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
     if t <= 0:
         raise DomainError("modulus needs t > 0")
     h = f.spacing
-    if t < h:
-        t_eff, scale = h, t / h
-    else:
-        t_eff, scale = t, 1.0
-    shifts = lattice_shifts(f.dim, t_eff / h, budget)
+    t_eval, scale = max(t, h), min(t / h, 1.0)
+    shifts = lattice_shifts(f.dim, t_eval / h, budget)
     nz = np.nonzero(f.values)
     if nz[0].size == 0:
         return 0.0

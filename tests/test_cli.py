@@ -230,9 +230,35 @@ def test_norms_csv_input_uses_spacing(tmp_path):
     ({}, ["lemma6", "--dim", "3", "--samples", "0"]),
     ({}, ["check-condition", "--dim", "0"]),
     ({}, ["necessity", "--dim", "-1"]),
+    ({}, ["norms", "--fixture", "staircase", "--phi", "power:p=1.3",
+          "--psi", "powerweight:theta=0.5385", "--nodes", "0"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     assert run_cli(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# input file name -> (file text or None for a missing file, extra norms flags)
+BAD_GRID_INPUTS = {
+    "shape_not_int.csv": ("1,2\n3,4\n", ["--dim", "2", "--shape", "2,x"]),
+    "shape_wrong_count.csv": ("1,2\n3,4\n", ["--dim", "2", "--shape", "2,3"]),
+    "cell_not_number.csv": ("1,abc\n3,4\n", ["--dim", "2", "--shape", "2,2"]),
+    "missing.csv": (None, ["--dim", "1"]),
+    "missing.grid": (None, []),
+    "header_not_json.grid": ("{shape: [2]}\n1.0\n2.0\n", []),
+    "header_without_spacing.grid": ('{"dim": 1, "origin": [0.0], "shape": [2]}\n1.0\n2.0\n', []),
+    "header_wrong_types.grid": ('{"origin": [0.0], "shape": ["a"], "spacing": "x"}\n1.0\n', []),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GRID_INPUTS))
+def test_bad_grid_input_exits_3(tmp_path, capsys, name):
+    text, extra = BAD_GRID_INPUTS[name]
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["norms", "--input", str(path)] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

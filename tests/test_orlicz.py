@@ -11,7 +11,7 @@ from bol.grid import (GridFunction, ball_indicator, lp_norm, shift_difference,
                       total_variation)
 from bol.orlicz import (ShiftNormCache, _luxemburg_rows, check_infima_bound,
                         check_lemma_omega1, l1_modulus, lattice_shifts,
-                        luxemburg_norm, modulus_curve, modulus_of_continuity)
+                        luxemburg_norm)
 from bol.young import make_power_young, make_section5_young
 
 
@@ -65,10 +65,10 @@ def test_lattice_shift_budget_guard():
 def test_modulus_monotone_and_saturates():
     phi = make_power_young(1.3)
     f = GridFunction(0.25, (0.0, 0.0), np.ones((4, 4)))
-    curve = modulus_curve(f, phi, [0.25, 0.5, 1.0, 2.0, 5.0])
-    assert np.all(np.diff(curve.values) >= -1e-12)
+    values = ShiftNormCache(f, phi).sup_up_to(np.array([0.25, 0.5, 1.0, 2.0, 5.0]))
+    assert np.all(np.diff(values) >= -1e-12)
     cache = ShiftNormCache(f, phi)
-    assert curve.values[-1] == pytest.approx(cache.saturated(), rel=1e-10)
+    assert values[-1] == pytest.approx(cache.saturated(), rel=1e-10)
 
 
 def test_modulus_subgrid_linear_model():
@@ -77,7 +77,50 @@ def test_modulus_subgrid_linear_model():
     cache = ShiftNormCache(f, phi)
     assert cache.sup_up_to(0.125) == pytest.approx(0.5 * cache.sup_up_to(0.25))
     with pytest.raises(DomainError):
-        modulus_of_continuity(f, phi, 0.0)
+        cache.sup_up_to(0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, np.array([0.5, -0.1, 1.0]), np.array([0.0])])
+def test_sup_up_to_rejects_nonpositive_t(t):
+    f = GridFunction(0.25, (0.0, 0.0), np.ones((4, 4)))
+    with pytest.raises(DomainError):
+        ShiftNormCache(f, make_power_young(1.3)).sup_up_to(t)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sup_up_to_below_one_cell_scales_the_unit_shifts(dim):
+    f = random_grid(dim, n=5, h=0.25, dim=dim)
+    h = f.spacing
+    cache = ShiftNormCache(f, make_power_young(1.3))
+    ts = np.array([0.01, 0.1, 0.2, 0.249]) * (h / 0.25)
+    unit = cache.sup_up_to(h)
+    assert cache.sup_up_to(ts).tolist() == [unit * (t / h) for t in ts]
+    # the unit shifts, one per axis, are the whole sup at one cell
+    assert unit == max(luxemburg_norm(shift_difference(f, k), cache.phi).norm
+                       for k in np.eye(dim, dtype=np.int64))
+
+
+@pytest.mark.parametrize("phi", [make_power_young(1.3), make_section5_young(0.1)])
+def test_saturated_is_the_norm_of_two_disjoint_copies(phi):
+    f = random_grid(6, n=5, h=0.3)
+    stacked = np.stack([f.values, f.values])
+    reference = luxemburg_norm(stacked, phi, cell_volume=f.cell_volume).norm
+    assert ShiftNormCache(f, phi).saturated() == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), p=st.sampled_from([1.3, 2.5]))
+def test_shift_difference_norm_is_antisymmetric(data, dim, p):
+    # Delta_{-k} f(x) = -Delta_k f(x - k), so both have the same |values|
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    levels = st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.3]) | st.floats(-3.0, 3.0)
+    values = np.array(data.draw(st.lists(levels, min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))).reshape(shape)
+    f = GridFunction(0.5, (0.0,) * dim, values)
+    k = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)))
+    phi = make_power_young(p)
+    assert (luxemburg_norm(shift_difference(f, k), phi).norm
+            == luxemburg_norm(shift_difference(f, -k), phi).norm)
 
 
 def test_l1_modulus_bound_on_random_functions():
