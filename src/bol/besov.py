@@ -67,11 +67,10 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
         return BesovNorm(0.0, 0.0, 0.0, 0.0, False, empty)
 
     h = f.spacing
-    diam = f.support_diameter()
     t_lo = quad.t_head if quad.t_head is not None else h
-    t_hi = quad.t_tail if quad.t_tail is not None else diam + 2.0 * h
-    if not 0.0 < t_lo < t_hi:
-        raise DomainError("scale window must satisfy 0 < t_head < t_tail")
+    t_hi = quad.t_tail if quad.t_tail is not None else f.support_diameter() + 2.0 * h
+    if not 0.0 < t_lo < t_hi < np.inf:
+        raise DomainError("scale window must satisfy 0 < t_head < t_tail < inf")
 
     ts = np.geomspace(t_lo, t_hi, quad.nodes)
     cache = ShiftNormCache(f, phi)

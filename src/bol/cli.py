@@ -47,6 +47,18 @@ class ConflictError(BolError):
     pass
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's flags: each command takes --output, and a malformed
+    value there exits 3, not 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.add_argument("--output", default=None)
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -101,7 +113,7 @@ def _build_parser():
         description="Numerical toolkit for an Orlicz-modulus embedding of BV",
     )
     parser.add_argument("--config", help="JSON file with default option values")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
 
     # the grid-function source, shared by the commands that read one
     source = argparse.ArgumentParser(add_help=False)
@@ -120,13 +132,11 @@ def _build_parser():
     pc.add_argument("--points", type=int, default=None)
     pc.add_argument("--head-lower-limit", type=float, default=None)
     pc.add_argument("--csv", help="write the (s, value) curve here")
-    pc.add_argument("--output", default=None)
 
     pd = sub.add_parser("decompose", parents=[source],
                         help="layer decomposition of a grid function")
     pd.add_argument("--outdir", help="write molecule files and manifest here")
     pd.add_argument("--verify", action="store_true")
-    pd.add_argument("--output", default=None)
 
     pn = sub.add_parser("norms", parents=[source], help="norm bundle of a grid function")
     pn.add_argument("--phi", default=None)
@@ -134,21 +144,18 @@ def _build_parser():
     pn.add_argument("--tmin", type=float, default=None)
     pn.add_argument("--tmax", type=float, default=None)
     pn.add_argument("--nodes", type=int, default=None)
-    pn.add_argument("--output", default=None)
 
     pe = sub.add_parser("example5", help="piecewise-exponential example bounds")
     pe.add_argument("--alpha", type=float, default=None)
     pe.add_argument("--s-multiples", default="1,10,1000",
                     help="scales as multiples of the matching point r")
     pe.add_argument("--x-span", type=float, default=1e5)
-    pe.add_argument("--output", default=None)
 
     pb = sub.add_parser("necessity", help="ball-indicator ratio experiment")
     pb.add_argument("--phi", default=None)
     pb.add_argument("--psi", default=None)
     pb.add_argument("--dim", type=int, default=None)
     pb.add_argument("--radii", default=None)
-    pb.add_argument("--output", default=None)
 
     pl = sub.add_parser("lemma6", help="symmetric-difference lower bound")
     pl.add_argument("--dim", type=int, default=None)
@@ -156,16 +163,13 @@ def _build_parser():
     pl.add_argument("--offsets", default=None)
     pl.add_argument("--samples", type=int, default=None)
     pl.add_argument("--seed", type=int, default=None)
-    pl.add_argument("--output", default=None)
 
     ps = sub.add_parser("sobolev", help="critical-norm vs TV ratios on a corpus")
     ps.add_argument("--dim", type=int, default=None)
     ps.add_argument("--n", type=int, default=None)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--output", default=None)
 
-    pr = sub.add_parser("report", help="standard battery: condition + fixture + geometry")
-    pr.add_argument("--output", default=None)
+    sub.add_parser("report", help="standard battery: condition + fixture + geometry")
 
     return parser
 

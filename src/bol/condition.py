@@ -131,8 +131,8 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     ``head_lower_limit`` replaces 0 as the lower limit of the first
     integral (the compact-domain reading of the condition).
     """
-    if s <= 0:
-        raise DomainError("condition_value needs s > 0")
+    if s <= 0 or (head_lower_limit is not None and not head_lower_limit > 0.0):
+        raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
     ls = math.log(s)
     log_pref1 = (d - 1) * ls - float(phi.inv_log(d * ls))
 
@@ -204,8 +204,8 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
     lo, hi = s_range
-    if not (0 < lo < hi):
-        raise DomainError("s_range must be positive and increasing")
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("s_range must be finite, positive and increasing")
     s_grid = np.geomspace(lo, hi, n_points)
     rows = []
     diverged_s = math.nan
@@ -219,7 +219,9 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     values = np.array([r.value for r in rows])
     finite = np.isfinite(values) & (values > 0)
     d_hat = float(values[finite].max()) if finite.any() else math.inf
-    argmax = float(s_grid[finite][np.argmax(values[finite])]) if finite.any() else math.nan
+    # the smallest s within 1e-12 of the max, so rounding cannot pick it on a flat curve
+    near_max = finite & (values >= d_hat * (1.0 - 1e-12))
+    argmax = float(s_grid[near_max][0]) if finite.any() else math.nan
     head_slope = _decade_slope(s_grid[finite], values[finite], "head") if finite.sum() > 1 else 0.0
     tail_slope = _decade_slope(s_grid[finite], values[finite], "tail") if finite.sum() > 1 else 0.0
     if not math.isnan(diverged_s):
@@ -246,8 +248,8 @@ def section5_first_bound(alpha: float, s_list):
     k = math.log(r)
     rows = []
     for s in s_list:
-        if s < r * (1 - 1e-12):
-            raise DomainError("first-bound scales must satisfy s >= r")
+        if not r * (1 - 1e-12) <= s < math.inf:
+            raise DomainError("first-bound scales must be finite and satisfy s >= r")
         ls = math.log(s)
         log_pref = ls - float(phi.inv_log(2.0 * ls))
         if ls <= k:
@@ -273,8 +275,8 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
     """
     phi = make_section5_young(alpha)
     r = SECTION5_R
-    if s < r * (1 - 1e-12):
-        raise DomainError("second-bound scale must satisfy s >= r")
+    if s < r * (1 - 1e-12) or not 0.0 < x_span < math.inf:
+        raise DomainError("second bound needs s >= r and a finite, positive x_span")
     ls = math.log(s)
 
     def log_integrand(u):

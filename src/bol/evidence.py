@@ -31,25 +31,30 @@ class ExperimentRecord:
 
 # -- exact symmetric-difference volumes of equal balls -------------------------
 
-def ball_symdiff_volume(d: int, r: float, center_dist: float) -> float:
-    """Volume of the symmetric difference of two radius-r balls (d <= 3).
+_asin = np.vectorize(math.asin, otypes=[np.float64])  # np.arcsin differs by an ulp at times
+
+
+def ball_symdiff_volume(d: int, r: float, center_dist):
+    """Volume of the symmetric difference of two radius-r balls (d <= 3) at
+    a scalar center distance (a float comes back) or an array of them.
 
     Written directly in the offset delta (no full-minus-intersection
     subtraction), so it keeps full relative accuracy as delta -> 0.
     """
-    if center_dist < 0 or r <= 0:
+    delta = np.minimum(np.asarray(center_dist, dtype=np.float64), 2.0 * r)
+    if np.any(delta < 0) or r <= 0:
         raise DomainError("radius must be positive and distance nonnegative")
     if d not in (1, 2, 3):
         raise DomainError("exact symmetric difference implemented for d <= 3")
-    if center_dist >= 2.0 * r:
-        return 2.0 * unit_ball_volume(d) * r ** d
-    delta = center_dist
     if d == 1:
-        return 2.0 * delta
-    if d == 2:
-        return 4.0 * r * r * math.asin(delta / (2.0 * r)) \
-            + delta * math.sqrt(4.0 * r * r - delta * delta)
-    return math.pi * delta * (12.0 * r * r - delta * delta) / 6.0
+        vol = 2.0 * delta
+    elif d == 2:
+        vol = 4.0 * r * r * _asin(delta / (2.0 * r)) \
+            + delta * np.sqrt(4.0 * r * r - delta * delta)
+    else:
+        vol = math.pi * delta * (12.0 * r * r - delta * delta) / 6.0
+    vol = np.where(delta >= 2.0 * r, 2.0 * unit_ball_volume(d) * r ** d, vol)
+    return float(vol) if vol.ndim == 0 else vol
 
 
 def _mc_symdiff_volume(dim, radius, center_dist, n_samples, seed):
@@ -146,8 +151,7 @@ def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
     orlicz = _indicator_orlicz_norm(phi, vol)
 
     def omega(ts):
-        vols = np.array([ball_symdiff_volume(d, r, min(t, 2.0 * r)) for t in ts])
-        return 1.0 / np.asarray(phi.inv(1.0 / vols))
+        return 1.0 / np.asarray(phi.inv(1.0 / ball_symdiff_volume(d, r, ts)))
 
     # head behavior: slope of Psi(t)*omega(t) near zero decides integrability
     t_probe = np.array([head_cutoff, head_cutoff * 1.001])
@@ -172,8 +176,9 @@ def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
     the ratio along descending radii witnesses a failing embedding.
     """
     radii = list(radii)
-    if any(r <= 0 for r in radii) or any(radii[i] < radii[i + 1] for i in range(len(radii) - 1)):
-        raise DomainError("radii must be positive and descending")
+    if not radii or not all(0.0 < r < math.inf for r in radii) \
+            or radii != sorted(radii, reverse=True) or d * math.log(radii[0]) >= 700.0:
+        raise DomainError("radii must be positive, descending and small enough for a finite volume")
     vd = unit_ball_volume(d)
     omega_box = max(radii) + 1.0
     diam = 2.0 * omega_box * math.sqrt(d)

@@ -48,12 +48,15 @@ class GridFunction:
     def cell_volume(self):
         return self.spacing ** self.dim
 
+    def support_box(self) -> np.ndarray:
+        """The values trimmed to the bounding box of the nonzero cells; it
+        has no cells when f is zero everywhere."""
+        return self.values[tuple(slice(idx.min(), idx.max() + 1) if idx.size else slice(0)
+                                 for idx in np.nonzero(self.values))]
+
     def support_diameter(self):
         """Euclidean diameter of the bounding box of nonzero cells."""
-        nz = np.nonzero(self.values)
-        if len(nz[0]) == 0:
-            return 0.0
-        ext = [(idx.max() - idx.min() + 1) * self.spacing for idx in nz]
+        ext = [n * self.spacing for n in self.support_box().shape]
         return math.sqrt(sum(e * e for e in ext))
 
     def scaled(self, c):

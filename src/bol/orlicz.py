@@ -164,35 +164,24 @@ def lattice_shifts(dim: int, max_len_cells: float, budget: int = SHIFT_BUDGET):
 
 
 class ShiftNormCache:
-    """Lazy per-shift Orlicz norms of f(.+k*h)-f with a running prefix max.
+    """Per-shift Orlicz norms of f(.+k*h)-f with a running prefix max.
 
-    Shared between modulus queries at different t so the lattice sup is
-    computed once per shift vector.  Shifts are appended in order of
-    length, so ``_lens`` stays sorted and the shifts of length <= t are a
-    prefix.  Every shift difference, and the saturated norm, is solved as
-    a histogram by ``_solve_histograms``.  Below one cell the modulus is
-    the unit-shift sup scaled by t/h (the same rule as ``l1_modulus``).
+    Shared between modulus queries at different t.  A shift with
+    |k_i| >= n_i on some axis, n_i the extents of f's support box,
+    separates the two copies, and its norm is exactly ``saturated()``.
+    The first query solves every other shift on the box, as histograms,
+    sorted by length, so the shifts of length <= t are a prefix.  Below
+    one cell the modulus is the unit-shift sup scaled by t/h (the same
+    rule as ``l1_modulus``).
     """
 
     def __init__(self, f: GridFunction, phi: YoungFunction):
         self.f = f
         self.phi = phi
-        self._lens = np.zeros(0)
+        self._box = f.support_box()
+        self._lens = None
         self._norms = np.zeros(0)
-        self._max_len = 0.0
         self._saturated = None
-
-    def _extend(self, len_cells: float):
-        if len_cells <= self._max_len:
-            return
-        # the enumeration is length-sorted and stable, so the cached shifts are its prefix
-        shifts = lattice_shifts(self.f.dim, len_cells)[self.evaluated:]
-        lens = np.sqrt((shifts ** 2).sum(axis=1))
-        hists = (_histogram(shift_difference_values(self.f.values, k)) for k in shifts)
-        norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]
-        self._lens = np.append(self._lens, lens)
-        self._norms = np.append(self._norms, norms)
-        self._max_len = len_cells
 
     def saturated(self) -> float:
         """Shift-difference norm once the copies no longer overlap: the
@@ -206,25 +195,28 @@ class ShiftNormCache:
     def sup_up_to(self, t):
         """Lattice sup of the shift-difference norms over lengths <= t.
 
-        ``t`` is a positive scalar or array (e.g. all quadrature nodes); the
-        cache is extended once, to the longest shift any entry needs, and a
-        scalar gives a float.
+        ``t`` is a positive scalar or array (e.g. all quadrature nodes); a
+        scalar gives a float.  The sup is the prefix max of the overlapping
+        shifts, raised to ``saturated()`` once t reaches the shortest
+        separating shift, min(n_i) cells.
         """
         ts = np.asarray(t, dtype=np.float64)
         if np.any(ts <= 0.0):
             raise DomainError("modulus needs t > 0")
         h = self.f.spacing
         t_eval, scale = np.maximum(ts, h), np.minimum(ts / h, 1.0)
-        # any translation longer than the support diameter separates the
-        # copies, so the sup beyond that point is the saturated norm
-        cap = self.f.support_diameter() + h
-        beyond = t_eval > cap + h
-        t_eval = np.where(beyond, cap, t_eval)
-        self._extend(float(t_eval.max(initial=0.0)) / h)
+        if self._lens is None:
+            ext = np.array(self._box.shape)
+            shifts = lattice_shifts(self.f.dim, math.sqrt(((ext - 1) ** 2).sum()))
+            shifts = shifts[(np.abs(shifts) < ext).all(axis=1)]
+            hists = (_histogram(shift_difference_values(self._box, k)) for k in shifts)
+            self._norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]
+            self._lens = np.sqrt((shifts ** 2).sum(axis=1))
         count = np.searchsorted(self._lens * h, t_eval + 1e-12 * h, side="right")
         out = np.maximum.accumulate(np.append(0.0, self._norms))[count]
-        if beyond.any():
-            out = np.where(beyond, np.maximum(out, self.saturated()), out)
+        separates = t_eval / h + 1e-12 >= min(self._box.shape)
+        if separates.any():
+            out = np.where(separates, np.maximum(out, self.saturated()), out)
         out = out * scale
         return float(out) if ts.ndim == 0 else out
 
@@ -265,8 +257,8 @@ def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
 
     - saturation: ||Delta_k f||_1 <= 2 ||f||_1 for every k (triangle
       inequality), with equality once |k_i| >= n_i on some axis, because
-      the two copies no longer overlap.  If the shift set holds such a k,
-      the sup is 2 ||f||_1 and no shift is evaluated.
+      the two copies no longer overlap.  Once t/h reaches min(n_i) the
+      shift set holds such a k, the sup is 2 ||f||_1 and no shift is evaluated.
     - overlap split: otherwise, with O_k the cells x where both x and x+k
       lie in the box,
       ||Delta_k f||_1 = 2 ||f||_1 - sum_O (|f(x)| + |f(x+k)|)
@@ -283,13 +275,10 @@ def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
     h = f.spacing
     t_eval, scale = max(t, h), min(t / h, 1.0)
     shifts = lattice_shifts(f.dim, t_eval / h, budget)
-    nz = np.nonzero(f.values)
-    if nz[0].size == 0:
-        return 0.0
-    a = f.values[tuple(slice(idx.min(), idx.max() + 1) for idx in nz)]
+    a = f.support_box()
     mag = np.abs(a)
     ext = np.array(a.shape)
-    if (np.abs(shifts) >= ext).any():
+    if t_eval / h + 1e-12 >= min(a.shape):
         return float(2.0 * mag.sum() * f.cell_volume) * scale
     tables = [_summed_area(mag)] + [_summed_area(np.flip(mag, axis)) for axis in range(a.ndim)]
     pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)

@@ -242,15 +242,12 @@ def make_section5_young(alpha: float) -> YoungFunction:
 
 def make_table_young(path: str) -> YoungFunction:
     """Young function from a two-column CSV (t, Phi(t)), log-log interpolated."""
-    ts, vs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
-    ts = np.asarray(ts)
-    vs = np.asarray(vs)
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+        ts, vs = (np.array([float(row[i]) for row in rows]) for i in (0, 1))
+    except (OSError, ValueError, IndexError) as exc:
+        raise DomainError(f"unreadable Young table {path!r}: {exc!r}") from exc
     if len(ts) < 2 or np.any(np.diff(ts) <= 0) or np.any(np.diff(vs) <= 0):
         raise DomainError("table must be strictly increasing in both columns")
     if np.any(ts <= 0) or np.any(vs <= 0):

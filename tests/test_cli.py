@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bol
 from bol.cli import main
@@ -232,12 +236,41 @@ def test_norms_csv_input_uses_spacing(tmp_path):
     ({}, ["necessity", "--dim", "-1"]),
     ({}, ["norms", "--fixture", "staircase", "--phi", "power:p=1.3",
           "--psi", "powerweight:theta=0.5385", "--nodes", "0"]),
+    ({}, ["necessity", "--radii", "inf"]),
+    ({}, ["necessity", "--radii", ""]),
+    ({}, ["necessity", "--radii", "nan"]),
+    ({}, ["example5", "--x-span", "nan"]),
+    ({}, ["check-condition", "--head-lower-limit", "-1"]),
+    ({}, ["check-condition", "--head-lower-limit", "nan"]),
+    ({}, ["norms", "--fixture", "staircase", "--phi", "table:file=/nonexistent/phi.csv"]),
+    ({}, ["check-condition", "--points", "x"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():
         monkeypatch.setenv(key, val)
     assert run_cli(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# numeric flags of four commands, each after the flags its command needs
+_FUZZ_FLAGS = [
+    (["check-condition", "--points", "16"], ["--dim", "--smin", "--smax", "--points",
+                                             "--head-lower-limit"]),
+    (["necessity"], ["--dim", "--radii"]),
+    (["example5"], ["--alpha", "--x-span", "--s-multiples"]),
+    (["norms", "--fixture", "staircase", "--phi", "power:p=1.3",
+      "--psi", "powerweight:theta=0.5385"], ["--tmin", "--tmax", "--nodes", "--spacing", "--dim"]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(base, flag) for base, flags in _FUZZ_FLAGS for flag in flags]),
+       value=st.sampled_from(["nan", "inf", "-1", "0", "", "x", "1e308"]))
+def test_numeric_flag_values_map_to_exit_codes(case, value):
+    base, flag = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(base + [flag, value])
+    assert code in (0, 1, 3, 4, 5)
 
 
 # input file name -> (file text or None for a missing file, extra norms flags)

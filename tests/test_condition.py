@@ -46,6 +46,18 @@ def test_critical_pair_is_scale_free():
     assert max(vals) == pytest.approx(min(vals), rel=1e-12)
 
 
+def test_argmax_s_is_the_smallest_scale_at_the_max():
+    # a scale-free curve equals D_hat at every scale up to rounding
+    flat = condition_sup(make_power_young(1.2), make_power_weight(critical_theta(1.2, 2)), 2)
+    assert flat.argmax_s == flat.s_grid[0]
+    # a peaked curve reports its strict maximiser, inside the range
+    phi = make_section5_young(0.1)
+    peaked = condition_sup(phi, make_section5_weight(phi), 2, n_points=33)
+    i = int(np.argmax(peaked.values))
+    assert 0 < i < len(peaked.s_grid) - 1
+    assert peaked.argmax_s == peaked.s_grid[i]
+
+
 def exact_exp_sum(log_vals, u):
     """Sum over node intervals of the integral of exp(linear interpolant), 40 digits."""
     with mpmath.workdps(40):

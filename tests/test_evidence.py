@@ -53,6 +53,32 @@ def test_symdiff_matches_mpmath_at_all_offsets():
                 assert abs(got - want) <= 2e-15 * want, (d, r, frac)
 
 
+def scalar_symdiff_volume(d, r, delta):
+    """The closed forms in math-module scalar arithmetic."""
+    if delta >= 2.0 * r:
+        return 2.0 * unit_ball_volume(d) * r ** d
+    if d == 1:
+        return 2.0 * delta
+    if d == 2:
+        return 4.0 * r * r * math.asin(delta / (2.0 * r)) \
+            + delta * math.sqrt(4.0 * r * r - delta * delta)
+    return math.pi * delta * (12.0 * r * r - delta * delta) / 6.0
+
+
+def test_symdiff_array_form_equals_scalar_calls():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        for r in (0.125, 1.0, 3.0):
+            deltas = np.concatenate([[0.0, 1e-300, 2.0 * r, 5.0 * r],
+                                     rng.uniform(0.0, 2.0 * r, 2000),
+                                     np.geomspace(1e-12, 2.0 * r, 500)])
+            want = [scalar_symdiff_volume(d, r, x) for x in deltas]
+            assert ball_symdiff_volume(d, r, deltas).tolist() == want
+            assert [ball_symdiff_volume(d, r, x) for x in deltas] == want
+    with pytest.raises(DomainError):
+        ball_symdiff_volume(2, 1.0, np.array([0.5, -1e-9]))
+
+
 def test_ball_parts_survive_tiny_head_cutoff():
     for d in (2, 3):
         orlicz, seminorm, diverged = ball_besov_parts(

@@ -12,7 +12,8 @@ from bol.grid import (GridFunction, ball_indicator, load_grid_function,
                       lp_norm, save_grid_function, shift, shift_difference,
                       shift_difference_values, total_variation,
                       unit_ball_volume)
-from bol.orlicz import l1_modulus, lattice_shifts
+from bol.orlicz import ShiftNormCache, l1_modulus, lattice_shifts, luxemburg_norm
+from bol.young import make_power_young
 
 
 def box2d(n=8, h=0.25, value=1.0):
@@ -146,6 +147,28 @@ def test_l1_modulus_matches_cell_loop_max(case):
         assert got == pytest.approx(saturated, rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=bordered_grids(), p=st.sampled_from([1.3, 2.5]))
+@example(case=(np.zeros((3, 4)), 0.5, 2.0), p=1.3)            # all zero
+@example(case=(np.pad(np.ones((2, 5)), 1), 0.5, 2.0), p=1.3)  # n_min = 2 on axis 0
+@example(case=(np.pad(np.full((1, 1, 1), -2.0), 2), 0.1, 0.4), p=2.5)  # single cell
+def test_sup_up_to_matches_every_lattice_shift(case, p):
+    # on both sides of the shortest separating shift, min(n_i) cells, the
+    # cache's sup equals a brute-force max over every lattice shift
+    values, h, _ = case
+    f = GridFunction(h, (0.0,) * values.ndim, values)
+    phi = make_power_young(p)
+    n_min = min(_box_extents(values) or [0])
+    shifts = lattice_shifts(values.ndim, n_min + 0.5)
+    norms = [luxemburg_norm(shift_difference(f, k), phi).norm for k in shifts]
+    cache = ShiftNormCache(f, phi)
+    for t_cells in (max(n_min - 0.5, 0.3), max(n_min, 0.7), n_min + 0.5):
+        # the shifts of length <= max(t, h) are a prefix of the sorted enumeration
+        count = len(lattice_shifts(values.ndim, max(t_cells, 1.0)))
+        expect = max(norms[:count], default=0.0) * min(t_cells, 1.0)
+        assert cache.sup_up_to(t_cells * h) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(1, 3), t_cells=st.floats(0.05, 40.0), budget=st.integers(1, 200),
        support=st.sampled_from(["zero", "cell", "full"]))
@@ -231,6 +254,15 @@ def test_support_diameter():
     v[2:5, 3:7] = 1.0
     f = GridFunction(0.5, (0.0, 0.0), v)
     assert f.support_diameter() == pytest.approx(math.hypot(3 * 0.5, 4 * 0.5))
+
+
+def test_support_box_trims_to_the_nonzero_cells():
+    v = np.zeros((10, 10, 3))
+    v[2:5, 3:7, 1] = 1.0
+    v[4, 3, 1] = 0.0
+    box = GridFunction(0.5, (0.0,) * 3, v).support_box()
+    assert np.array_equal(box, v[2:5, 3:7, 1:2])
+    assert GridFunction(0.5, (0.0, 0.0), np.zeros((4, 3))).support_box().size == 0
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -108,6 +108,26 @@ def test_saturated_is_the_norm_of_two_disjoint_copies(phi):
     assert ShiftNormCache(f, phi).saturated() == reference
 
 
+@pytest.mark.parametrize("phi", [make_power_young(1.3), make_section5_young(0.1)])
+def test_separating_shift_norm_is_saturated_exactly(phi):
+    # support box 3 x 4 inside a zero frame
+    f = GridFunction(0.3, (0.0, 0.0), np.pad(random_grid(7, n=4, h=0.3).values[:3], 2))
+    saturated = ShiftNormCache(f, phi).saturated()
+    for k in ([3, 0], [0, 4], [2, -4]):
+        assert luxemburg_norm(shift_difference(f, k), phi).norm == saturated
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (1, 6)])
+def test_cache_solves_each_overlapping_shift_once(shape):
+    values = np.pad(np.random.default_rng(len(shape)).uniform(0.5, 2.0, shape), 1)
+    cache = ShiftNormCache(GridFunction(0.5, (0.0,) * len(shape), values), make_power_young(1.3))
+    assert cache.evaluated == 0
+    cache.sup_up_to(100.0)
+    cache.sup_up_to(np.array([0.2, 1.0, 3.0]))
+    # nonzero k with |k_i| < n_i on every axis, one per {k, -k} pair
+    assert cache.evaluated == (math.prod(2 * n - 1 for n in shape) - 1) // 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3), p=st.sampled_from([1.3, 2.5]))
 def test_shift_difference_norm_is_antisymmetric(data, dim, p):
