@@ -7,14 +7,14 @@ Besov-type norm (``besov``), measure-halving layer decompositions
 constructive experiments (``evidence``), and a CLI (``bol``).
 """
 
-from .besov import BesovNorm, QuadratureConfig, besov_bv_ratio, besov_orlicz_norm
+from .besov import BesovNorm, besov_bv_ratio, besov_orlicz_norm
 from .condition import (ConditionQuad, ConditionReport, ConditionValue,
                         condition_sup, condition_value, section5_first_bound,
                         section5_second_bound)
 from .errors import (BolError, ConvergenceError, DivergenceError, DomainError,
                      ResourceGuardError)
 from .grid import (Ball, GridFunction, ball_indicator, load_grid_function,
-                   lp_norm, norm_bundle, save_grid_function, shift,
+                   lp_norm, save_grid_function, shift,
                    shift_difference, total_variation, unit_ball_volume)
 from .molecules import (Decomposition, Molecule, decompose,
                         default_alpha_budget, molecule_count_bound,

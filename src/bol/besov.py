@@ -18,24 +18,11 @@ from .young import WeightFunction, YoungFunction
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    nodes: int = 256
-    t_head: float = None  # defaults to the grid spacing
-    t_tail: float = None  # defaults to just past the support diameter
-    truncate_divergent_head: bool = False
-
-    def __post_init__(self):
-        if self.nodes < 8:
-            raise DomainError("seminorm quadrature needs at least 8 nodes")
-
-
-@dataclass(frozen=True)
 class BesovNorm:
     orlicz_part: float
     seminorm_part: float
     head_bound: float
     tail_bound: float
-    head_truncated: bool
     curve: ModulusCurve
 
     @property
@@ -59,50 +46,48 @@ def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
 
 
 def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
-                      quad: QuadratureConfig = None) -> BesovNorm:
-    quad = quad or QuadratureConfig()
+                      nodes: int = 256, t_head: float = None,
+                      t_tail: float = None) -> BesovNorm:
+    """The window [t_head, t_tail] (by default the grid spacing to just past
+    the support diameter) takes a trapezoid rule on ``nodes`` geometric
+    nodes; the head below it and the saturated tail above it are closed forms.
+    """
+    if nodes < 8:
+        raise DomainError("seminorm quadrature needs at least 8 nodes")
     orlicz = luxemburg_norm(f, phi).norm
     if orlicz == 0.0:
-        empty = ModulusCurve(np.zeros(0), np.zeros(0), 0)
-        return BesovNorm(0.0, 0.0, 0.0, 0.0, False, empty)
+        return BesovNorm(0.0, 0.0, 0.0, 0.0, ModulusCurve(np.zeros(0), np.zeros(0)))
 
     h = f.spacing
-    t_lo = quad.t_head if quad.t_head is not None else h
-    t_hi = quad.t_tail if quad.t_tail is not None else f.support_diameter() + 2.0 * h
+    t_lo = t_head if t_head is not None else h
+    t_hi = t_tail if t_tail is not None else f.support_diameter() + 2.0 * h
     if not 0.0 < t_lo < t_hi < np.inf:
         raise DomainError("scale window must satisfy 0 < t_head < t_tail < inf")
 
-    ts = np.geomspace(t_lo, t_hi, quad.nodes)
+    ts = np.geomspace(t_lo, t_hi, nodes)
     cache = ShiftNormCache(f, phi)
     omega = cache.sup_up_to(ts)
     weights = np.asarray(psi.eval(ts), dtype=np.float64)
     mid = float(np.trapezoid(weights * omega / ts, ts))
-    curve = ModulusCurve(ts, omega, cache.evaluated)
 
     # head: omega(t) <= (omega(t_lo)/t_lo) * t below the window, so the
     # integrand behaves like Psi(t) times a constant
-    head_truncated = False
-    if psi.infinity_exponent < 1.0:
-        slope = omega[0] / t_lo
-        head = slope * float(psi.eval(t_lo)) * t_lo / (1.0 - psi.infinity_exponent)
-    elif quad.truncate_divergent_head:
-        head = 0.0
-        head_truncated = True
-    else:
+    if not psi.infinity_exponent < 1.0:
         raise DivergenceError(
             "seminorm head integral diverges (weight grows at least like 1/t)",
             end="head",
         )
-
+    slope = omega[0] / t_lo
+    head = slope * float(psi.eval(t_lo)) * t_lo / (1.0 - psi.infinity_exponent)
     tail = saturated_tail(psi, cache.saturated(), t_hi)
-
-    return BesovNorm(orlicz, mid + head + tail, head, tail, head_truncated, curve)
+    return BesovNorm(orlicz, mid + head + tail, head, tail, ModulusCurve(ts, omega))
 
 
 def besov_bv_ratio(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
-                   quad: QuadratureConfig = None) -> float:
-    """Besov-Orlicz norm over the BV norm (L1 plus discrete TV)."""
+                   **window) -> float:
+    """Besov-Orlicz norm over the BV norm (L1 plus discrete TV); ``window``
+    takes the keywords of ``besov_orlicz_norm``."""
     bv = lp_norm(f, 1) + total_variation(f)
     if bv == 0.0:
         raise DomainError("ratio undefined for the zero function")
-    return besov_orlicz_norm(f, phi, psi, quad).total / bv
+    return besov_orlicz_norm(f, phi, psi, **window).total / bv

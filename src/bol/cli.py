@@ -16,13 +16,13 @@ import sys
 
 import numpy as np
 
-from .besov import QuadratureConfig, besov_orlicz_norm
+from .besov import besov_orlicz_norm
 from .condition import (condition_sup, section5_first_bound,
                         section5_second_bound)
 from .corpus import make_corpus
 from .errors import BolError, DivergenceError, DomainError, ResourceGuardError
 from .evidence import lemma6_check, necessity_ball_experiment, sobolev_check
-from .grid import GridFunction, load_grid_function, norm_bundle
+from .grid import GridFunction, load_grid_function, lp_norm, total_variation
 from .molecules import (decompose, default_alpha_budget, molecule_count_bound,
                         verify_r1_r2, verify_r3, write_decomposition)
 from .orlicz import luxemburg_norm
@@ -119,9 +119,9 @@ def _build_parser():
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--input", help="grid file (.grid with header, or raw .csv)")
     source.add_argument("--fixture", choices=["staircase"])
-    source.add_argument("--dim", type=int, default=None)
-    source.add_argument("--shape", help="comma-separated extents for raw csv input")
-    source.add_argument("--spacing", type=float, default=None)
+    source.add_argument("--dim", type=int, default=None, help="raw csv input only")
+    source.add_argument("--shape", help="comma-separated extents; raw csv input only")
+    source.add_argument("--spacing", type=float, default=None, help="raw csv input only")
 
     pc = sub.add_parser("check-condition", help="evaluate the two-integral condition")
     pc.add_argument("--phi", default=None)
@@ -208,26 +208,29 @@ def _resolve_dim(args, builtin=2):
 def _load_input(args):
     if args.input and args.fixture:
         raise ConflictError("--input and --fixture are mutually exclusive")
-    if args.fixture == "staircase":
-        return staircase_fixture()
-    if not args.input:
+    if not (args.input or args.fixture):
         raise DomainError("need --input or --fixture")
-    if args.input.endswith(".csv"):
-        dim = _resolve_dim(args, None)
-        if dim is None:
-            raise DomainError("raw csv input needs --dim (no header present)")
-        if dim > 1 and not args.shape:
-            raise DomainError("raw csv input with dim > 1 needs --shape")
-        try:
-            vals = np.loadtxt(args.input, delimiter=",", ndmin=1).ravel()
-            shape = tuple(int(x) for x in args.shape.split(",")) if args.shape else vals.shape
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"unreadable csv input: {exc}") from exc
-        if len(shape) != dim or math.prod(shape) != vals.size:
-            raise DomainError(f"--shape must give {dim} extents holding the {vals.size} csv values")
-        h = args.spacing if args.spacing is not None else 1.0
-        return GridFunction(h, (0.0,) * dim, vals.reshape(shape))
-    return load_grid_function(args.input)
+    if args.fixture or not args.input.endswith(".csv"):
+        # the fixture or the grid file's header fixes the layout; only the
+        # flags conflict with it, not BOL_DIM or the config key dim
+        given = [flag for flag in ("dim", "shape", "spacing") if getattr(args, flag) is not None]
+        if given:
+            raise ConflictError(f"--{', --'.join(given)} apply only to raw csv input")
+        return staircase_fixture() if args.fixture else load_grid_function(args.input)
+    dim = _resolve_dim(args, None)
+    if dim is None:
+        raise DomainError("raw csv input needs --dim (no header present)")
+    if dim > 1 and not args.shape:
+        raise DomainError("raw csv input with dim > 1 needs --shape")
+    try:
+        vals = np.loadtxt(args.input, delimiter=",", ndmin=1).ravel()
+        shape = tuple(int(x) for x in args.shape.split(",")) if args.shape else vals.shape
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"unreadable csv input: {exc}") from exc
+    if len(shape) != dim or math.prod(shape) != vals.size:
+        raise DomainError(f"--shape must give {dim} extents holding the {vals.size} csv values")
+    h = args.spacing if args.spacing is not None else 1.0
+    return GridFunction(h, (0.0,) * dim, vals.reshape(shape))
 
 
 def _cmd_check_condition(args):
@@ -288,8 +291,8 @@ def _cmd_decompose(args):
 
 def _cmd_norms(args):
     f = _load_input(args)
-    nb = norm_bundle(f, ps=(2.0,))
-    out = {"l1": nb.l1, "linf": nb.linf, "tv": nb.tv, "l2": nb.lp(2.0)}
+    out = {"l1": lp_norm(f, 1), "linf": lp_norm(f, np.inf), "tv": total_variation(f),
+           "l2": lp_norm(f, 2.0)}
     phi_spec = _resolve(args, "phi", None)
     if phi_spec:
         phi = parse_young_spec(phi_spec)
@@ -297,12 +300,10 @@ def _cmd_norms(args):
         psi_spec = _resolve(args, "psi", None)
         if psi_spec:
             psi = parse_weight_spec(psi_spec)
-            quad = QuadratureConfig(
-                nodes=args.nodes if args.nodes is not None else 256,
-                t_head=_resolve(args, "tmin", None),
-                t_tail=_resolve(args, "tmax", None),
-            )
-            bn = besov_orlicz_norm(f, phi, psi, quad)
+            bn = besov_orlicz_norm(f, phi, psi,
+                                   nodes=args.nodes if args.nodes is not None else 256,
+                                   t_head=_resolve(args, "tmin", None),
+                                   t_tail=_resolve(args, "tmax", None))
             out["besov"] = {"orlicz_part": bn.orlicz_part,
                             "seminorm_part": bn.seminorm_part,
                             "total": bn.total}

@@ -134,7 +134,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     if s <= 0 or (head_lower_limit is not None and not head_lower_limit > 0.0):
         raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
     ls = math.log(s)
-    log_pref1 = (d - 1) * ls - float(phi.inv_log(d * ls))
+    log_pref1 = (d - 1) * ls - float(phi.log_inv(d * ls))
 
     if head_lower_limit is not None:
         if head_lower_limit >= s:
@@ -142,7 +142,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
         else:
             umax = ls - math.log(head_lower_limit)
             u = np.linspace(0.0, umax, max(quad.n_mid, int(20 * umax) + 16))
-            head_val = log_domain_integral(psi.eval_log(u - ls), u)
+            head_val = log_domain_integral(psi.log_eval(u - ls), u)
             head_rem, head_div = 0.0, False
     else:
         if psi.zero_exponent <= 0:
@@ -154,7 +154,7 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
             head_val, head_rem, head_div = math.nan, math.inf, True
         else:
             head_val, head_rem, head_div = _condition_integral(
-                lambda u: np.asarray(psi.eval_log(u - ls)), quad
+                lambda u: np.asarray(psi.log_eval(u - ls)), quad
             )
     first = math.exp(log_pref1) * head_val if not math.isnan(head_val) else math.nan
     first_rem = math.exp(log_pref1) * head_rem if math.isfinite(head_rem) else math.inf
@@ -162,9 +162,9 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     def tail_log(u):
         lt = ls + u
         return (
-            np.asarray(psi.eval_log(-lt))
+            np.asarray(psi.log_eval(-lt))
             + (d - 1) * ls
-            - np.asarray(phi.inv_log(lt + (d - 1) * ls))
+            - np.asarray(phi.log_inv(lt + (d - 1) * ls))
         )
 
     tail_val, tail_rem, tail_div = _condition_integral(tail_log, quad)
@@ -251,12 +251,12 @@ def section5_first_bound(alpha: float, s_list):
         if not r * (1 - 1e-12) <= s < math.inf:
             raise DomainError("first-bound scales must be finite and satisfy s >= r")
         ls = math.log(s)
-        log_pref = ls - float(phi.inv_log(2.0 * ls))
+        log_pref = ls - float(phi.log_inv(2.0 * ls))
         if ls <= k:
             value = 0.0
         else:
             x = np.linspace(k, ls, 4000)
-            log_integrand = x - np.asarray(phi.inv_log(-2.0 * x)) - 2.0 * x
+            log_integrand = x - np.asarray(phi.log_inv(-2.0 * x)) - 2.0 * x
             value = math.exp(log_pref) * log_domain_integral(log_integrand, x)
         beta = alpha / math.log(ls) if ls > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
@@ -281,7 +281,7 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
 
     def log_integrand(u):
         x = ls + u
-        return ls - x - np.asarray(phi.inv_log(x + ls)) - np.asarray(phi.inv_log(-2.0 * x))
+        return ls - x - np.asarray(phi.log_inv(x + ls)) - np.asarray(phi.log_inv(-2.0 * x))
 
     quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
     value, remainder, slope, _ = _integrate_decaying(log_integrand, quad)

@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import QuadratureConfig, besov_orlicz_norm, saturated_tail
+from .besov import besov_orlicz_norm, saturated_tail
 from .condition import (ConditionQuad, condition_sup, condition_value,
                         log_domain_integral)
 from .errors import DomainError
-from .grid import GridFunction, lp_norm, total_variation, unit_ball_volume
+from .grid import (GridFunction, ball_indicator, lp_norm, total_variation,
+                   unit_ball_volume)
 from .molecules import decompose
 from .orlicz import ShiftNormCache
 from .young import WeightFunction, YoungFunction
@@ -138,14 +139,14 @@ def _indicator_orlicz_norm(phi: YoungFunction, measure: float) -> float:
 
 
 def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
-                     head_cutoff: float = 1e-8, n_t: int = 4000):
+                     head_cutoff: float = 1e-8):
     """Orlicz part, seminorm, and a head-divergence flag for a ball indicator.
 
     The modulus is closed-form: the shift of length t produces a
     symmetric difference whose volume is exact for d <= 3, and the
     Luxemburg norm of an indicator is the reciprocal inverse at the
     reciprocal measure.  The seminorm integrates Psi(t) * omega(t) over
-    u = ln t with the exact log-domain rule on n_t nodes.
+    u = ln t with the exact log-domain rule on 4000 nodes.
     """
     vol = unit_ball_volume(d) * r ** d
     orlicz = _indicator_orlicz_norm(phi, vol)
@@ -159,16 +160,15 @@ def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
     head_slope = (math.log(probe[1]) - math.log(probe[0])) / math.log(1.001)
     head_diverged = head_slope <= 1e-9
 
-    u = np.linspace(math.log(head_cutoff), math.log(2.0 * r), n_t)
-    seminorm = log_domain_integral(np.asarray(psi.eval_log(u)) + np.log(omega(np.exp(u))), u)
+    u = np.linspace(math.log(head_cutoff), math.log(2.0 * r), 4000)
+    seminorm = log_domain_integral(np.asarray(psi.log_eval(u)) + np.log(omega(np.exp(u))), u)
     # omega is constant past the diameter
     seminorm += saturated_tail(psi, _indicator_orlicz_norm(phi, 2.0 * vol), 2.0 * r)
     return orlicz, seminorm, head_diverged
 
 
 def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
-                              radii, head_cutoff: float = 1e-8,
-                              bounded_budget: float = None) -> ExperimentRecord:
+                              radii, bounded_budget: float = None) -> ExperimentRecord:
     """Ratios of ball-indicator Besov-Orlicz norms to the scaled BV bound.
 
     The denominator is the (diam + d) * V_d * r^(d-1) upper bound for the
@@ -186,7 +186,7 @@ def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
     for r in radii:
         bv = vd * r ** d + d * vd * r ** (d - 1)
         bv_bound = (diam + d) * vd * r ** (d - 1)
-        orlicz, seminorm, diverged = ball_besov_parts(phi, psi, d, r, head_cutoff)
+        orlicz, seminorm, diverged = ball_besov_parts(phi, psi, d, r)
         total = orlicz + seminorm
         rows.append({
             "radius": r,
@@ -208,7 +208,7 @@ def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
     return ExperimentRecord(
         name="ball_indicator_ratios",
         inputs={"dim": d, "radii": radii, "diam_omega": diam,
-                "head_cutoff": head_cutoff},
+                "head_cutoff": 1e-8},  # the default of ball_besov_parts
         measured={"rows": rows, "growth_factor": growth, "ratio_spread": spread},
         passed=passed,
         budget={"bounded_budget": bounded_budget},
@@ -219,16 +219,14 @@ def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
 # -- molecule-wise sufficiency estimates ---------------------------------------
 
 def sufficiency_molecule_estimates(f: GridFunction, phi: YoungFunction,
-                                   psi: WeightFunction, d: int,
-                                   s_range=(1e-3, 1e6),
-                                   quad: QuadratureConfig = None) -> ExperimentRecord:
+                                   psi: WeightFunction, d: int) -> ExperimentRecord:
     """Per-molecule sup bounds at the scale split, plus the assembled
     seminorm against the measured condition sup."""
     if lp_norm(f, 1) == 0:
         raise DomainError("sufficiency experiment needs a nonzero function")
     dec = decompose(f)
     alpha = max(1.0, dec.alpha_observed)
-    report = condition_sup(phi, psi, d, s_range=s_range, n_points=33,
+    report = condition_sup(phi, psi, d, s_range=(1e-3, 1e6), n_points=33,
                            quad=ConditionQuad(u_far=8192.0))
     d_hat = report.D_hat
     h = f.spacing
@@ -269,8 +267,7 @@ def sufficiency_molecule_estimates(f: GridFunction, phi: YoungFunction,
                                  "pass": passes, "branch": "small"})
         rows.append({"molecule": i, "s_m": s_m, "checks": mol_rows})
 
-    quad = quad or QuadratureConfig(nodes=192)
-    seminorm = besov_orlicz_norm(f, phi, psi, quad).seminorm_part
+    seminorm = besov_orlicz_norm(f, phi, psi, nodes=192).seminorm_part
     tv_f = total_variation(f)
     if d >= 2:
         budget = 2.0 ** (d / (d - 1.0)) * alpha * d_hat * tv_f
@@ -293,32 +290,27 @@ def sufficiency_molecule_estimates(f: GridFunction, phi: YoungFunction,
 
 # -- measured grid isoperimetric constant --------------------------------------
 
-def measured_iso_constant(n: int = 128, h: float = 1.0,
-                          disc_radii_cells=(4, 8, 16, 32, 48)) -> float:
+def measured_iso_constant(n: int = 128) -> float:
     """Max of measure^(1/2) / TV over axis-aligned rectangles and
-    discretized discs up to n cells per side (d = 2).
+    discretized discs of radius 4, 8, 16, 32 and 48 cells, up to n cells
+    per side (d = 2, unit cells).
 
     Squares realize the maximum (1/4) for the anisotropic TV; discs sit
     strictly below it because their l1 perimeter is 8r.
     """
-    from .grid import ball_indicator
-
     best = 0.0
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            area = a * b * h * h
-            tv = 2.0 * (a + b) * h  # jump count of a filled rectangle
-            best = max(best, math.sqrt(area) / tv)
+            tv = 2.0 * (a + b)  # jump count of a filled rectangle
+            best = max(best, math.sqrt(a * b) / tv)
     # spot-check the rectangle TV formula against the kernel path
-    probe = GridFunction(h, (0.0, 0.0), np.ones((3, 7)))
-    if abs(total_variation(probe) - 2.0 * (3 + 7) * h) > 1e-12 * h:
+    probe = GridFunction(1.0, (0.0, 0.0), np.ones((3, 7)))
+    if abs(total_variation(probe) - 2.0 * (3 + 7)) > 1e-12:
         raise DomainError("rectangle TV formula disagrees with the kernel")
-    for k in disc_radii_cells:
-        if k > n // 2:
-            continue
-        ball = ball_indicator(2, k * h, h)
-        area = float(ball.grid.values.sum()) * h * h
-        best = max(best, math.sqrt(area) / total_variation(ball.grid))
+    for k in (4, 8, 16, 32, 48):
+        if k <= n // 2:
+            ball = ball_indicator(2, float(k), 1.0)
+            best = max(best, math.sqrt(float(ball.grid.values.sum())) / total_variation(ball.grid))
     return best
 
 

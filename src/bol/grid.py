@@ -7,7 +7,7 @@ origin + (i + 1/2) * h.  The function is zero outside the box.
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,26 +161,6 @@ def ball_indicator(d: int, radius: float, h: float) -> Ball:
     fn = GridFunction(h, (-m * h,) * d, vals)
     vd = unit_ball_volume(d)
     return Ball(fn, d, radius, vd * radius ** d, d * vd * radius ** (d - 1))
-
-
-@dataclass(frozen=True)
-class NormBundle:
-    l1: float
-    linf: float
-    tv: float
-    extra_lp: dict = field(default_factory=dict)
-
-    def lp(self, p):
-        return self.extra_lp.get(p)
-
-
-def norm_bundle(f: GridFunction, ps=()) -> NormBundle:
-    return NormBundle(
-        l1=lp_norm(f, 1),
-        linf=lp_norm(f, np.inf),
-        tv=total_variation(f),
-        extra_lp={p: lp_norm(f, p) for p in ps},
-    )
 
 
 # -- serialization: JSON header line followed by one value per line ------------

@@ -27,7 +27,6 @@ class LuxemburgResult:
 class ModulusCurve:
     ts: np.ndarray
     values: np.ndarray
-    shifts_evaluated: int
 
 
 def _luxemburg_rows(table, weights, phi: YoungFunction):
@@ -139,13 +138,13 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
-def lattice_shifts(dim: int, max_len_cells: float, budget: int = SHIFT_BUDGET):
+def lattice_shifts(dim: int, max_len_cells: float):
     """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k} pair,
-    sorted by Euclidean length."""
+    sorted by Euclidean length; at most ``SHIFT_BUDGET`` of them."""
     m = int(math.floor(max_len_cells + 1e-12))
     if m < 1:
         return np.zeros((0, dim), dtype=np.int64)
-    if (2 * m + 1) ** dim > 4 * budget:
+    if (2 * m + 1) ** dim > 4 * SHIFT_BUDGET:
         raise ResourceGuardError("shift enumeration too large; coarsen the grid",
                                  guard="shift_budget")
     axes = [np.arange(-m, m + 1)] * dim
@@ -156,7 +155,7 @@ def lattice_shifts(dim: int, max_len_cells: float, budget: int = SHIFT_BUDGET):
     # one representative per antipodal pair: first nonzero component positive
     first = mesh[np.arange(len(mesh)), np.argmax(mesh != 0, axis=1)]
     mesh, norms = mesh[first > 0], norms[first > 0]
-    if len(mesh) > budget:
+    if len(mesh) > SHIFT_BUDGET:
         raise ResourceGuardError("shift budget exceeded; coarsen the grid",
                                  guard="shift_budget")
     order = np.argsort(norms, kind="stable")
@@ -247,7 +246,7 @@ def _slab_sums(sat, lo, up, axis, width):
     return out
 
 
-def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
+def l1_modulus(f: GridFunction, t: float) -> float:
     """sup over lattice shifts |k| <= t/h of ||f(. + k*h) - f||_1; no bisection.
 
     Below one cell (t < h) the unit shifts are scaled linearly by t/h.
@@ -274,7 +273,7 @@ def l1_modulus(f: GridFunction, t: float, budget: int = SHIFT_BUDGET) -> float:
         raise DomainError("modulus needs t > 0")
     h = f.spacing
     t_eval, scale = max(t, h), min(t / h, 1.0)
-    shifts = lattice_shifts(f.dim, t_eval / h, budget)
+    shifts = lattice_shifts(f.dim, t_eval / h)
     a = f.support_box()
     mag = np.abs(a)
     ext = np.array(a.shape)

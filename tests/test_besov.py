@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bol.besov import (BesovNorm, QuadratureConfig, besov_bv_ratio,
-                       besov_orlicz_norm)
+from bol.besov import BesovNorm, besov_bv_ratio, besov_orlicz_norm
 from bol.errors import DivergenceError, DomainError
 from bol.grid import GridFunction, ball_indicator
 from bol.orlicz import ShiftNormCache
@@ -18,7 +17,7 @@ def small_ball():
 
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
-        QuadratureConfig(nodes=4)
+        besov_orlicz_norm(small_ball(), PHI, PSI, nodes=4)
 
 
 def test_zero_function_is_zero():
@@ -28,19 +27,17 @@ def test_zero_function_is_zero():
 
 
 def test_parts_positive_and_consistent():
-    bn = besov_orlicz_norm(small_ball(), PHI, PSI, QuadratureConfig(nodes=64))
+    bn = besov_orlicz_norm(small_ball(), PHI, PSI, nodes=64)
     assert bn.orlicz_part > 0 and bn.seminorm_part > 0
     assert bn.total == pytest.approx(bn.orlicz_part + bn.seminorm_part)
     assert bn.head_bound >= 0 and bn.tail_bound > 0
-    assert not bn.head_truncated
     assert np.all(np.diff(bn.curve.values) >= -1e-12)
 
 
 def test_homogeneity():
     f = small_ball()
-    quad = QuadratureConfig(nodes=48)
-    one = besov_orlicz_norm(f, PHI, PSI, quad).total
-    three = besov_orlicz_norm(f.scaled(3.0), PHI, PSI, quad).total
+    one = besov_orlicz_norm(f, PHI, PSI, nodes=48).total
+    three = besov_orlicz_norm(f.scaled(3.0), PHI, PSI, nodes=48).total
     assert three == pytest.approx(3.0 * one, rel=1e-9)
 
 
@@ -48,19 +45,14 @@ def test_divergent_head_raises_and_can_truncate():
     psi_div = make_power_weight(1.2)  # Psi(t) = t^-1.2 blows up at the head
     f = small_ball()
     with pytest.raises(DivergenceError) as exc:
-        besov_orlicz_norm(f, PHI, psi_div, QuadratureConfig(nodes=32))
+        besov_orlicz_norm(f, PHI, psi_div, nodes=32)
     assert exc.value.end == "head"
-    bn = besov_orlicz_norm(
-        f, PHI, psi_div,
-        QuadratureConfig(nodes=32, truncate_divergent_head=True),
-    )
-    assert bn.head_truncated and bn.head_bound == 0.0
 
 
 def test_divergent_tail_raises():
     psi = make_power_weight(-0.2)  # not integrable against a constant modulus
     with pytest.raises(DivergenceError) as exc:
-        besov_orlicz_norm(small_ball(), PHI, psi, QuadratureConfig(nodes=32))
+        besov_orlicz_norm(small_ball(), PHI, psi, nodes=32)
     assert exc.value.end == "tail"
 
 
@@ -80,6 +72,6 @@ def test_saturated_modulus_doubles_the_modular():
 
 def test_quadrature_refinement_is_stable():
     f = small_ball()
-    coarse = besov_orlicz_norm(f, PHI, PSI, QuadratureConfig(nodes=64)).total
-    fine = besov_orlicz_norm(f, PHI, PSI, QuadratureConfig(nodes=256)).total
+    coarse = besov_orlicz_norm(f, PHI, PSI, nodes=64).total
+    fine = besov_orlicz_norm(f, PHI, PSI, nodes=256).total
     assert fine == pytest.approx(coarse, rel=2e-3)

@@ -295,3 +295,34 @@ def test_bad_grid_input_exits_3(tmp_path, capsys, name):
     assert run_cli(["norms", "--input", str(path)] + extra) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, flags, dim_default, code", [
+    ("fixture", ["--spacing", "-1"], None, 4),
+    ("fixture", ["--dim", "-1"], None, 4),
+    ("fixture", ["--shape", "2,3"], None, 4),
+    ("grid", ["--spacing", "0.5"], None, 4),
+    ("grid", ["--dim", "2"], None, 4),
+    ("grid", ["--shape", "2,2"], None, 4),
+    ("csv", ["--dim", "2", "--shape", "2,2", "--spacing", "0.5"], None, 0),
+    # BOL_DIM and the config key dim give a default, not a flag
+    ("fixture", [], "env", 0),
+    ("grid", [], "env", 0),
+    ("grid", [], "config", 0),
+])
+@pytest.mark.parametrize("command", ["norms", "decompose"])
+def test_source_flags_apply_only_to_raw_csv(command, source, flags, dim_default, code, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if dim_default == "env":
+        monkeypatch.setenv("BOL_DIM", "3")
+    (tmp_path / "cfg.json").write_text(json.dumps({"dim": 3}))
+    (tmp_path / "f.csv").write_text("1,2\n3,4\n")
+    save_grid_function(GridFunction(0.5, (0.0, 0.0), np.array([[1.0, 2.0], [0.0, 1.0]])),
+                       str(tmp_path / "f.grid"))
+    where = {"fixture": ["--fixture", "staircase"], "grid": ["--input", "f.grid"],
+             "csv": ["--input", "f.csv"]}[source]
+    config = ["--config", "cfg.json"] if dim_default == "config" else []
+    assert run_cli(config + [command] + where + flags) == code
+    err = capsys.readouterr().err
+    assert ("apply only to raw csv input" in err) == (code == 4)

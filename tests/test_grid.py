@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
 from bol.grid import (GridFunction, ball_indicator, load_grid_function,
                       lp_norm, save_grid_function, shift, shift_difference,
@@ -177,17 +179,18 @@ def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget
               "full": np.ones((3,) * dim)}[support]
     f = GridFunction(0.5, (0.0,) * dim, values)
     t = t_cells * 0.5
-    for bad in (0.0, -t):
-        with pytest.raises(DomainError):
-            l1_modulus(f, bad, budget=budget)
-    try:
-        lattice_shifts(dim, max(t, 0.5) / 0.5, budget)
-    except ResourceGuardError:
-        with pytest.raises(ResourceGuardError) as exc:
-            l1_modulus(f, t, budget=budget)
-        assert exc.value.guard == "shift_budget"
-    else:
-        assert l1_modulus(f, t, budget=budget) >= 0.0
+    with mock.patch.object(bol.orlicz, "SHIFT_BUDGET", budget):
+        for bad in (0.0, -t):
+            with pytest.raises(DomainError):
+                l1_modulus(f, bad)
+        try:
+            lattice_shifts(dim, max(t, 0.5) / 0.5)
+        except ResourceGuardError:
+            with pytest.raises(ResourceGuardError) as exc:
+                l1_modulus(f, t)
+            assert exc.value.guard == "shift_budget"
+        else:
+            assert l1_modulus(f, t) >= 0.0
 
 
 def test_shift_moves_origin():

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bol.errors import DomainError
 from bol.grid import GridFunction, load_grid_function, lp_norm, total_variation
@@ -96,3 +99,53 @@ def test_write_decomposition_manifest(tmp_path):
         part = entry["sign"] * layer.values
         recon = part if recon is None else recon + part
     assert np.allclose(recon, staircase().values)
+
+
+def _candidate_search(part, f):
+    """(a_lo, a_hi, level_measure, layer values) of each layer, from the
+    former search that counts the set {part > v} afresh for every candidate v."""
+    out, a_n = [], 0.0
+    measure_n = float(np.count_nonzero(part > 0.0)) * f.cell_volume
+    distinct = np.unique(part[part > 0.0])
+    while measure_n > 0.0:
+        for v in distinct[distinct > a_n]:
+            m_v = float(np.count_nonzero(part > v)) * f.cell_volume
+            if m_v <= 0.5 * measure_n:
+                break
+        out.append((a_n, float(v), measure_n, np.clip(part - a_n, 0.0, float(v) - a_n)))
+        a_n, measure_n = float(v), m_v
+    return out
+
+
+@st.composite
+def signed_grids(draw):
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.tuples(*[st.integers(1, 7 - dim)] * dim))
+    level = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                      st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3))
+    values = draw(arrays(np.float64, shape, elements=level))
+    return GridFunction(draw(st.sampled_from([1.0, 0.5, 0.3, 1.0 / 7.0])), (0.0,) * dim, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=signed_grids())
+def test_thresholds_match_the_candidate_search(f):
+    dec = decompose(f)
+    pos = np.maximum(f.values, 0.0)
+    for sign, part in ((+1, pos), (-1, pos - f.values)):
+        mols = [m for m in dec.molecules if m.sign == sign]
+        ref = _candidate_search(part, f)
+        assert [(m.a_lo, m.a_hi, m.level_measure) for m in mols] == [r[:3] for r in ref]
+        assert all(np.array_equal(m.layer.values, r[3]) for m, r in zip(mols, ref))
+        # thresholds strictly increase, each layer starting where the last ended
+        assert all(m.a_lo < m.a_hi for m in mols)
+        assert all(a.a_hi == b.a_lo for a, b in zip(mols, mols[1:]))
+        # each threshold keeps at most half the measure of the set above the last
+        for m in mols:
+            above = np.count_nonzero(part > m.a_hi) * f.cell_volume
+            assert above <= 0.5 * m.level_measure
+    recon = sum((m.sign * m.layer.values for m in dec.molecules), np.zeros(f.shape))
+    assert np.allclose(recon, f.values, rtol=0.0, atol=1e-12 * max(1.0, np.abs(f.values).max()))
+    l1, tv = lp_norm(f, 1), total_variation(f)
+    assert sum(m.l1() for m in dec.molecules) == pytest.approx(l1, rel=1e-12, abs=0.0)
+    assert sum(m.tv() for m in dec.molecules) == pytest.approx(tv, rel=1e-12, abs=0.0)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,8 +59,8 @@ def test_lattice_shifts_antipodal_and_sorted():
 
 
 def test_lattice_shift_budget_guard():
-    with pytest.raises(ResourceGuardError):
-        lattice_shifts(2, 5000.0, budget=100)
+    with mock.patch.object(bol.orlicz, "SHIFT_BUDGET", 100), pytest.raises(ResourceGuardError):
+        lattice_shifts(2, 5000.0)
 
 
 def test_modulus_monotone_and_saturates():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bol.errors import DomainError
+from bol.grid import GridFunction
+from bol.orlicz import luxemburg_norm
 from bol.young import (E_MINUS_2, SECTION5_R, critical_theta,
                        make_power_weight, make_power_young,
                        make_section5_weight, make_section5_young,
@@ -17,7 +19,7 @@ def test_power_roundtrip_and_log_inverse():
     t = rng.uniform(1e-6, 1e6, 200)
     assert np.allclose(phi.inv(phi.eval(t)), t, rtol=1e-12)
     lx = rng.uniform(-600, 600, 50)
-    assert np.allclose(phi.inv_log(lx), lx / 1.3)
+    assert np.allclose(phi.log_inv(lx), lx / 1.3)
 
 
 def test_power_rejects_sublinear_exponent():
@@ -36,7 +38,7 @@ def test_validate_rejects_linear_growth():
     from bol.young import YoungFunction
 
     ident = YoungFunction("custom", {}, eval=lambda t: np.asarray(t),
-                          inv=lambda s: np.asarray(s))
+                          inv=lambda s: np.asarray(s), log_inv=lambda lx: np.asarray(lx))
     rep = validate_young(ident, np.geomspace(1e-3, 1e3, 64))
     assert not rep.superlinear_at_inf and not rep.sublinear_at_zero
 
@@ -62,7 +64,7 @@ def test_section5_inverse_continuous_at_branch_points():
 def test_section5_log_inverse_matches_linear_domain():
     phi = make_section5_young(0.1)
     for x in (1e-8, 0.5, 3.0, 1e5, 1e8):
-        assert float(phi.inv_log(math.log(x))) == pytest.approx(
+        assert float(phi.log_inv(math.log(x))) == pytest.approx(
             math.log(float(phi.inv(x))), rel=1e-10
         )
 
@@ -145,3 +147,31 @@ def test_spec_grammar():
 def test_critical_theta_values():
     assert critical_theta(1.3, 2) == pytest.approx(2 / 1.3 - 1)
     assert critical_theta(1.0, 3) == pytest.approx(1.0)
+
+
+def _power_table(tmp_path):
+    """Table preset sampled from t^1.3 on 61 geometric knots in [1e-6, 1e6]."""
+    path = tmp_path / "phi.csv"
+    path.write_text("".join(f"{float(t)!r},{float(t) ** 1.3!r}\n"
+                            for t in np.geomspace(1e-6, 1e6, 61)))
+    return make_table_young(str(path))
+
+
+def test_table_log_inverse_is_the_log_log_interpolant(tmp_path):
+    phi = _power_table(tmp_path)
+    lx = np.linspace(1.3 * math.log(1e-6), 1.3 * math.log(1e6), 997)
+    assert np.max(np.abs(phi.log_inv(lx) - lx / 1.3)) <= 1e-13
+    # the same value as the linear-domain inverse, wherever a float reaches
+    x = np.concatenate([[5e-324, 1e-310, 1e-300], np.geomspace(1e-299, 1e308, 499),
+                        [1.7976931348623157e308]])
+    assert np.max(np.abs(phi.log_inv(np.log(x)) - np.log(phi.inv(x)))) <= 1e-14
+
+
+def test_table_luxemburg_norm_matches_the_power_preset(tmp_path):
+    phi = _power_table(tmp_path)
+    rng = np.random.default_rng(3)
+    f = GridFunction(0.25, (0.0, 0.0), rng.uniform(0.2, 3.0, (8, 8)))
+    got = luxemburg_norm(f, phi).norm
+    expect = luxemburg_norm(f, make_power_young(1.3)).norm
+    assert np.all((f.values / got > 1e-6) & (f.values / got < 1e6))
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)

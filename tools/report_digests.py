@@ -1,0 +1,151 @@
+"""One sha256 digest per report, for checking that a change keeps every
+output byte-identical.
+
+    python3 tools/report_digests.py [ROOT] > digests.txt
+
+ROOT is a checkout of this repository (default: the one holding this
+script); ``bol`` is imported from ROOT/src and the workload generators
+from ROOT/perfbench.  Run it on two checkouts and ``diff`` the outputs.
+Each line is ``sha256  key``.  The digest covers a command's exit code,
+stdout and stderr (or the text of what it raised), with the temporary
+directory of the grid and table files replaced by a fixed token.
+
+The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
+the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
+1-3, every ``condition_scan`` job at seed 1, a set of default and
+variant commands, ``sufficiency_molecule_estimates`` in d = 1, 2, 3, and
+the commands run with a ``table:`` Young function sampled from t^1.3.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
+                       os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import bol.cli  # noqa: E402
+import bol.evidence  # noqa: E402
+import bol.orlicz  # noqa: E402
+import workloads  # noqa: E402
+
+TOKEN = "<tmp>"
+CRIT = {2: "powerweight:theta=0.5384615384615385", 3: "powerweight:theta=0.3076923076923077"}
+
+VARIANTS = [
+    ["check-condition"],
+    ["check-condition", "--dim", "3"],
+    ["check-condition", "--phi", "power:p=1.2", "--psi", "powerweight:theta=0.6666666666666667"],
+    ["check-condition", "--phi", "power:p=1.4", "--psi", "powerweight:theta=0.4285714285714286"],
+    ["check-condition", "--psi", "powerweight:theta=0.8"],
+    ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
+    ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
+     "--head-lower-limit", "1e-3"],
+    ["example5", "--alpha", "0.1"],
+    ["example5", "--alpha", "0.05"],
+    ["necessity"],
+    ["necessity", "--dim", "3"],
+    ["necessity", "--psi", "powerweight:theta=0.8"],
+    ["necessity", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
+    ["necessity", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1", "--dim", "3"],
+    ["lemma6", "--dim", "2"],
+    ["lemma6", "--dim", "3", "--samples", "20000"],
+    ["sobolev"],
+    ["report"],
+    ["decompose", "--fixture", "staircase", "--verify"],
+    ["norms", "--fixture", "staircase", "--phi", "power:p=1.3", "--psi", CRIT[2]],
+]
+
+
+def emit(key, text, tmp):
+    digest = hashlib.sha256(text.replace(tmp, TOKEN).encode()).hexdigest()
+    print(f"{digest}  {key.replace(tmp, TOKEN)}")
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = bol.cli.main(list(argv))
+    except Exception as exc:
+        return f"raised {exc!r}"
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def run_job(job):
+    if job.call is not None:
+        name, args = job.call
+        try:
+            return repr(float(getattr(bol.orlicz, name)(*args)))
+        except Exception as exc:
+            return f"raised {exc!r}"
+    return run_cli(job.argv)
+
+
+def workload_outputs(tmp):
+    for name, seeds in (("besov_pc", (1, 2, 3)), ("rough_grids", (1, 2, 3)),
+                        ("condition_scan", (1,)), ("corpus_bv", (1, 2, 3))):
+        for seed in seeds:
+            workdir = os.path.join(tmp, f"{name}_{seed}")
+            os.makedirs(workdir)
+            wl = workloads.build(name, seed, workdir)
+            for i, job in enumerate(wl.jobs):
+                if name == "condition_scan" or not job.kind.startswith("lemma6"):
+                    emit(f"{name} seed={seed} job={i:02d} {job.kind}", run_job(job), tmp)
+
+
+def sufficiency_outputs(tmp):
+    from bol.corpus import random_piecewise_constant
+    from bol.young import make_power_weight, make_power_young
+
+    phi = make_power_young(1.3)
+    for d, theta, n in ((1, 0.5, 16), (2, 0.5384615384615385, 12), (3, 0.3076923076923077, 6)):
+        f = random_piecewise_constant(np.random.default_rng(d), dim=d, n=n, n_pieces=4)
+        try:
+            rec = bol.evidence.sufficiency_molecule_estimates(f, phi, make_power_weight(theta), d)
+            text = json.dumps(bol.cli._jsonable(rec), sort_keys=True, default=repr)
+        except Exception as exc:
+            text = f"raised {exc!r}"
+        emit(f"sufficiency_molecule_estimates d={d}", text, tmp)
+
+
+def table_outputs(tmp):
+    from bol.grid import save_grid_function
+
+    path = os.path.join(tmp, "phi13.csv")
+    with open(path, "w") as fh:
+        for t in np.geomspace(1e-6, 1e6, 61):
+            fh.write(f"{float(t)!r},{float(t) ** 1.3!r}\n")
+    grid = os.path.join(tmp, "pc.grid")
+    save_grid_function(workloads._piecewise_constant(np.random.default_rng(5), 12), grid)
+    phi = f"table:file={path}"
+    for argv in (["check-condition", "--phi", phi, "--psi", CRIT[2]],
+                 ["check-condition", "--phi", phi, "--psi", CRIT[3], "--dim", "3"],
+                 ["necessity", "--phi", phi, "--psi", CRIT[2]],
+                 ["necessity", "--phi", phi, "--psi", f"paired:phi={phi}"],
+                 ["norms", "--input", grid, "--phi", phi, "--psi", CRIT[2]]):
+        emit(" ".join(argv), run_cli(argv), tmp)
+
+
+def main():
+    tmp = tempfile.mkdtemp(prefix="bol_digests_")
+    try:
+        for argv in VARIANTS:
+            emit(" ".join(argv), run_cli(argv), tmp)
+        workload_outputs(tmp)
+        sufficiency_outputs(tmp)
+        table_outputs(tmp)
+    finally:
+        shutil.rmtree(tmp)
+
+
+if __name__ == "__main__":
+    main()
