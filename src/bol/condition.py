@@ -269,9 +269,10 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
 
     Integrates in x = ln t from ln s over a window of length x_span;
     node positions are append-only in x_span so enlarging the window
-    never perturbs the shared prefix.  It diverges when the integrand
-    shows no decay at the truncation point or the remainder past it
-    exceeds the value.
+    never perturbs the shared prefix.  It diverges unless the integrand
+    decays at the truncation point (end log-slope below -1e-8) and the
+    remainder past it is at most the value, and whenever the value is not
+    finite.
     """
     phi = make_section5_young(alpha)
     r = SECTION5_R
@@ -281,11 +282,13 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
 
     def log_integrand(u):
         x = ls + u
-        return ls - x - np.asarray(phi.log_inv(x + ls)) - np.asarray(phi.log_inv(-2.0 * x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ls - x - np.asarray(phi.log_inv(x + ls)) - np.asarray(phi.log_inv(-2.0 * x))
 
     quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
     value, remainder, slope, _ = _integrate_decaying(log_integrand, quad)
-    if slope >= -1e-8 or remainder > max(value, 1e-300):
+    # a NaN end slope or a non-finite value is a divergence too
+    if not (slope < -1e-8 and remainder <= max(value, 1e-300)) or not math.isfinite(value):
         raise DivergenceError("second-bound integrand does not decay past the window",
                               end="tail")
     return value, remainder

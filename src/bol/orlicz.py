@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ResourceGuardError
 from .grid import (GridFunction, shift_difference, shift_difference_values,
                    total_variation)
-from .young import YoungFunction
+from .young import YoungFunction, illinois_log_root
 
 SHIFT_BUDGET = 1_000_000
 # table cells (rows x padded width) per batched solve; bounds the working set
@@ -34,11 +34,15 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
 
     Row i of ``table`` holds distinct |values|, zero-padded, and the same
     row of ``weights`` their counts times the cell volume, so the modular
-    of row i at lambda is sum(weights[i] * Phi(table[i] / lambda)).  Every
-    row runs the scalar algorithm on its own active set: a doubling upper
-    bracket from the largest value, a halving lower bracket (norm 0 once it
-    falls below 1e-300), then bisection until hi - lo <= 1e-14 * hi; the
-    norm is hi.  Returns (norms, iterations, residuals), one entry per row.
+    of row i at lambda is m(lambda) = sum(weights[i] * Phi(table[i] / lambda)),
+    summed left to right so that zero padding adds exact zeros.  Every row
+    brackets its norm on its own active set: a doubling upper bracket from
+    the largest value, then a halving lower one whose upper end follows it
+    (norm 0 once it falls below 1e-300).  ``illinois_log_root`` then
+    solves -ln m(e^u) = 0, u = ln lambda, until hi - lo <= 1e-14 * hi; the
+    norm is hi, whose modular is at most 1.  Returns (norms, iterations,
+    residuals |m(norm) - 1|), one entry per row; iterations count the
+    modular passes after the first.
     """
     table = np.asarray(table, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -47,27 +51,36 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
     iters = np.zeros(rows, dtype=np.int64)
     resid = np.zeros(rows)
 
-    def modular(idx, lam):
-        return (phi.eval(table[idx] / lam[:, None]) * weights[idx]).sum(axis=1)
+    def log_modular(idx, lam):
+        terms = phi.eval(table[idx] / lam[:, None]) * weights[idx]
+        with np.errstate(divide="ignore"):
+            return np.log(np.cumsum(terms, axis=1)[:, -1])
 
     hi = table.max(axis=1, initial=0.0)
     live = np.flatnonzero(hi > 0.0)
     if live.size == 0:
         return norms, iters, resid
-    j_hi = modular(live, hi[live])
-    if not np.all(np.isfinite(j_hi)):
+    log_hi = np.zeros(rows)
+    log_hi[live] = log_modular(live, hi[live])
+    if not np.all(log_hi[live] < np.inf):
         raise DomainError("modular is not finite at the initial bracket; mis-scaled input")
-    act = live[j_hi > 1.0]
+    log_lo = np.zeros(rows)
+    act = live[log_hi[live] > 0.0]
     while act.size:
+        log_lo[act] = log_hi[act]
         hi[act] *= 2.0
         iters[act] += 1
         if iters[act].max() > 200:
             raise ConvergenceError("bracket growth failed in luxemburg_norm")
-        act = act[modular(act, hi[act]) > 1.0]
+        log_hi[act] = log_modular(act, hi[act])
+        act = act[log_hi[act] > 0.0]
     lo = hi / 2.0
-    act = live
+    # a row whose upper bracket grew already knows its modular at hi / 2
+    act = live[iters[live] == 0]
     while act.size:
-        act = act[modular(act, lo[act]) <= 1.0]
+        log_lo[act] = log_modular(act, lo[act])
+        act = act[log_lo[act] <= 0.0]
+        hi[act], log_hi[act] = lo[act], log_lo[act]
         lo[act] /= 2.0
         iters[act] += 1
         gone = lo[act] < 1e-300
@@ -76,19 +89,12 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
             act = act[~gone]
         if act.size and iters[act].max() > 2200:
             raise ConvergenceError("lower bracket failed in luxemburg_norm")
-    act = live
-    for _ in range(200):
-        if not act.size:
-            break
-        iters[act] += 1
-        mid = 0.5 * (lo[act] + hi[act])
-        inside = modular(act, mid) <= 1.0
-        hi[act] = np.where(inside, mid, hi[act])
-        lo[act] = np.where(inside, lo[act], mid)
-        act = act[~(hi[act] - lo[act] <= 1e-14 * hi[act])]
     if live.size:
-        norms[live] = hi[live]
-        resid[live] = np.abs(modular(live, hi[live]) - 1.0)
+        _, norms[live], neg_log, steps = illinois_log_root(
+            lambda idx, lam: -log_modular(live[idx], lam),
+            lo[live], hi[live], -log_lo[live], -log_hi[live], 1e-14)
+        iters[live] += steps
+        resid[live] = np.abs(np.expm1(-neg_log))
     return norms, iters, resid
 
 
@@ -127,8 +133,10 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     """Smallest lambda with integral of Phi(|f|/lambda) at most 1.
 
     Accepts a GridFunction or a raw value array plus its cell volume.
-    The modular is strictly decreasing in lambda, so a doubling bracket
-    plus bisection is total.  It runs on the histogram of distinct |values|.
+    The modular is strictly decreasing in lambda, so a doubling and halving
+    bracket plus a bracketed log-domain root solve (``_luxemburg_rows``) is
+    total.  It runs on the histogram of distinct |values|; ``iterations``
+    counts the modular passes of the bracket and the solve.
     """
     if isinstance(f_or_values, GridFunction):
         vals, vol = f_or_values.values, f_or_values.cell_volume

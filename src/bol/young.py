@@ -125,39 +125,90 @@ def make_power_young(p: float) -> YoungFunction:
     )
 
 
-def _invert_monotone(inv, s):
-    """Solve inv(t) = s for t elementwise by bracketed bisection.
+def illinois_log_root(fun, lo, hi, f_lo, f_hi, rel_tol):
+    """Bracketed Illinois regula falsi in u = ln x, vectorised over elements.
 
-    Each element doubles its own bracket from [0, 1] until inv(hi) >= s,
-    then bisects (at most 200 steps) until hi - lo <= 1e-12 * hi and
-    returns the midpoint;
-    s <= 0 maps to 0.  ``inv`` must act elementwise on arrays.
+    Element i holds a bracket 0 <= lo[i] < hi[i] with f_lo[i] < 0 <= f_hi[i]
+    for a function increasing in x; ``fun(idx, x)`` evaluates it on the
+    elements ``idx`` (Dowell & Jarratt, BIT 11, 1971).  Each step takes the
+    secant root of the two bracket values in u, so a function linear in
+    ln x is solved by the first step; the step is taken as
+    hi * (lo / hi)**theta, which scales exactly with the bracket.  An end
+    kept for a second step running has its value halved.  A non-finite end
+    value makes the step bisect in u.  A trial that is not finite or lies
+    within a quarter of the stopping width of an end is clamped to that
+    distance from it, so no trial leaves the bracket.  Stops when
+    hi - lo <= rel_tol * hi, after at most 200 steps.  Returns
+    (lo, hi, fun at hi, steps).
     """
-    s = np.asarray(s, dtype=np.float64)
-    flat = s.ravel()
-    lo = np.zeros(flat.size)
-    hi = np.ones(flat.size)
-    todo = np.flatnonzero(~(flat <= 0.0))
-    act = todo[inv(hi[todo]) < flat[todo]]
-    it = 0
-    while act.size:
-        lo[act] = hi[act]
-        hi[act] *= 2.0
-        it += 1
-        if it > 2000:
-            raise ArithmeticError("bracket growth failed")
-        act = act[inv(hi[act]) < flat[act]]
-    act = todo
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    f_hi = np.array(f_hi, dtype=np.float64)
+    fa, fb = np.array(f_lo, dtype=np.float64), f_hi.copy()
+    last = np.zeros(lo.size, dtype=np.int8)  # end replaced by the last step: -1 lo, +1 hi
+    steps = np.zeros(lo.size, dtype=np.int64)
+    act = np.flatnonzero(~(hi - lo <= rel_tol * hi))
     for _ in range(200):
         if not act.size:
             break
-        mid = 0.5 * (lo[act] + hi[act])
-        below = inv(mid) < flat[act]
-        lo[act] = np.where(below, mid, lo[act])
-        hi[act] = np.where(below, hi[act], mid)
-        act = act[~(hi[act] - lo[act] <= 1e-12 * hi[act])]
-    out = np.zeros(flat.size)
-    out[todo] = 0.5 * (lo[todo] + hi[todo])
+        a, b, ga, gb = lo[act], hi[act], fa[act], fb[act]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the trial's place between b and a on the ln x scale
+            theta = gb / (gb - ga)
+            theta = np.where(np.isfinite(ga) & np.isfinite(gb) & np.isfinite(theta), theta, 0.5)
+            x = b * np.exp(theta * np.log(a / b))
+        gap = 0.25 * rel_tol * b
+        x = np.fmin(np.fmax(x, a + gap), b - gap)
+        fx = np.asarray(fun(act, x), dtype=np.float64)
+        steps[act] += 1
+        up = fx >= 0.0
+        i_up, i_dn = act[up], act[~up]
+        fa[i_up[last[i_up] == 1]] *= 0.5
+        fb[i_dn[last[i_dn] == -1]] *= 0.5
+        hi[i_up], fb[i_up], f_hi[i_up], last[i_up] = x[up], fx[up], fx[up], 1
+        lo[i_dn], fa[i_dn], last[i_dn] = x[~up], fx[~up], -1
+        act = act[~(hi[act] - lo[act] <= rel_tol * hi[act])]
+    return lo, hi, f_hi, steps
+
+
+def _invert_monotone(log_inv, s):
+    """Solve inv(t) = s for t elementwise, in the log domain.
+
+    With v = ln t each element solves log_inv(v) - ln s = 0, increasing in
+    v.  The bracket starts at v = ln s: the far end steps away from it by
+    twice the value there, doubling the step until the value changes sign
+    (a far end that leaves float range ends the growth).  ``illinois_log_root``
+    then runs until hi - lo <= 1e-12 * hi and the midpoint is returned.
+    s <= 0 maps to 0, +inf to inf and nan to nan.  ``log_inv`` must act
+    elementwise on arrays.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    flat = s.ravel()
+    out = np.where(flat <= 0.0, 0.0, flat)
+    todo = np.flatnonzero((flat > 0.0) & (flat < np.inf))
+    t0 = flat[todo]
+    ls = np.log(t0)
+
+    def fun(idx, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(log_inv(np.log(t)), dtype=np.float64) - ls[idx]
+
+    f0 = fun(np.arange(todo.size), t0)
+    up = f0 < 0.0
+    near, f_near = t0.copy(), f0.copy()
+    far, f_far = t0.copy(), f0.copy()
+    step = 2.0 * np.abs(f0) + 1e-12
+    act = np.arange(todo.size)
+    while act.size:
+        with np.errstate(over="ignore"):
+            far[act] = t0[act] * np.exp(np.where(up[act], step[act], -step[act]))
+        f_far[act] = fun(act, far[act])
+        act = act[((f_far[act] < 0.0) == up[act]) & (far[act] > 0.0) & (far[act] < np.inf)]
+        near[act], f_near[act] = far[act], f_far[act]
+        step[act] *= 2.0
+    lo, hi, _, _ = illinois_log_root(fun, np.where(up, near, far), np.where(up, far, near),
+                                     np.where(up, f_near, f_far), np.where(up, f_far, f_near),
+                                     1e-12)
+    out[todo] = 0.5 * (lo + hi)
     return out.reshape(s.shape)
 
 
@@ -177,8 +228,9 @@ def section5_params(alpha: float) -> Section5Params:
 
 def make_section5_young(alpha: float) -> YoungFunction:
     """Three-piece inverse: slow correction below 1/r, linear middle,
-    reciprocal correction above r.  The forward map comes from one
-    bisection over the whole argument array."""
+    reciprocal correction above r.  The forward map solves
+    log_inv(v) = ln s for v = ln Phi(s) over the whole argument array at
+    once (``_invert_monotone``), to 1e-12 relative."""
     par = section5_params(alpha)
     r, p_lin, q_lin = par.r, par.p_lin, par.q_lin
 
@@ -219,7 +271,7 @@ def make_section5_young(alpha: float) -> YoungFunction:
         return out[0] if scalar else out
 
     def ev(t):
-        out = _invert_monotone(inv, _as_array(t))
+        out = _invert_monotone(log_inv, _as_array(t))
         return float(out) if out.ndim == 0 else out
 
     return YoungFunction(

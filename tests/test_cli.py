@@ -47,6 +47,14 @@ def test_example5_alpha_out_of_domain(capsys):
     capsys.readouterr()
 
 
+def test_example5_window_past_float_range_exits_3(capsys):
+    # at x_span = 1e308 the far nodes overflow, the end slope is NaN and the
+    # value infinite: a divergence, not a passing report
+    assert run_cli(["example5", "--x-span", "1e308", "--s-multiples", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not decay" in captured.err
+
+
 def test_example5_defaults_pass(tmp_path):
     out = tmp_path / "e5.json"
     assert run_cli(["example5", "--output", str(out)]) == 0

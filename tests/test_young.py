@@ -6,7 +6,7 @@ import pytest
 from bol.errors import DomainError
 from bol.grid import GridFunction
 from bol.orlicz import luxemburg_norm
-from bol.young import (E_MINUS_2, SECTION5_R, critical_theta,
+from bol.young import (E_MINUS_2, SECTION5_R, _invert_monotone, critical_theta,
                        make_power_weight, make_power_young,
                        make_section5_weight, make_section5_young,
                        make_table_young, parse_weight_spec, parse_young_spec,
@@ -94,6 +94,25 @@ def test_section5_eval_inverts_inv_across_branch_points():
     ts = np.concatenate([x * np.geomspace(1e-3, 1e3, 25) for x in (1.0 / r, 1.0, r)])
     back = phi.eval(phi.inv(ts))
     assert np.allclose(back, ts, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.1, 0.13])
+def test_section5_forward_map_is_a_short_log_domain_solve(alpha):
+    phi = make_section5_young(alpha)
+    s = np.geomspace(1e-300, 1e300, 5001)
+    passes = []
+
+    def log_inv(lx):
+        passes.append(np.size(lx))
+        return phi.log_inv(lx)
+
+    t = _invert_monotone(log_inv, s)
+    # the bisection from [0, 1] it replaced took 45-60 passes of inv
+    assert len(passes) <= 8
+    assert np.max(np.abs(phi.inv(t) / s - 1.0)) <= 1e-12
+    out = phi.eval(np.array([0.0, -2.0, np.inf, np.nan, 1e308]))
+    assert out[:2].tolist() == [0.0, 0.0] and out[2] == np.inf and np.isnan(out[3])
+    assert out[4] == np.inf
 
 
 def test_section5_monotone_and_convex_for_large_arguments():
