@@ -146,15 +146,41 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
-def lattice_shifts(dim: int, max_len_cells: float):
-    """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k} pair,
-    sorted by Euclidean length; at most ``SHIFT_BUDGET`` of them."""
+def _shift_count(dim: int, max_len_cells: float) -> int:
+    """Number of shifts ``lattice_shifts(dim, max_len_cells)`` returns, found
+    without enumerating them; raises the ``shift_budget`` guard where the
+    enumeration would.  The first test is the closed-form size (2m+1)^d of
+    the mesh, the second the exact half-ball count: one row per point of
+    the first d-1 axes, each holding 2j+1 points, j the largest integer
+    with sqrt(s + j^2) <= r for the row's squared length s, floored from a
+    sqrt and settled by the same test as the enumeration."""
     m = int(math.floor(max_len_cells + 1e-12))
     if m < 1:
-        return np.zeros((0, dim), dtype=np.int64)
+        return 0
     if (2 * m + 1) ** dim > 4 * SHIFT_BUDGET:
         raise ResourceGuardError("shift enumeration too large; coarsen the grid",
                                  guard="shift_budget")
+    lim = max_len_cells + 1e-12
+    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
+    s = np.zeros(1, dtype=np.int64)
+    for _ in range(dim - 1):
+        s = (s[:, None] + sq).ravel()
+    j = np.minimum(np.floor(np.sqrt(np.maximum(lim * lim - s, 0.0))), m).astype(np.int64)
+    j += (j < m) & (np.sqrt(s + (j + 1) ** 2) <= lim)
+    j -= np.sqrt(s + j ** 2) > lim
+    count = (int(np.maximum(2 * j + 1, 0).sum()) - 1) // 2
+    if count > SHIFT_BUDGET:
+        raise ResourceGuardError("shift budget exceeded; coarsen the grid",
+                                 guard="shift_budget")
+    return count
+
+
+def lattice_shifts(dim: int, max_len_cells: float):
+    """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k} pair,
+    sorted by Euclidean length; at most ``SHIFT_BUDGET`` of them."""
+    if _shift_count(dim, max_len_cells) == 0:
+        return np.zeros((0, dim), dtype=np.int64)
+    m = int(math.floor(max_len_cells + 1e-12))
     axes = [np.arange(-m, m + 1)] * dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     norms = np.sqrt((mesh ** 2).sum(axis=1))
@@ -163,9 +189,6 @@ def lattice_shifts(dim: int, max_len_cells: float):
     # one representative per antipodal pair: first nonzero component positive
     first = mesh[np.arange(len(mesh)), np.argmax(mesh != 0, axis=1)]
     mesh, norms = mesh[first > 0], norms[first > 0]
-    if len(mesh) > SHIFT_BUDGET:
-        raise ResourceGuardError("shift budget exceeded; coarsen the grid",
-                                 guard="shift_budget")
     order = np.argsort(norms, kind="stable")
     return mesh[order]
 
@@ -176,10 +199,14 @@ class ShiftNormCache:
     Shared between modulus queries at different t.  A shift with
     |k_i| >= n_i on some axis, n_i the extents of f's support box,
     separates the two copies, and its norm is exactly ``saturated()``.
-    The first query solves every other shift on the box, as histograms,
-    sorted by length, so the shifts of length <= t are a prefix.  Below
-    one cell the modulus is the unit-shift sup scaled by t/h (the same
-    rule as ``l1_modulus``).
+    The first query evaluates every other shift on the box, sorted by
+    length, so the shifts of length <= t are a prefix.  For a power Phi,
+    Phi(t) = t^p, the Luxemburg norm is the Lp norm, so each shift's norm
+    is (S_k h^d)^(1/p) with S_k = sum |Delta_k f|^p from ``_shift_sums``:
+    no histogram and no root solve.  Any other Phi solves the shift
+    differences as (distinct |value|, count) histograms
+    (``_solve_histograms``).  Below one cell the modulus is the
+    unit-shift sup scaled by t/h (the same rule as ``l1_modulus``).
     """
 
     def __init__(self, f: GridFunction, phi: YoungFunction):
@@ -216,8 +243,16 @@ class ShiftNormCache:
             ext = np.array(self._box.shape)
             shifts = lattice_shifts(self.f.dim, math.sqrt(((ext - 1) ** 2).sum()))
             shifts = shifts[(np.abs(shifts) < ext).all(axis=1)]
-            hists = (_histogram(shift_difference_values(self._box, k)) for k in shifts)
-            self._norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]
+            if self.phi.kind == "power":
+                # on f / 2^e with max |f| / 2^e in [1/2, 1), |Delta_k f|^p
+                # neither overflows nor underflows with f's own scale
+                p = self.phi.params["p"]
+                unit = 2.0 ** np.frexp(np.abs(self._box).max(initial=0.0))[1]
+                sums = _shift_sums(self._box / unit, shifts, p)
+                self._norms = unit * (sums * self.f.cell_volume) ** (1.0 / p)
+            else:
+                hists = (_histogram(shift_difference_values(self._box, k)) for k in shifts)
+                self._norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]
             self._lens = np.sqrt((shifts ** 2).sum(axis=1))
         count = np.searchsorted(self._lens * h, t_eval + 1e-12 * h, side="right")
         out = np.maximum.accumulate(np.append(0.0, self._norms))[count]
@@ -254,40 +289,59 @@ def _slab_sums(sat, lo, up, axis, width):
     return out
 
 
-def l1_modulus(f: GridFunction, t: float) -> float:
-    """sup over lattice shifts |k| <= t/h of ||f(. + k*h) - f||_1; no bisection.
-
-    Below one cell (t < h) the unit shifts are scaled linearly by t/h.
-    Zero cells add nothing to a shift difference, so f is first trimmed to
-    the bounding box of its nonzero cells, of extents n_i.  Two exact
-    identities then replace the zero-padded copy per shift:
-
-    - saturation: ||Delta_k f||_1 <= 2 ||f||_1 for every k (triangle
-      inequality), with equality once |k_i| >= n_i on some axis, because
-      the two copies no longer overlap.  Once t/h reaches min(n_i) the
-      shift set holds such a k, the sup is 2 ||f||_1 and no shift is evaluated.
-    - overlap split: otherwise, with O_k the cells x where both x and x+k
-      lie in the box,
-      ||Delta_k f||_1 = 2 ||f||_1 - sum_O (|f(x)| + |f(x+k)|)
-                        + sum_O |f(x+k) - f(x)|.
-      The first two terms are the |f| mass outside the overlap box and
-      outside its translate.  That mass is read for all shifts at once from
-      summed-area tables of |f| (one plain, one reversed per axis) as a sum
-      of disjoint slabs, so a short shift never takes a small difference
-      of near-total sums.  Only the last sum is taken per shift, on
-      overlap slices.
-    """
-    if t <= 0:
-        raise DomainError("modulus needs t > 0")
-    h = f.spacing
-    t_eval, scale = max(t, h), min(t / h, 1.0)
-    shifts = lattice_shifts(f.dim, t_eval / h)
-    a = f.support_box()
-    mag = np.abs(a)
+def _inside_by_overlaps(a, shifts, p):
+    """sum_O |a(x+k) - a(x)|^p for each row k of ``shifts``, one overlap
+    slice pair per shift; O is the overlap of the box and its translate."""
     ext = np.array(a.shape)
-    if t_eval / h + 1e-12 >= min(a.shape):
-        return float(2.0 * mag.sum() * f.cell_volume) * scale
-    tables = [_summed_area(mag)] + [_summed_area(np.flip(mag, axis)) for axis in range(a.ndim)]
+    pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
+    # d ** 1.0 would copy every slice of the L1 case
+    power = (lambda d: d) if p == 1.0 else (lambda d: d ** p)
+    return np.fromiter(
+        (power(np.abs(a[tuple(map(slice, lk, uk))] - a[tuple(map(slice, lx, ux))])).sum()
+         for lx, ux, lk, uk in zip(neg, ext - pos, pos, ext - neg)),
+        dtype=np.float64, count=len(shifts))
+
+
+def _fft_len(n):
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT transforms fast."""
+    while True:
+        m = n
+        for q in (2, 3, 5):
+            while m % q == 0:
+                m //= q
+        if m == 1:
+            return n
+        n += 1
+
+
+def _inside_by_levels(a, shifts, p, levels):
+    """The same sums from level sets: with ``levels`` the K distinct values
+    of ``a``, the sum at k is sum_v corr(1_{a=v}, |a - v|^p)(k), where
+    corr(u, g)(k) = sum_x u(x) g(x + k).
+    Each correlation is a product of real FFTs zero-padded to at least
+    2 n_i - 1 points per axis, so a linear correlation does not wrap for
+    |k_i| < n_i; the spectra are summed over the levels before one inverse
+    transform.  FFT rounding is absolute, near 1e-16 of sum |a|^p, so the
+    result is clamped at 0."""
+    shape = tuple(_fft_len(2 * n - 1) for n in a.shape)
+    axes = tuple(range(a.ndim))
+    spec = 0.0
+    for v in levels:
+        spec = spec + (np.conj(np.fft.rfftn(a == v, shape, axes))
+                       * np.fft.rfftn(np.abs(a - v) ** p, shape, axes))
+    corr = np.fft.irfftn(spec, shape, axes)
+    return np.maximum(corr[tuple((shifts % shape).T)], 0.0)
+
+
+def _outside_sums(mag, shifts):
+    """sum |a|^p - sum_O |a(x)|^p + sum |a|^p - sum_O |a(x+k)|^p for each row k
+    of ``shifts``, ``mag`` = |a|^p: the mass outside the overlap box O and
+    outside its translate, read for all shifts at once from summed-area
+    tables of ``mag`` (one plain, one reversed per axis) as a sum of
+    disjoint slabs, so a short shift never takes a small difference of
+    near-total sums."""
+    ext = np.array(mag.shape)
+    tables = [_summed_area(mag)] + [_summed_area(np.flip(mag, axis)) for axis in range(mag.ndim)]
     pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
     # x runs over [neg, ext - pos) and x + k over [pos, ext - neg); outside a
     # box [lo, up) lie the disjoint slabs "inside on the axes before i, below
@@ -296,14 +350,67 @@ def l1_modulus(f: GridFunction, t: float) -> float:
     outside = np.zeros(len(shifts))
     for lo, gap in ((neg, pos), (pos, neg)):
         up = ext - gap
-        for axis in range(a.ndim):
+        for axis in range(mag.ndim):
             outside += _slab_sums(tables[0], lo, up, axis, lo[:, axis])
             outside += _slab_sums(tables[axis + 1], lo, up, axis, gap[:, axis])
-    inside = np.fromiter(
-        (np.abs(a[tuple(map(slice, lk, uk))] - a[tuple(map(slice, lx, ux))]).sum()
-         for lx, ux, lk, uk in zip(neg, ext - pos, pos, ext - neg)),
-        dtype=np.float64, count=len(shifts))
-    return float(((outside + inside) * f.cell_volume).max()) * scale
+    return outside
+
+
+# level sets pay once K * 2^d * _LEVEL_COST <= the shift count: they cost K
+# pairs of FFTs on 2^d times the box, the loop one overlap per shift; the
+# time over the benchmark's PC and corpus grids is flat for 2..6 and grows
+# from 8 on (BENCH_power_moduli.json)
+_LEVEL_COST = 4
+
+
+def _shift_sums(a, shifts, p):
+    """S_k = sum_x |a(x+k) - a(x)|^p for each row k of ``shifts``, a zero
+    outside its box and |k_i| < n_i on every axis, by the overlap split
+
+        S_k = (mass of |a|^p outside O and outside O + k)
+              + sum_O |a(x+k) - a(x)|^p,
+
+    O the cells x where both x and x+k lie in the box.  The first term is
+    ``_outside_sums``.  The inside sum comes from ``_inside_by_levels``
+    where the box has K distinct values with K * 2^d * ``_LEVEL_COST`` at
+    most the shift count, else from ``_inside_by_overlaps``.
+    """
+    outside = _outside_sums(np.abs(a) ** p, shifts)
+    # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms);
+    # an all-zero f has an empty box, no level and no shift
+    levels, _ = np.unique(a, return_counts=True)
+    if len(shifts) and len(levels) * 2 ** a.ndim * _LEVEL_COST <= len(shifts):
+        return outside + _inside_by_levels(a, shifts, p, levels)
+    return outside + _inside_by_overlaps(a, shifts, p)
+
+
+def l1_modulus(f: GridFunction, t: float) -> float:
+    """sup over lattice shifts |k| <= t/h of ||f(. + k*h) - f||_1; no bisection.
+
+    Below one cell (t < h) the unit shifts are scaled linearly by t/h.
+    Zero cells add nothing to a shift difference, so f is first trimmed to
+    the bounding box of its nonzero cells, of extents n_i.  The shift
+    budget is checked first, from the closed-form count of the lattice
+    ball (``_shift_count``).  Then:
+
+    - saturation: ||Delta_k f||_1 <= 2 ||f||_1 for every k (triangle
+      inequality), with equality once |k_i| >= n_i on some axis, because
+      the two copies no longer overlap.  Once t/h reaches min(n_i) the
+      shift set holds such a k, the sup is 2 ||f||_1 and no shift is
+      enumerated.
+    - otherwise each shift's ||Delta_k f||_1 is the p = 1 case of the
+      overlap split ``_shift_sums`` on the box, times the cell volume.
+    """
+    if t <= 0:
+        raise DomainError("modulus needs t > 0")
+    h = f.spacing
+    t_eval, scale = max(t, h), min(t / h, 1.0)
+    _shift_count(f.dim, t_eval / h)
+    a = f.support_box()
+    if t_eval / h + 1e-12 >= min(a.shape):
+        return float(2.0 * np.abs(a).sum() * f.cell_volume) * scale
+    shifts = lattice_shifts(f.dim, t_eval / h)
+    return float((_shift_sums(a, shifts, 1.0) * f.cell_volume).max()) * scale
 
 
 def check_lemma_omega1(f: GridFunction, ts):

@@ -14,7 +14,8 @@ from bol.grid import (GridFunction, ball_indicator, load_grid_function,
                       lp_norm, save_grid_function, shift, shift_difference,
                       shift_difference_values, total_variation,
                       unit_ball_volume)
-from bol.orlicz import ShiftNormCache, l1_modulus, lattice_shifts, luxemburg_norm
+from bol.orlicz import (ShiftNormCache, _inside_by_levels, _inside_by_overlaps, l1_modulus,
+                        lattice_shifts, luxemburg_norm)
 from bol.young import make_power_young
 
 
@@ -74,6 +75,13 @@ def _shift_l1_by_cells(values, k, h):
         moved = [i + ki for i, ki in zip(idx, k)]
         total += abs(_at(values, moved) - _at(values, idx))
     return total * h ** values.ndim
+
+
+def _shift_power_sum_by_cells(values, k, p):
+    """sum over cells of |f(. + k) - f(.)|^p, cell by cell, no cell volume."""
+    ranges = [range(min(0, -ki), max(n, n - ki)) for n, ki in zip(values.shape, k)]
+    return math.fsum(abs(_at(values, [i + ki for i, ki in zip(idx, k)]) - _at(values, idx)) ** p
+                     for idx in itertools.product(*ranges))
 
 
 def test_tv_matches_cell_loop():
@@ -154,6 +162,8 @@ def test_l1_modulus_matches_cell_loop_max(case):
 @example(case=(np.zeros((3, 4)), 0.5, 2.0), p=1.3)            # all zero
 @example(case=(np.pad(np.ones((2, 5)), 1), 0.5, 2.0), p=1.3)  # n_min = 2 on axis 0
 @example(case=(np.pad(np.full((1, 1, 1), -2.0), 2), 0.1, 0.4), p=2.5)  # single cell
+@example(case=(np.full(2, 2.2250738585072014e-308), 1.0, 1.0), p=1.3)  # |Delta|^p underflows
+@example(case=(np.array([1e300, -1e300, 0.0, 3e299]), 0.5, 2.0), p=2.5)  # |Delta|^p overflows
 def test_sup_up_to_matches_every_lattice_shift(case, p):
     # on both sides of the shortest separating shift, min(n_i) cells, the
     # cache's sup equals a brute-force max over every lattice shift
@@ -191,6 +201,55 @@ def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget
             assert exc.value.guard == "shift_budget"
         else:
             assert l1_modulus(f, t) >= 0.0
+
+
+_rng = np.random.default_rng(12)
+EVALUATOR_GRIDS = {
+    "levels with zero cells inside, 1d": np.array([1.0, 0.0, 0.0, 2.5, 2.5, 0.0, 1.0]),
+    "signed levels, 2d": _rng.choice([-2.0, -0.5, 0.0, 1.5], (6, 5)),
+    "signed levels, 3d": _rng.choice([-1.0, 0.0, 1.0, 3.0], (3, 4, 3)),
+    "single cell": np.array([[-1.5]]),
+    "single cell, 3d": np.full((1, 1, 1), 2.0),
+    "all distinct, 1d": _rng.uniform(-1.0, 1.0, 9),
+    "all distinct, 2d": _rng.uniform(-2.0, 2.0, (4, 5)),
+    "all distinct, 3d": _rng.uniform(-1.0, 1.0, (3, 2, 3)),
+    "all zero": np.zeros((3, 4)),
+}
+
+
+def _by_levels(a, shifts, p):
+    return _inside_by_levels(a, shifts, p, np.unique(a))
+
+
+@pytest.mark.parametrize("inside", [_inside_by_overlaps, _by_levels])
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.5])
+@pytest.mark.parametrize("name", list(EVALUATOR_GRIDS))
+def test_shift_sum_evaluators_match_cell_loops(name, p, inside):
+    # every shift with |k_i| < n_i, k = 0 and both of each {k, -k} pair
+    a = EVALUATOR_GRIDS[name]
+    shifts = np.array(list(itertools.product(*(range(1 - n, n) for n in a.shape))))
+    got_inside = inside(a, shifts, p)
+    got = bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside
+    total = math.fsum(np.abs(a).ravel() ** p)
+    assert np.all(got_inside >= 0.0) and np.all(got >= 0.0)
+    for k, s in zip(shifts, got):
+        want = (_shift_l1_by_cells(a, k, 1.0) if p == 1.0 else
+                _shift_power_sum_by_cells(a, k, p))
+        assert s == pytest.approx(want, rel=1e-12, abs=1e-14 * total)
+
+
+@pytest.mark.parametrize("inner, t", [((9, 6), 3.0), ((9, 6), 40.0), ((4, 1), 0.2)])
+def test_l1_modulus_saturates_without_enumerating(monkeypatch, inner, t):
+    # floor(max(t, h)/h) reaches the smallest support extent
+    values = np.pad(np.random.default_rng(3).uniform(-1.0, 1.0, inner), 2)
+    f = GridFunction(0.5, (0.0, 0.0), values)
+
+    def refuse(*args):
+        raise AssertionError("a saturating call enumerates no shift")
+
+    monkeypatch.setattr(bol.orlicz, "lattice_shifts", refuse)
+    saturated = 2.0 * math.fsum(np.abs(values).ravel()) * f.cell_volume * min(t / 0.5, 1.0)
+    assert l1_modulus(f, t) == pytest.approx(saturated, rel=1e-15)
 
 
 def test_shift_moves_origin():

@@ -10,10 +10,11 @@ import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
 from bol.grid import (GridFunction, ball_indicator, lp_norm, shift_difference,
                       total_variation)
-from bol.orlicz import (ShiftNormCache, _luxemburg_rows, check_infima_bound,
-                        check_lemma_omega1, l1_modulus, lattice_shifts,
-                        luxemburg_norm)
+from bol.orlicz import (ShiftNormCache, _luxemburg_rows, _shift_count,
+                        check_infima_bound, check_lemma_omega1, l1_modulus,
+                        lattice_shifts, luxemburg_norm)
 from bol.young import illinois_log_root, make_power_young, make_section5_young
+from test_grid import _shift_power_sum_by_cells
 
 
 def random_grid(seed, n=12, h=0.25, dim=2):
@@ -63,6 +64,17 @@ def test_lattice_shift_budget_guard():
         lattice_shifts(2, 5000.0)
 
 
+radii = (st.integers(0, 12).map(float) | st.integers(0, 144).map(math.sqrt)
+         | st.floats(0.0, 12.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 3), radius=radii)
+def test_shift_count_is_the_enumerated_count(dim, radius):
+    # integer and sqrt-integer radii put lattice points on the sphere
+    assert _shift_count(dim, radius) == len(lattice_shifts(dim, radius))
+
+
 def test_modulus_monotone_and_saturates():
     phi = make_power_young(1.3)
     f = GridFunction(0.25, (0.0, 0.0), np.ones((4, 4)))
@@ -96,9 +108,15 @@ def test_sup_up_to_below_one_cell_scales_the_unit_shifts(dim):
     ts = np.array([0.01, 0.1, 0.2, 0.249]) * (h / 0.25)
     unit = cache.sup_up_to(h)
     assert cache.sup_up_to(ts).tolist() == [unit * (t / h) for t in ts]
-    # the unit shifts, one per axis, are the whole sup at one cell
-    assert unit == max(luxemburg_norm(shift_difference(f, k), cache.phi).norm
-                       for k in np.eye(dim, dtype=np.int64))
+    # the unit shifts, one per axis, are the whole sup at one cell: the Lp
+    # norms of their differences, summed cell by cell, and within an ulp or
+    # two the root solve of luxemburg_norm
+    units = np.eye(dim, dtype=np.int64)
+    closed = max((_shift_power_sum_by_cells(f.values, k, 1.3) * f.cell_volume) ** (1.0 / 1.3)
+                 for k in units)
+    assert unit == pytest.approx(closed, rel=1e-14)
+    assert unit == pytest.approx(max(luxemburg_norm(shift_difference(f, k), cache.phi).norm
+                                     for k in units), rel=1e-14)
 
 
 @pytest.mark.parametrize("phi", [make_power_young(1.3), make_section5_young(0.1)])
@@ -121,12 +139,14 @@ def test_separating_shift_norm_is_saturated_exactly(phi):
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (1, 6)])
 def test_cache_solves_each_overlapping_shift_once(shape):
     values = np.pad(np.random.default_rng(len(shape)).uniform(0.5, 2.0, shape), 1)
-    cache = ShiftNormCache(GridFunction(0.5, (0.0,) * len(shape), values), make_power_young(1.3))
-    assert cache.evaluated == 0
-    cache.sup_up_to(100.0)
-    cache.sup_up_to(np.array([0.2, 1.0, 3.0]))
-    # nonzero k with |k_i| < n_i on every axis, one per {k, -k} pair
-    assert cache.evaluated == (math.prod(2 * n - 1 for n in shape) - 1) // 2
+    # the closed-form power path and the histogram path of any other Phi
+    for phi in (make_power_young(1.3), make_section5_young(0.1)):
+        cache = ShiftNormCache(GridFunction(0.5, (0.0,) * len(shape), values), phi)
+        assert cache.evaluated == 0
+        cache.sup_up_to(100.0)
+        cache.sup_up_to(np.array([0.2, 1.0, 3.0]))
+        # nonzero k with |k_i| < n_i on every axis, one per {k, -k} pair
+        assert cache.evaluated == (math.prod(2 * n - 1 for n in shape) - 1) // 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,7 +409,8 @@ def test_sup_up_to_array_matches_scalar_calls():
 
 
 def test_shift_norms_do_not_depend_on_the_chunk_budget(monkeypatch):
-    phi = make_power_young(1.3)
+    # only a Phi other than a power takes the histogram solve
+    phi = make_section5_young(0.1)
     f = random_grid(5, n=5, h=0.2)
     whole = ShiftNormCache(f, phi)
     whole.sup_up_to(1.0)

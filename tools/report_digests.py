@@ -2,13 +2,16 @@
 output byte-identical.
 
     python3 tools/report_digests.py [ROOT] > digests.txt
+    python3 tools/report_digests.py --text [ROOT] > texts.jsonl
 
 ROOT is a checkout of this repository (default: the one holding this
 script); ``bol`` is imported from ROOT/src and the workload generators
 from ROOT/perfbench.  Run it on two checkouts and ``diff`` the outputs.
 Each line is ``sha256  key``.  The digest covers a command's exit code,
 stdout and stderr (or the text of what it raised), with the temporary
-directory of the grid and table files replaced by a fixed token.
+directory of the grid and table files replaced by a fixed token.  With
+``--text`` each line is instead the JSON list ``[key, text]`` of the
+digested text itself (``tools/report_drift.py`` compares two of them).
 
 The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
 the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
@@ -26,7 +29,9 @@ import shutil
 import sys
 import tempfile
 
-ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
+TEXT = "--text" in sys.argv[1:2]
+ARGS = sys.argv[1 + TEXT:]
+ROOT = os.path.abspath(ARGS[0] if ARGS else
                        os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
@@ -66,8 +71,11 @@ VARIANTS = [
 
 
 def emit(key, text, tmp):
-    digest = hashlib.sha256(text.replace(tmp, TOKEN).encode()).hexdigest()
-    print(f"{digest}  {key.replace(tmp, TOKEN)}")
+    key, text = key.replace(tmp, TOKEN), text.replace(tmp, TOKEN)
+    if TEXT:
+        print(json.dumps([key, text]))
+    else:
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {key}")
 
 
 def run_cli(argv):
