@@ -7,14 +7,13 @@ Besov-type norm (``besov``), measure-halving layer decompositions
 constructive experiments (``evidence``), and a CLI (``bol``).
 """
 
-from .besov import BesovNorm, besov_bv_ratio, besov_orlicz_norm
+from .besov import BesovNorm, besov_orlicz_norm
 from .condition import (ConditionQuad, ConditionReport, ConditionValue,
                         condition_sup, condition_value, section5_first_bound,
                         section5_second_bound)
 from .errors import (BolError, ConvergenceError, DivergenceError, DomainError,
                      ResourceGuardError)
-from .grid import (Ball, GridFunction, ball_indicator, load_grid_function,
-                   lp_norm, save_grid_function, shift,
+from .grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
                    shift_difference, total_variation, unit_ball_volume)
 from .molecules import (Decomposition, Molecule, decompose,
                         default_alpha_budget, molecule_count_bound,
@@ -23,6 +22,6 @@ from .orlicz import ModulusCurve, ShiftNormCache, l1_modulus, luxemburg_norm
 from .young import (SECTION5_R, WeightFunction, YoungFunction, critical_theta,
                     make_power_weight, make_power_young, make_section5_weight,
                     make_section5_young, make_table_young, parse_weight_spec,
-                    parse_young_spec, validate_young)
+                    parse_young_spec)
 
 __version__ = "0.1.0"

@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
-from .grid import GridFunction, lp_norm, total_variation
+from .errors import DivergenceError, DomainError, ResourceGuardError
+from .grid import GridFunction
 from .orlicz import ModulusCurve, ShiftNormCache, luxemburg_norm
 from .young import WeightFunction, YoungFunction
+
+MAX_NODES = 1_000_000  # seminorm quadrature nodes
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,8 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
     """
     if nodes < 8:
         raise DomainError("seminorm quadrature needs at least 8 nodes")
+    if nodes > MAX_NODES:
+        raise ResourceGuardError(f"more than {MAX_NODES} nodes", guard="quadrature_nodes")
     orlicz = luxemburg_norm(f, phi).norm
     if orlicz == 0.0:
         return BesovNorm(0.0, 0.0, 0.0, 0.0, ModulusCurve(np.zeros(0), np.zeros(0)))
@@ -82,12 +86,3 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
     tail = saturated_tail(psi, cache.saturated(), t_hi)
     return BesovNorm(orlicz, mid + head + tail, head, tail, ModulusCurve(ts, omega))
 
-
-def besov_bv_ratio(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
-                   **window) -> float:
-    """Besov-Orlicz norm over the BV norm (L1 plus discrete TV); ``window``
-    takes the keywords of ``besov_orlicz_norm``."""
-    bv = lp_norm(f, 1) + total_variation(f)
-    if bv == 0.0:
-        raise DomainError("ratio undefined for the zero function")
-    return besov_orlicz_norm(f, phi, psi, **window).total / bv

@@ -6,16 +6,17 @@ range (the piecewise-exponential example) still integrate cleanly.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, ResourceGuardError
 from .young import (SECTION5_R, WeightFunction, YoungFunction,
                     make_section5_young)
 
 NEGLIGIBLE_LOG_DROP = 45.0  # contributions e^-45 below the peak are ignored
 TAIL_SLOPE_LIMIT = -0.05
+MAX_SCALES = 100_000  # scales per condition_sup sweep
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class ConditionReport:
     head_slope: float
     tail_slope: float
     diverged_s: float = float("nan")
-    rows: list = field(default_factory=list)
 
 
 def log_domain_integral(log_vals, u):
@@ -156,8 +156,12 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
             head_val, head_rem, head_div = _condition_integral(
                 lambda u: np.asarray(psi.log_eval(u - ls)), quad
             )
-    first = math.exp(log_pref1) * head_val if not math.isnan(head_val) else math.nan
-    first_rem = math.exp(log_pref1) * head_rem if math.isfinite(head_rem) else math.inf
+    try:
+        pref1 = math.exp(log_pref1)
+    except OverflowError as exc:
+        raise DomainError(f"the first integral's prefactor overflows at s = {s!r}") from exc
+    first = pref1 * head_val if not math.isnan(head_val) else math.nan
+    first_rem = pref1 * head_rem if math.isfinite(head_rem) else math.inf
 
     def tail_log(u):
         lt = ls + u
@@ -203,20 +207,21 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     """
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
+    if n_points > MAX_SCALES:
+        raise ResourceGuardError(f"more than {MAX_SCALES} scales", guard="condition_scales")
     lo, hi = s_range
     if not 0 < lo < hi < math.inf:
         raise DomainError("s_range must be finite, positive and increasing")
     s_grid = np.geomspace(lo, hi, n_points)
-    rows = []
+    values = np.zeros(n_points)
     diverged_s = math.nan
-    for s in s_grid:
+    for i, s in enumerate(s_grid):
         cv = condition_value(float(s), phi, psi, d, quad,
                              head_lower_limit=head_lower_limit,
                              raise_on_divergence=False)
-        rows.append(cv)
+        values[i] = cv.value
         if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):
             diverged_s = float(s)
-    values = np.array([r.value for r in rows])
     finite = np.isfinite(values) & (values > 0)
     d_hat = float(values[finite].max()) if finite.any() else math.inf
     # the smallest s within 1e-12 of the max, so rounding cannot pick it on a flat curve
@@ -233,7 +238,7 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     else:
         verdict = "inconclusive"
     return ConditionReport(s_grid, values, d_hat, argmax, verdict,
-                           head_slope, tail_slope, diverged_s, rows)
+                           head_slope, tail_slope, diverged_s)
 
 
 # -- the concrete piecewise-exponential example --------------------------------

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError
-
-MAX_CELLS_PER_AXIS = 10_000
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,6 @@ class GridFunction:
         ext = [n * self.spacing for n in self.support_box().shape]
         return math.sqrt(sum(e * e for e in ext))
 
-    def scaled(self, c):
-        return GridFunction(self.spacing, self.origin, c * self.values)
-
 
 def lp_norm(f: GridFunction, p) -> float:
     if p == np.inf or p == math.inf:
@@ -92,15 +87,6 @@ def total_variation(f: GridFunction) -> float:
     return float(total * f.spacing ** (d - 1))
 
 
-def shift(f: GridFunction, k) -> GridFunction:
-    """g(x) = f(x + k*h): same cells, origin moved by -k*h."""
-    k = np.asarray(k, dtype=np.int64)
-    if k.shape != (f.dim,):
-        raise DomainError("shift vector length must match dimension")
-    new_origin = tuple(o - int(ki) * f.spacing for o, ki in zip(f.origin, k))
-    return GridFunction(f.spacing, new_origin, f.values)
-
-
 def shift_difference_values(values: np.ndarray, k) -> np.ndarray:
     """Raw array of f(. + k*h) - f(.) on the union of both supports.
 
@@ -127,40 +113,10 @@ def shift_difference(f: GridFunction, k) -> GridFunction:
 
 
 def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Grid indicator of a Euclidean ball plus its analytic companions."""
-
-    grid: GridFunction
-    dim: int
-    radius: float
-    volume: float
-    perimeter: float
-
-
-def ball_indicator(d: int, radius: float, h: float) -> Ball:
-    if radius <= 0 or h <= 0:
-        raise DomainError("radius and spacing must be positive")
-    if radius / h > 1e4:
-        raise ResourceGuardError("radius/h exceeds 1e4", guard="ball_resolution")
-    m = int(math.ceil(radius / h)) + 1
-    axes = [(np.arange(2 * m) + 0.5) * h - m * h for _ in range(d)]
-    sq = np.zeros((2 * m,) * d)
-    for axis, coord in enumerate(axes):
-        shape = [1] * d
-        shape[axis] = 2 * m
-        sq = sq + (coord ** 2).reshape(shape)
-    dist = np.sqrt(sq)
-    r_eff = radius
-    if np.any(np.abs(dist - radius) < 1e-12 * max(radius, 1.0)):
-        r_eff = radius + h * 1e-9  # break exact boundary ties
-    vals = (dist <= r_eff).astype(np.float64)
-    fn = GridFunction(h, (-m * h,) * d, vals)
-    vd = unit_ball_volume(d)
-    return Ball(fn, d, radius, vd * radius ** d, d * vd * radius ** (d - 1))
+    try:
+        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError as exc:  # from d = 342 on
+        raise DomainError(f"the unit-ball volume in dimension {d} leaves float range") from exc
 
 
 # -- serialization: JSON header line followed by one value per line ------------

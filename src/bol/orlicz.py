@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceGuardError
-from .grid import (GridFunction, shift_difference, shift_difference_values,
-                   total_variation)
+from .grid import GridFunction, shift_difference_values
 from .young import YoungFunction, illinois_log_root
 
 SHIFT_BUDGET = 1_000_000
@@ -412,31 +411,3 @@ def l1_modulus(f: GridFunction, t: float) -> float:
     shifts = lattice_shifts(f.dim, t_eval / h)
     return float((_shift_sums(a, shifts, 1.0) * f.cell_volume).max()) * scale
 
-
-def check_lemma_omega1(f: GridFunction, ts):
-    """L1 modulus against t times the total variation, with a grid buffer."""
-    tv = total_variation(f)
-    h = f.spacing
-    rows = []
-    for t in ts:
-        if t <= 0:
-            raise DomainError("ts must be positive")
-        lhs = l1_modulus(f, t)
-        rhs = t * tv
-        rows.append((t, lhs, rhs, lhs <= rhs * (1.0 + 2.0 * h / t) + 1e-15))
-    return rows
-
-
-def check_infima_bound(f: GridFunction, phi: YoungFunction, k):
-    """Shift-difference Orlicz norm against the sup/inverse bound.
-
-    Returns (lhs, rhs, pass).  A zero difference passes trivially.
-    """
-    d = shift_difference(f, k)
-    l1 = float(np.abs(d.values).sum() * d.cell_volume)
-    if l1 == 0.0:
-        return 0.0, 0.0, True
-    lhs = luxemburg_norm(d, phi).norm
-    linf = float(np.abs(f.values).max())
-    rhs = 2.0 * linf / float(phi.inv(2.0 * linf / l1))
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-8)

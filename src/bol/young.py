@@ -54,23 +54,6 @@ class WeightFunction:
     params: dict
     log_eval: Callable
 
-    def check_exponents(self):
-        """Finite-difference log-slopes of eval(1/t) at t = 1e-8 and 1e8,
-        each within 0.05 of its declared exponent."""
-        def slope(t):
-            f = lambda x: float(self.log_eval(-math.log(x)))
-            dl = 1e-3
-            return (f(t * math.exp(dl)) - f(t)) / dl
-
-        s_lo = slope(1e-8)
-        s_hi = slope(1e8)
-        return (
-            abs(s_lo - self.zero_exponent) <= 0.05,
-            abs(s_hi - self.infinity_exponent) <= 0.05,
-            s_lo,
-            s_hi,
-        )
-
 
 @dataclass(frozen=True)
 class Section5Params:
@@ -82,27 +65,6 @@ class Section5Params:
     def __post_init__(self):
         if not self.alpha * math.log(self.r) / math.log(math.log(self.r)) <= 1.0 + 1e-12:
             raise DomainError("alpha*ln(r)/ln(ln(r)) must not exceed 1")
-
-
-@dataclass
-class ValidationReport:
-    zero_at_zero: bool
-    monotone: bool
-    midpoint_convex: bool
-    superlinear_at_inf: bool
-    sublinear_at_zero: bool
-
-    @property
-    def all_pass(self):
-        return all(
-            [
-                self.zero_at_zero,
-                self.monotone,
-                self.midpoint_convex,
-                self.superlinear_at_inf,
-                self.sublinear_at_zero,
-            ]
-        )
 
 
 def make_power_young(p: float) -> YoungFunction:
@@ -368,28 +330,6 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
         params=dict(phi.params),
         log_eval=log_ev,
     )
-
-
-def validate_young(phi: YoungFunction, sample_grid) -> ValidationReport:
-    grid = np.asarray(sample_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise DomainError("empty sample grid")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("sample grid must be strictly positive and sorted")
-    vals = phi.eval(grid)
-    zero_at_zero = float(phi.eval(0.0)) == 0.0
-    monotone = bool(np.all(np.diff(vals) > 0))
-    mids = phi.eval(0.5 * (grid[:-1] + grid[1:]))
-    midpoint_convex = bool(np.all(mids <= 0.5 * (vals[:-1] + vals[1:]) * (1 + 1e-9)))
-    # superlinear at infinity: t/Phi(t) strictly decreasing along the grid tail
-    tail = grid[-min(8, grid.size):]
-    ratio_tail = tail / phi.eval(tail)
-    superlinear = bool(np.all(np.diff(ratio_tail) < 0))
-    # sublinear at zero: Phi(t)/t strictly decreasing toward the grid head
-    head = grid[: min(8, grid.size)]
-    ratio_head = phi.eval(head) / head
-    sublinear = bool(np.all(np.diff(ratio_head) > 0))
-    return ValidationReport(zero_at_zero, monotone, midpoint_convex, superlinear, sublinear)
 
 
 # -- function-spec mini-grammar ------------------------------------------------

@@ -14,13 +14,13 @@ from bol.condition import (condition_sup, section5_first_bound,
                            section5_second_bound)
 from bol.corpus import random_piecewise_constant
 from bol.errors import DivergenceError
-from bol.evidence import (lemma6_check, measured_iso_constant,
-                          necessity_ball_experiment)
+from bol.evidence import lemma6_check, necessity_ball_experiment
 from bol.grid import GridFunction, lp_norm, total_variation
 from bol.molecules import decompose, molecule_count_bound, verify_r1_r2, verify_r3
 from bol.orlicz import l1_modulus, luxemburg_norm
 from bol.young import (SECTION5_R, critical_theta, make_power_weight,
                        make_power_young)
+from conftest import measured_iso_constant
 
 
 def _line(num, name, ok, detail):

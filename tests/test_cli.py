@@ -252,6 +252,7 @@ def test_norms_csv_input_uses_spacing(tmp_path):
     ({}, ["check-condition", "--head-lower-limit", "nan"]),
     ({}, ["norms", "--fixture", "staircase", "--phi", "table:file=/nonexistent/phi.csv"]),
     ({}, ["check-condition", "--points", "x"]),
+    ({}, ["lemma6", "--dim", "1000000000000000", "--samples", "10"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():
@@ -260,7 +261,8 @@ def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# numeric flags of four commands, each after the flags its command needs
+# numeric flags of five commands, each after the flags its command needs; the
+# large value is one whose allocation numpy refuses outright (never a real one)
 _FUZZ_FLAGS = [
     (["check-condition", "--points", "16"], ["--dim", "--smin", "--smax", "--points",
                                              "--head-lower-limit"]),
@@ -268,12 +270,13 @@ _FUZZ_FLAGS = [
     (["example5"], ["--alpha", "--x-span", "--s-multiples"]),
     (["norms", "--fixture", "staircase", "--phi", "power:p=1.3",
       "--psi", "powerweight:theta=0.5385"], ["--tmin", "--tmax", "--nodes", "--spacing", "--dim"]),
+    (["sobolev"], ["--dim", "--n"]),
 ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from([(base, flag) for base, flags in _FUZZ_FLAGS for flag in flags]),
-       value=st.sampled_from(["nan", "inf", "-1", "0", "", "x", "1e308"]))
+       value=st.sampled_from(["nan", "inf", "-1", "0", "", "x", "1e308", "1000000000000000"]))
 def test_numeric_flag_values_map_to_exit_codes(case, value):
     base, flag = case
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

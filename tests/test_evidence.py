@@ -7,10 +7,11 @@ import pytest
 from bol.corpus import make_corpus
 from bol.errors import DivergenceError, DomainError
 from bol.evidence import (ball_besov_parts, ball_symdiff_volume, lemma6_check,
-                          measured_iso_constant, necessity_ball_experiment,
-                          sobolev_check, sufficiency_molecule_estimates)
+                          necessity_ball_experiment, sobolev_check,
+                          sufficiency_molecule_estimates)
 from bol.grid import GridFunction, unit_ball_volume
 from bol.young import critical_theta, make_power_weight, make_power_young
+from conftest import measured_iso_constant
 
 PHI = make_power_young(1.3)
 PSI_CRIT = make_power_weight(critical_theta(1.3, 2))

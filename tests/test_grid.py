@@ -10,13 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
-from bol.grid import (GridFunction, ball_indicator, load_grid_function,
-                      lp_norm, save_grid_function, shift, shift_difference,
-                      shift_difference_values, total_variation,
+from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
+                      shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.orlicz import (ShiftNormCache, _inside_by_levels, _inside_by_overlaps, l1_modulus,
                         lattice_shifts, luxemburg_norm)
 from bol.young import make_power_young
+from conftest import ball_indicator
 
 
 def box2d(n=8, h=0.25, value=1.0):
@@ -250,13 +250,6 @@ def test_l1_modulus_saturates_without_enumerating(monkeypatch, inner, t):
     monkeypatch.setattr(bol.orlicz, "lattice_shifts", refuse)
     saturated = 2.0 * math.fsum(np.abs(values).ravel()) * f.cell_volume * min(t / 0.5, 1.0)
     assert l1_modulus(f, t) == pytest.approx(saturated, rel=1e-15)
-
-
-def test_shift_moves_origin():
-    f = box2d(h=0.5)
-    g = shift(f, [1, -2])
-    assert g.origin == (-0.5, 1.0)
-    assert np.array_equal(g.values, f.values)
 
 
 def test_shift_difference_mass_and_support():

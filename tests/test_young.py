@@ -10,7 +10,7 @@ from bol.young import (E_MINUS_2, SECTION5_R, _invert_monotone, critical_theta,
                        make_power_weight, make_power_young,
                        make_section5_weight, make_section5_young,
                        make_table_young, parse_weight_spec, parse_young_spec,
-                       section5_params, validate_young)
+                       section5_params)
 
 
 def test_power_roundtrip_and_log_inverse():
@@ -28,19 +28,25 @@ def test_power_rejects_sublinear_exponent():
             make_power_young(p)
 
 
+def monotone_and_midpoint_convex(phi, t):
+    """Phi strictly increasing along the sorted nodes t, and Phi at each
+    midpoint at most the mean of its neighbours (1e-9 relative slack)."""
+    vals = phi.eval(t)
+    mids = phi.eval(0.5 * (t[:-1] + t[1:]))
+    return bool(np.all(np.diff(vals) > 0)
+                and np.all(mids <= 0.5 * (vals[:-1] + vals[1:]) * (1 + 1e-9)))
+
+
 def test_validate_power_passes_everything():
     phi = make_power_young(1.4)
-    rep = validate_young(phi, np.geomspace(1e-3, 1e3, 64))
-    assert rep.all_pass
-
-
-def test_validate_rejects_linear_growth():
-    from bol.young import YoungFunction
-
-    ident = YoungFunction("custom", {}, eval=lambda t: np.asarray(t),
-                          inv=lambda s: np.asarray(s), log_inv=lambda lx: np.asarray(lx))
-    rep = validate_young(ident, np.geomspace(1e-3, 1e3, 64))
-    assert not rep.superlinear_at_inf and not rep.sublinear_at_zero
+    t = np.geomspace(1e-3, 1e3, 64)
+    vals = phi.eval(t)
+    assert float(phi.eval(0.0)) == 0.0
+    assert monotone_and_midpoint_convex(phi, t)
+    # superlinear at infinity: t/Phi(t) strictly decreasing over the last 8 nodes
+    assert np.all(np.diff(t[-8:] / vals[-8:]) < 0)
+    # sublinear at zero: Phi(t)/t strictly increasing over the first 8 nodes
+    assert np.all(np.diff(vals[:8] / t[:8]) > 0)
 
 
 def test_section5_parameter_domain():
@@ -117,14 +123,19 @@ def test_section5_forward_map_is_a_short_log_domain_solve(alpha):
 
 def test_section5_monotone_and_convex_for_large_arguments():
     phi = make_section5_young(0.1)
-    rep = validate_young(phi, np.geomspace(1.0, 1e6, 48))
-    assert rep.monotone and rep.midpoint_convex
+    assert monotone_and_midpoint_convex(phi, np.geomspace(1.0, 1e6, 48))
 
 
 def test_power_weight_exponents():
     psi = make_power_weight(0.6)
-    ok_lo, ok_hi, s_lo, s_hi = psi.check_exponents()
-    assert ok_lo and ok_hi
+
+    def slope(t):
+        # finite-difference log-slope of Psi(1/t) at t
+        dl = 1e-3
+        return (float(psi.log_eval(-math.log(t) - dl)) - float(psi.log_eval(-math.log(t)))) / dl
+
+    assert abs(slope(1e-8) - psi.zero_exponent) <= 0.05
+    assert abs(slope(1e8) - psi.infinity_exponent) <= 0.05
     assert float(psi.eval(2.0)) == pytest.approx(2.0 ** -0.6)
 
 
