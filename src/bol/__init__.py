@@ -11,8 +11,7 @@ from .besov import BesovNorm, besov_orlicz_norm
 from .condition import (ConditionQuad, ConditionReport, ConditionValue,
                         condition_sup, condition_value, section5_first_bound,
                         section5_second_bound)
-from .errors import (BolError, ConvergenceError, DivergenceError, DomainError,
-                     ResourceGuardError)
+from .errors import BolError, DivergenceError, DomainError, ResourceGuardError
 from .grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
                    shift_difference, total_variation, unit_ball_volume)
 from .molecules import (Decomposition, Molecule, decompose,

@@ -26,7 +26,3 @@ class ResourceGuardError(BolError, RuntimeError):
     def __init__(self, message, guard):
         super().__init__(message)
         self.guard = guard
-
-
-class ConvergenceError(BolError, RuntimeError):
-    """An iterative solver did not reach its tolerance."""

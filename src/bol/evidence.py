@@ -17,6 +17,8 @@ from .orlicz import ShiftNormCache
 from .young import WeightFunction, YoungFunction
 
 DEFAULT_MC_SEED = 0x5EED
+# float64 coordinates per Monte Carlo chunk (48 MB): 2,000,000 points at d = 3
+_MC_CHUNK_FLOATS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,9 @@ def _mc_symdiff_volume(dim, radius, center_dist, n_samples, seed):
     """Monte Carlo volume of (B0 u B1) \\ (B0 n B1) for balls of equal radius.
 
     Centers sit at 0 and (center_dist, 0, ..., 0).  Returns (estimate,
-    standard error).  Sampling is chunked and deterministic for a fixed
-    seed.
+    standard error).  Sampling is deterministic for a fixed seed and runs
+    in chunks of at most ``_MC_CHUNK_FLOATS`` coordinates; the generator
+    fills a draw row by row, so the result does not depend on the chunk.
     """
     rng = np.random.default_rng(seed)
     lo = np.full(dim, -radius)
@@ -73,7 +76,7 @@ def _mc_symdiff_volume(dim, radius, center_dist, n_samples, seed):
     left = n_samples
     r2 = radius * radius
     while left > 0:
-        m = min(left, 2_000_000)
+        m = min(left, max(1, _MC_CHUNK_FLOATS // dim))
         pts = rng.uniform(lo, hi, size=(m, dim))
         d0 = np.einsum("ij,ij->i", pts, pts)
         pts[:, 0] -= center_dist

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError
 from .grid import GridFunction, shift_difference_values
 from .young import YoungFunction, illinois_log_root
 
@@ -34,14 +34,17 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
     Row i of ``table`` holds distinct |values|, zero-padded, and the same
     row of ``weights`` their counts times the cell volume, so the modular
     of row i at lambda is m(lambda) = sum(weights[i] * Phi(table[i] / lambda)),
-    summed left to right so that zero padding adds exact zeros.  Every row
-    brackets its norm on its own active set: a doubling upper bracket from
-    the largest value, then a halving lower one whose upper end follows it
-    (norm 0 once it falls below 1e-300).  ``illinois_log_root`` then
-    solves -ln m(e^u) = 0, u = ln lambda, until hi - lo <= 1e-14 * hi; the
-    norm is hi, whose modular is at most 1.  Returns (norms, iterations,
-    residuals |m(norm) - 1|), one entry per row; iterations count the
-    modular passes after the first.
+    summed left to right so that zero padding adds exact zeros.  With V
+    the row's largest value and W its total weight, m(lambda) <=
+    W Phi(V / lambda), so the norm is at most V / inv(1/W) = V 2^c.  Each
+    row walks by factors of 2 from V 2^floor(c) until its modular crosses
+    1; the bracket (V 2^(k-1), V 2^k) it ends on is the one a walk from V
+    finds.  A row of total weight 0, or whose walk reaches lambda = 0, has
+    norm 0; a walk that reaches lambda = inf raises ``DomainError``.
+    ``illinois_log_root`` then solves -ln m(e^u) = 0, u = ln lambda, until
+    hi - lo <= 1e-14 * hi; the norm is hi, whose modular is at most 1.
+    Returns (norms, iterations, residuals |m(norm) - 1|), one entry per
+    row; iterations count the modular passes.
     """
     table = np.asarray(table, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -55,45 +58,35 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
         with np.errstate(divide="ignore"):
             return np.log(np.cumsum(terms, axis=1)[:, -1])
 
-    hi = table.max(axis=1, initial=0.0)
-    live = np.flatnonzero(hi > 0.0)
-    if live.size == 0:
-        return norms, iters, resid
-    log_hi = np.zeros(rows)
-    log_hi[live] = log_modular(live, hi[live])
-    if not np.all(log_hi[live] < np.inf):
-        raise DomainError("modular is not finite at the initial bracket; mis-scaled input")
-    log_lo = np.zeros(rows)
-    act = live[log_hi[live] > 0.0]
+    top, total = table.max(axis=1, initial=0.0), weights.sum(axis=1)
+    live = np.flatnonzero((top > 0.0) & (total > 0.0))
+    c = -phi.log_inv(-np.log(total[live])) / math.log(2.0)
+    if not np.all(np.isfinite(c)):
+        raise DomainError("Luxemburg bound V / inv(1/W) is not finite; mis-scaled input")
+    # V 2^floor(c), or the largest power-of-two multiple of V below overflow
+    k = np.minimum(np.floor(c), 1024 - np.frexp(top[live])[1])
+    lam = np.ldexp(top[live], k.astype(np.int64))
+    lo, hi = np.zeros(live.size), np.full(live.size, np.inf)
+    log_lo, log_hi = np.zeros(live.size), np.zeros(live.size)
+    act = np.flatnonzero(lam > 0.0)
     while act.size:
-        log_lo[act] = log_hi[act]
-        hi[act] *= 2.0
-        iters[act] += 1
-        if iters[act].max() > 200:
-            raise ConvergenceError("bracket growth failed in luxemburg_norm")
-        log_hi[act] = log_modular(act, hi[act])
-        act = act[log_hi[act] > 0.0]
-    lo = hi / 2.0
-    # a row whose upper bracket grew already knows its modular at hi / 2
-    act = live[iters[live] == 0]
-    while act.size:
-        log_lo[act] = log_modular(act, lo[act])
-        act = act[log_lo[act] <= 0.0]
-        hi[act], log_hi[act] = lo[act], log_lo[act]
-        lo[act] /= 2.0
-        iters[act] += 1
-        gone = lo[act] < 1e-300
-        if gone.any():
-            live = np.setdiff1d(live, act[gone], assume_unique=True)
-            act = act[~gone]
-        if act.size and iters[act].max() > 2200:
-            raise ConvergenceError("lower bracket failed in luxemburg_norm")
-    if live.size:
-        _, norms[live], neg_log, steps = illinois_log_root(
-            lambda idx, lam: -log_modular(live[idx], lam),
-            lo[live], hi[live], -log_lo[live], -log_hi[live], 1e-14)
-        iters[live] += steps
-        resid[live] = np.abs(np.expm1(-neg_log))
+        if np.any(lam[act] == np.inf):
+            raise DomainError("the modular stays above 1 as lambda grows; no finite norm")
+        with np.errstate(over="ignore"):  # a walk may run to lambda = inf or 0
+            log_m = log_modular(live[act], lam[act])
+            up = ~(log_m <= 0.0)  # a nan modular (0 * inf) counts as above 1
+            i, j = act[up], act[~up]
+            lo[i], log_lo[i], lam[i] = lam[i], log_m[up], 2.0 * lam[i]
+            hi[j], log_hi[j], lam[j] = lam[j], log_m[~up], 0.5 * lam[j]
+        iters[live[act]] += 1
+        act = act[((lo[act] == 0.0) | (hi[act] == np.inf)) & (lam[act] > 0.0)]
+    got = lo > 0.0
+    solved = live[got]
+    _, norms[solved], neg_log, steps = illinois_log_root(
+        lambda idx, lam: -log_modular(solved[idx], lam),
+        lo[got], hi[got], -log_lo[got], -log_hi[got], 1e-14)
+    iters[solved] += steps
+    resid[solved] = np.abs(np.expm1(-neg_log))
     return norms, iters, resid
 
 
@@ -132,10 +125,11 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     """Smallest lambda with integral of Phi(|f|/lambda) at most 1.
 
     Accepts a GridFunction or a raw value array plus its cell volume.
-    The modular is strictly decreasing in lambda, so a doubling and halving
-    bracket plus a bracketed log-domain root solve (``_luxemburg_rows``) is
-    total.  It runs on the histogram of distinct |values|; ``iterations``
-    counts the modular passes of the bracket and the solve.
+    The modular is decreasing in lambda, so a walk by factors of 2 from
+    the bound V / inv(1/W) plus a bracketed log-domain root solve
+    (``_luxemburg_rows``) is total.  It runs on the histogram of distinct
+    |values|; ``iterations`` counts the modular passes of the walk and the
+    solve.
     """
     if isinstance(f_or_values, GridFunction):
         vals, vol = f_or_values.values, f_or_values.cell_volume

@@ -55,18 +55,6 @@ class WeightFunction:
     log_eval: Callable
 
 
-@dataclass(frozen=True)
-class Section5Params:
-    alpha: float
-    r: float
-    p_lin: float
-    q_lin: float
-
-    def __post_init__(self):
-        if not self.alpha * math.log(self.r) / math.log(math.log(self.r)) <= 1.0 + 1e-12:
-            raise DomainError("alpha*ln(r)/ln(ln(r)) must not exceed 1")
-
-
 def make_power_young(p: float) -> YoungFunction:
     """Phi(t) = t**p for p > 1."""
     if not p > 1.0:
@@ -174,7 +162,11 @@ def _invert_monotone(log_inv, s):
     return out.reshape(s.shape)
 
 
-def section5_params(alpha: float) -> Section5Params:
+def make_section5_young(alpha: float) -> YoungFunction:
+    """Three-piece inverse: slow correction below 1/r, linear middle,
+    reciprocal correction above r.  The forward map solves
+    log_inv(v) = ln s for v = ln Phi(s) over the whole argument array at
+    once (``_invert_monotone``), to 1e-12 relative."""
     if not 0.0 < alpha < E_MINUS_2:
         raise DomainError("section5 needs 0 < alpha < e^-2")
     r = SECTION5_R
@@ -185,16 +177,6 @@ def section5_params(alpha: float) -> Section5Params:
     # in its cancellation-free form
     p_lin = (r * math.exp(-g) - math.exp(g) / r) / (r - 1.0 / r)
     q_lin = (math.exp(g) - math.exp(-g)) / (r - 1.0 / r)
-    return Section5Params(alpha=alpha, r=r, p_lin=p_lin, q_lin=q_lin)
-
-
-def make_section5_young(alpha: float) -> YoungFunction:
-    """Three-piece inverse: slow correction below 1/r, linear middle,
-    reciprocal correction above r.  The forward map solves
-    log_inv(v) = ln s for v = ln Phi(s) over the whole argument array at
-    once (``_invert_monotone``), to 1e-12 relative."""
-    par = section5_params(alpha)
-    r, p_lin, q_lin = par.r, par.p_lin, par.q_lin
 
     def inv(t):
         t = _as_array(t)

@@ -237,6 +237,38 @@ def test_norms_csv_input_uses_spacing(tmp_path):
     assert read_json(out)["report"]["l1"] == pytest.approx(0.5 * sum(abs(v) for v in vals))
 
 
+@pytest.mark.parametrize("spacing, orlicz", [
+    # (sum v^1.3 h^2)^(1/1.3), far above the values
+    ("1e60", sum(v ** 1.3 * 1e60 ** 2 for v in range(1, 10)) ** (1 / 1.3)),
+    # h^2 underflows to 0: no weight, norm 0 as l1
+    ("1e-200", 0.0),
+], ids=["1e60", "1e-200"])
+def test_norms_at_extreme_spacing(tmp_path, spacing, orlicz):
+    path, out = tmp_path / "g.csv", tmp_path / "n.json"
+    path.write_text("1,2,3,4,5,6,7,8,9\n")
+    assert run_cli(["norms", "--input", str(path), "--dim", "2", "--shape", "3,3",
+                    "--spacing", spacing, "--phi", "power:p=1.3", "--output", str(out)]) == 0
+    assert read_json(out)["report"]["orlicz"] == pytest.approx(orlicz, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("spacing, code, orlicz", [
+    # W * Phi_min = 100 > 1: no lambda brings the modular to 1
+    ("100", 3, None),
+    # W * Phi_max = 0.1 <= 1: the modular never exceeds 1
+    ("1e-5", 0, 0.0),
+], ids=["bounded_below", "bounded_above"])
+def test_norms_with_a_clamped_table_phi(tmp_path, capsys, spacing, code, orlicz):
+    table, path, out = tmp_path / "phi.csv", tmp_path / "ones.csv", tmp_path / "n.json"
+    table.write_text("0.001,0.0001\n1,1\n1000,10000000\n")
+    path.write_text(",".join(["1"] * 100) + "\n")
+    assert run_cli(["norms", "--input", str(path), "--dim", "2", "--shape", "10,10",
+                    "--spacing", spacing, "--phi", f"table:file={table}",
+                    "--output", str(out)]) == code
+    if orlicz is not None:
+        assert read_json(out)["report"]["orlicz"] == orlicz
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("env, argv", [
     ({"BOL_DIM": "abc"}, ["check-condition"]),
     ({}, ["lemma6", "--dim", "3", "--samples", "0"]),

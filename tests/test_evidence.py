@@ -4,10 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
+import bol.evidence
 from bol.corpus import make_corpus
 from bol.errors import DivergenceError, DomainError
-from bol.evidence import (ball_besov_parts, ball_symdiff_volume, lemma6_check,
-                          necessity_ball_experiment, sobolev_check,
+from bol.evidence import (_mc_symdiff_volume, ball_besov_parts, ball_symdiff_volume,
+                          lemma6_check, necessity_ball_experiment, sobolev_check,
                           sufficiency_molecule_estimates)
 from bol.grid import GridFunction, unit_ball_volume
 from bol.young import critical_theta, make_power_weight, make_power_young
@@ -126,6 +127,14 @@ def test_lemma6_monte_carlo_d3_small():
     assert rec.passed
     row = rec.measured["rows"][0]
     assert abs(row["mc"] - row["exact"]) <= 3.0 * row["mc_stderr"]
+
+
+def test_mc_volume_does_not_depend_on_the_chunk(monkeypatch):
+    # the generator fills a draw row by row, so 25-point chunks of a d = 4
+    # draw give the same hit count as one chunk
+    whole = _mc_symdiff_volume(4, 1.0, 0.7, 3000, 11)
+    monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", 100)
+    assert _mc_symdiff_volume(4, 1.0, 0.7, 3000, 11) == whole
 
 
 def test_lemma6_offset_domain():

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,11 +303,40 @@ def test_luxemburg_rows_fall_back_where_phi_under_or_overflows(phi, table, weigh
             assert np.cumsum(phi.eval(table[i] / norms[i]) * weights[i])[-1] <= 1.0
 
 
-def test_luxemburg_rows_converge_after_a_long_halving():
-    # 400 halvings from the largest value: the upper end follows the lower
-    # one, so the root solve starts from a factor-2 bracket
+def test_luxemburg_rows_converge_far_below_the_largest_value():
+    # the norm lies 400 octaves below the largest value; the walk starts
+    # at the bound V / inv(1/W), here the norm itself
     norms, _, _ = _luxemburg_rows(np.array([[1e150]]), np.array([[1e-300]]), make_power_young(2.5))
     assert norms[0] == pytest.approx(1e30, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=9),
+       a=st.floats(-100.0, 100.0), b=st.floats(-100.0, 100.0), p=st.sampled_from([1.3, 2.5]))
+def test_luxemburg_rows_are_scale_free(vals, a, b, p):
+    # values scaled by 10^a and weights by 10^b: the walk starts next to
+    # the norm, so the passes do not grow with the scale
+    vals, weights = np.array(vals) * 10.0 ** a, np.full(len(vals), 10.0 ** b)
+    norms, iters, _ = _luxemburg_rows(vals[None], weights[None], make_power_young(p))
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(v) ** p
+                            for v, w in zip(vals, weights)) ** (1 / mpmath.mpf(p))
+        assert norms[0] == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+    assert iters[0] <= 6
+
+
+def test_luxemburg_norm_starts_below_an_overflowing_bound():
+    # the bound V / inv(1/W) = 1e308 * 9^(1/1.3) overflows, the norm is
+    # 1e308: the walk starts at the largest power-of-two multiple of V in range
+    vals = np.array([1e308] + [1e-300] * 8)
+    assert luxemburg_norm(vals, make_power_young(1.3), cell_volume=1.0).norm == pytest.approx(
+        1e308, rel=1e-14)
+
+
+def test_luxemburg_norm_of_zero_total_weight_is_zero():
+    # a cell volume that underflows to 0 leaves nothing to measure
+    res = luxemburg_norm(np.arange(1.0, 10.0), make_power_young(1.3), cell_volume=1e-200 ** 2)
+    assert (res.norm, res.iterations, res.residual) == (0.0, 0, 0.0)
 
 
 def test_illinois_log_root_stays_in_its_bracket_through_non_finite_values():

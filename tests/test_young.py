@@ -9,8 +9,7 @@ from bol.orlicz import luxemburg_norm
 from bol.young import (E_MINUS_2, SECTION5_R, _invert_monotone, critical_theta,
                        make_power_weight, make_power_young,
                        make_section5_weight, make_section5_young,
-                       make_table_young, parse_weight_spec, parse_young_spec,
-                       section5_params)
+                       make_table_young, parse_weight_spec, parse_young_spec)
 
 
 def test_power_roundtrip_and_log_inverse():
@@ -54,8 +53,7 @@ def test_section5_parameter_domain():
         make_section5_young(E_MINUS_2)
     with pytest.raises(DomainError):
         make_section5_young(0.0)
-    par = section5_params(0.1)
-    assert par.r == SECTION5_R
+    assert make_section5_young(0.1).params["r"] == SECTION5_R
 
 
 def test_section5_inverse_continuous_at_branch_points():

@@ -16,8 +16,11 @@ digested text itself (``tools/report_drift.py`` compares two of them).
 The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
 the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
 1-3, every ``condition_scan`` job at seed 1, a set of default and
-variant commands, ``sufficiency_molecule_estimates`` in d = 1, 2, 3, and
-the commands run with a ``table:`` Young function sampled from t^1.3.
+variant commands, ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
+the commands run with a ``table:`` Young function sampled from t^1.3,
+and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
+1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
+above 1 (no finite norm) or at most 1 (norm 0).
 """
 
 import contextlib
@@ -143,6 +146,23 @@ def table_outputs(tmp):
         emit(" ".join(argv), run_cli(argv), tmp)
 
 
+def solve_edge_outputs(tmp):
+    grid, ones, table = (os.path.join(tmp, name) for name in ("g.csv", "ones.csv", "clamp.csv"))
+    with open(grid, "w") as fh:
+        fh.write("1,2,3,4,5,6,7,8,9\n")
+    with open(ones, "w") as fh:
+        fh.write(",".join(["1"] * 100) + "\n")
+    with open(table, "w") as fh:
+        fh.write("0.001,0.0001\n1,1\n1000,10000000\n")
+    for path, shape, spacing, phi in ((grid, "3,3", "1e60", "power:p=1.3"),
+                                      (grid, "3,3", "1e-200", "power:p=1.3"),
+                                      (ones, "10,10", "100", f"table:file={table}"),
+                                      (ones, "10,10", "1e-5", f"table:file={table}")):
+        argv = ["norms", "--input", path, "--dim", "2", "--shape", shape,
+                "--spacing", spacing, "--phi", phi]
+        emit(" ".join(argv), run_cli(argv), tmp)
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="bol_digests_")
     try:
@@ -151,6 +171,7 @@ def main():
         workload_outputs(tmp)
         sufficiency_outputs(tmp)
         table_outputs(tmp)
+        solve_edge_outputs(tmp)
     finally:
         shutil.rmtree(tmp)
 
