@@ -8,6 +8,7 @@ timestamps) with the resolved config embedded.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -21,7 +22,8 @@ from .condition import (condition_sup, section5_first_bound,
                         section5_second_bound)
 from .corpus import make_corpus
 from .errors import BolError, DivergenceError, DomainError, ResourceGuardError
-from .evidence import lemma6_check, necessity_ball_experiment, sobolev_check
+from .evidence import (DEFAULT_MC_SEED, lemma6_check, necessity_ball_experiment,
+                       sobolev_check)
 from .grid import GridFunction, load_grid_function, lp_norm, total_variation
 from .molecules import (decompose, default_alpha_budget, molecule_count_bound,
                         verify_r1_r2, verify_r3, write_decomposition)
@@ -77,22 +79,24 @@ def _jsonable(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _writable(path):
+    """A path that cannot be written exits 3, not with a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report, config, output=None):
     payload = {"schema": "bol/1", "config": _jsonable(config),
                "report": _jsonable(report)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
+        with _writable(output), open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _float_list(text):
@@ -107,102 +111,28 @@ def staircase_fixture() -> GridFunction:
     return GridFunction(1.0, (0.0,), np.array([1.0, 1.0, 2.0, 2.0, 1.0, 1.0]))
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bol",
-        description="Numerical toolkit for an Orlicz-modulus embedding of BV",
-    )
-    parser.add_argument("--config", help="JSON file with default option values")
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
-
-    # the grid-function source, shared by the commands that read one
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--input", help="grid file (.grid with header, or raw .csv)")
-    source.add_argument("--fixture", choices=["staircase"])
-    source.add_argument("--dim", type=int, default=None, help="raw csv input only")
-    source.add_argument("--shape", help="comma-separated extents; raw csv input only")
-    source.add_argument("--spacing", type=float, default=None, help="raw csv input only")
-
-    pc = sub.add_parser("check-condition", help="evaluate the two-integral condition")
-    pc.add_argument("--phi", default=None)
-    pc.add_argument("--psi", default=None)
-    pc.add_argument("--dim", type=int, default=None)
-    pc.add_argument("--smin", type=float, default=None)
-    pc.add_argument("--smax", type=float, default=None)
-    pc.add_argument("--points", type=int, default=None)
-    pc.add_argument("--head-lower-limit", type=float, default=None)
-    pc.add_argument("--csv", help="write the (s, value) curve here")
-
-    pd = sub.add_parser("decompose", parents=[source],
-                        help="layer decomposition of a grid function")
-    pd.add_argument("--outdir", help="write molecule files and manifest here")
-    pd.add_argument("--verify", action="store_true")
-
-    pn = sub.add_parser("norms", parents=[source], help="norm bundle of a grid function")
-    pn.add_argument("--phi", default=None)
-    pn.add_argument("--psi", default=None)
-    pn.add_argument("--tmin", type=float, default=None)
-    pn.add_argument("--tmax", type=float, default=None)
-    pn.add_argument("--nodes", type=int, default=None)
-
-    pe = sub.add_parser("example5", help="piecewise-exponential example bounds")
-    pe.add_argument("--alpha", type=float, default=None)
-    pe.add_argument("--s-multiples", default="1,10,1000",
-                    help="scales as multiples of the matching point r")
-    pe.add_argument("--x-span", type=float, default=1e5)
-
-    pb = sub.add_parser("necessity", help="ball-indicator ratio experiment")
-    pb.add_argument("--phi", default=None)
-    pb.add_argument("--psi", default=None)
-    pb.add_argument("--dim", type=int, default=None)
-    pb.add_argument("--radii", default=None)
-
-    pl = sub.add_parser("lemma6", help="symmetric-difference lower bound")
-    pl.add_argument("--dim", type=int, default=None)
-    pl.add_argument("--r", type=float, default=None)
-    pl.add_argument("--offsets", default=None)
-    pl.add_argument("--samples", type=int, default=None)
-    pl.add_argument("--seed", type=int, default=None)
-
-    ps = sub.add_parser("sobolev", help="critical-norm vs TV ratios on a corpus")
-    ps.add_argument("--dim", type=int, default=None)
-    ps.add_argument("--n", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
-
-    sub.add_parser("report", help="standard battery: condition + fixture + geometry")
-
-    return parser
-
-
-def _resolve(args, key, builtin):
-    """flag > BOL_<KEY> environment > config file > builtin default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    env = os.environ.get("BOL_" + key.upper())
-    if env is not None:
-        val = _convert(key, env, "BOL_" + key.upper())
-    elif key in args._config_values:
-        val = _convert(key, args._config_values[key], f"config key {key!r}")
-    else:
-        return builtin
-    # embedded in the report's config next to the flags; builtins stay out
-    args._resolved[key] = val
+def _resolve(args, key):
+    """flag > BOL_<KEY> environment > config file > the command's builtin."""
+    val = getattr(args, key)
+    env = "BOL_" + key.upper()
+    if val is None and env in os.environ:
+        # embedded in the report's config next to the flags; builtins stay out
+        val = args._resolved[key] = _convert(key, os.environ[env], env)
+    elif val is None and key in args._config_values:
+        val = args._resolved[key] = _convert(key, args._config_values[key], f"config key {key!r}")
+    elif val is None:
+        val = _COMMANDS[args.command][2][key]
+    if key == "dim" and val is not None and val < 1:
+        raise DomainError("dimension must be at least 1")
     return val
 
 
 def _convert(key, raw, source):
+    """A config value converts as its flag's text would: 2.7 is no int."""
     try:
-        return _OVERRIDABLE.get(key, str)(raw)
-    except (TypeError, ValueError) as exc:
+        return _OVERRIDABLE[key](str(raw))
+    except ValueError as exc:
         raise DomainError(f"malformed value {raw!r} for {source}") from exc
-
-
-def _resolve_dim(args, builtin=2):
-    dim = _resolve(args, "dim", builtin)
-    if dim is not None and dim < 1:
-        raise DomainError("dimension must be at least 1")
-    return dim
 
 
 def _load_input(args):
@@ -217,7 +147,7 @@ def _load_input(args):
         if given:
             raise ConflictError(f"--{', --'.join(given)} apply only to raw csv input")
         return staircase_fixture() if args.fixture else load_grid_function(args.input)
-    dim = _resolve_dim(args, None)
+    dim = _resolve(args, "dim")
     if dim is None:
         raise DomainError("raw csv input needs --dim (no header present)")
     if dim > 1 and not args.shape:
@@ -234,14 +164,11 @@ def _load_input(args):
 
 
 def _cmd_check_condition(args):
-    phi = parse_young_spec(_resolve(args, "phi", "power:p=1.3"))
-    psi = parse_weight_spec(_resolve(args, "psi", "powerweight:theta=0.5385"))
-    dim = _resolve_dim(args)
-    smin = float(_resolve(args, "smin", 1e-6))
-    smax = float(_resolve(args, "smax", 1e12))
-    points = int(_resolve(args, "points", 97))
-    rep = condition_sup(phi, psi, dim, s_range=(smin, smax), n_points=points,
-                        head_lower_limit=args.head_lower_limit)
+    phi = parse_young_spec(_resolve(args, "phi"))
+    psi = parse_weight_spec(_resolve(args, "psi"))
+    rep = condition_sup(phi, psi, _resolve(args, "dim"),
+                        s_range=(_resolve(args, "smin"), _resolve(args, "smax")),
+                        n_points=_resolve(args, "points"), head_lower_limit=args.head_lower_limit)
     out = {
         "verdict": rep.verdict,
         "D_hat": rep.D_hat,
@@ -253,7 +180,10 @@ def _cmd_check_condition(args):
                   for s, v in zip(rep.s_grid.tolist(), rep.values.tolist())],
     }
     if args.csv:
-        _write_csv(args.csv, ["s", "value"], zip(rep.s_grid, rep.values))
+        with _writable(args.csv), open(args.csv, "w") as fh:
+            fh.write("s,value\n")
+            fh.writelines(f"{s!r},{v!r}\n"
+                          for s, v in zip(rep.s_grid.tolist(), rep.values.tolist()))
     _emit(out, _config_dict(args), args.output)
     return EXIT_OK  # a verdict is a finding, not a failure
 
@@ -284,7 +214,8 @@ def _cmd_decompose(args):
         if not ok:
             code = EXIT_ASSERT
     if args.outdir:
-        out["manifest"] = write_decomposition(dec, args.outdir)
+        with _writable(args.outdir):
+            out["manifest"] = write_decomposition(dec, args.outdir)
     _emit(out, _config_dict(args), args.output)
     return code
 
@@ -293,17 +224,17 @@ def _cmd_norms(args):
     f = _load_input(args)
     out = {"l1": lp_norm(f, 1), "linf": lp_norm(f, np.inf), "tv": total_variation(f),
            "l2": lp_norm(f, 2.0)}
-    phi_spec = _resolve(args, "phi", None)
+    phi_spec = _resolve(args, "phi")
     if phi_spec:
         phi = parse_young_spec(phi_spec)
         out["orlicz"] = luxemburg_norm(f, phi).norm
-        psi_spec = _resolve(args, "psi", None)
+        psi_spec = _resolve(args, "psi")
         if psi_spec:
             psi = parse_weight_spec(psi_spec)
             bn = besov_orlicz_norm(f, phi, psi,
                                    nodes=args.nodes if args.nodes is not None else 256,
-                                   t_head=_resolve(args, "tmin", None),
-                                   t_tail=_resolve(args, "tmax", None))
+                                   t_head=_resolve(args, "tmin"),
+                                   t_tail=_resolve(args, "tmax"))
             out["besov"] = {"orlicz_part": bn.orlicz_part,
                             "seminorm_part": bn.seminorm_part,
                             "total": bn.total}
@@ -312,7 +243,7 @@ def _cmd_norms(args):
 
 
 def _cmd_example5(args):
-    alpha = float(_resolve(args, "alpha", 0.1))
+    alpha = _resolve(args, "alpha")
     multiples = _float_list(args.s_multiples)
     s_list = [m * SECTION5_R for m in multiples]
     rows = section5_first_bound(alpha, s_list)
@@ -333,11 +264,10 @@ def _cmd_example5(args):
 
 
 def _cmd_necessity(args):
-    phi = parse_young_spec(_resolve(args, "phi", "power:p=1.3"))
-    psi = parse_weight_spec(_resolve(args, "psi", "powerweight:theta=0.5385"))
-    dim = _resolve_dim(args)
-    radii = _float_list(_resolve(args, "radii", "1,0.5,0.25,0.125"))
-    rec = necessity_ball_experiment(phi, psi, dim, radii)
+    phi = parse_young_spec(_resolve(args, "phi"))
+    psi = parse_weight_spec(_resolve(args, "psi"))
+    rec = necessity_ball_experiment(phi, psi, _resolve(args, "dim"),
+                                    _float_list(_resolve(args, "radii")))
     _emit(rec, _config_dict(args), args.output)
     _print_ratio_table(rec)
     return EXIT_OK
@@ -353,24 +283,16 @@ def _print_ratio_table(rec):
 
 
 def _cmd_lemma6(args):
-    dim = _resolve_dim(args)
-    r = float(_resolve(args, "r", 1.0))
-    offsets = _float_list(_resolve(args, "offsets", "0.1,0.5,0.9"))
-    samples = int(_resolve(args, "samples", 10_000_000))
-    seed = _resolve(args, "seed", None)
-    kwargs = {"n_samples": samples}
-    if seed is not None:
-        kwargs["seed"] = int(seed)
-    rec = lemma6_check(dim, r, offsets, **kwargs)
+    rec = lemma6_check(_resolve(args, "dim"), _resolve(args, "r"),
+                       _float_list(_resolve(args, "offsets")),
+                       n_samples=_resolve(args, "samples"), seed=_resolve(args, "seed"))
     _emit(rec, _config_dict(args), args.output)
     return EXIT_OK if rec.passed else EXIT_ASSERT
 
 
 def _cmd_sobolev(args):
-    dim = _resolve_dim(args)
-    n = int(_resolve(args, "n", 32))
-    seed = int(_resolve(args, "seed", 7))
-    corpus = make_corpus(seed=seed, dim=dim, n=n)
+    dim = _resolve(args, "dim")
+    corpus = make_corpus(dim=dim, n=_resolve(args, "n"), seed=_resolve(args, "seed"))
     rec = sobolev_check(corpus, dim)
     _emit(rec, _config_dict(args), args.output)
     return EXIT_OK if rec.passed else EXIT_ASSERT
@@ -395,16 +317,67 @@ def _cmd_report(args):
     return EXIT_OK if ok else EXIT_ASSERT
 
 
+# the grid-function source of the commands that read one; --dim is a table key
+_SOURCE = [("--input", {"help": "grid file (.grid with header, or raw .csv with "
+                                "--dim, --shape and --spacing)"}),
+           ("--fixture", {"choices": ["staircase"]}),
+           ("--shape", {"help": "comma-separated extents; raw csv input only"}),
+           ("--spacing", {"type": float, "help": "raw csv input only"})]
+
+# command -> (handler, help, {option key: builtin default}, other flags).  Each
+# option key is a --<key> flag of type _OVERRIDABLE[key], and a BOL_<KEY>
+# variable or config key the command reads only when the flag is absent.
 _COMMANDS = {
-    "check-condition": _cmd_check_condition,
-    "decompose": _cmd_decompose,
-    "norms": _cmd_norms,
-    "example5": _cmd_example5,
-    "necessity": _cmd_necessity,
-    "lemma6": _cmd_lemma6,
-    "sobolev": _cmd_sobolev,
-    "report": _cmd_report,
+    "check-condition": (
+        _cmd_check_condition, "evaluate the two-integral condition",
+        {"phi": "power:p=1.3", "psi": "powerweight:theta=0.5385", "dim": 2,
+         "smin": 1e-6, "smax": 1e12, "points": 97},
+        [("--head-lower-limit", {"type": float}),
+         ("--csv", {"help": "write the (s, value) curve here"})]),
+    "decompose": (
+        _cmd_decompose, "layer decomposition of a grid function", {"dim": None},
+        _SOURCE + [("--outdir", {"help": "write molecule files and manifest here"}),
+                   ("--verify", {"action": "store_true"})]),
+    "norms": (
+        _cmd_norms, "norm bundle of a grid function",
+        {"dim": None, "phi": None, "psi": None, "tmin": None, "tmax": None},
+        _SOURCE + [("--nodes", {"type": int})]),
+    "example5": (
+        _cmd_example5, "piecewise-exponential example bounds", {"alpha": 0.1},
+        [("--s-multiples", {"default": "1,10,1000",
+                            "help": "scales as multiples of the matching point r"}),
+         ("--x-span", {"type": float, "default": 1e5})]),
+    "necessity": (
+        _cmd_necessity, "ball-indicator ratio experiment",
+        {"phi": "power:p=1.3", "psi": "powerweight:theta=0.5385", "dim": 2,
+         "radii": "1,0.5,0.25,0.125"}, []),
+    "lemma6": (
+        _cmd_lemma6, "symmetric-difference lower bound",
+        {"dim": 2, "r": 1.0, "offsets": "0.1,0.5,0.9", "samples": 10_000_000,
+         "seed": DEFAULT_MC_SEED}, []),
+    "sobolev": (_cmd_sobolev, "critical-norm vs TV ratios on a corpus",
+                {"dim": 2, "n": 32, "seed": 7}, []),
+    "report": (_cmd_report, "standard battery: condition + fixture + geometry", {}, []),
 }
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="bol",
+        description="Numerical toolkit for an Orlicz-modulus embedding of BV",
+    )
+    parser.add_argument("--config", help="JSON file with default option values")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+    for name, (_, help_text, defaults, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in defaults:
+            command.add_argument("--" + key, type=_OVERRIDABLE[key])
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 _PATH_KEYS = {"output", "csv", "outdir", "config"}
@@ -420,10 +393,9 @@ def _config_dict(args):
 
 
 def parse_args(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
     args._config_values = {}
     args._resolved = {}
@@ -442,15 +414,11 @@ def parse_args(argv):
     return args
 
 
-def run(args) -> int:
-    return _COMMANDS[args.command](args)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_args(argv)
-        return run(args)
+        return _COMMANDS[args.command][0](args)
     except ConflictError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFLICT

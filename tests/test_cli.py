@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bol
-from bol.cli import main
+from bol.cli import _COMMANDS, _OVERRIDABLE, main
 from bol.grid import GridFunction, save_grid_function
 
 
@@ -217,6 +219,45 @@ def test_env_and_config_precedence(tmp_path, monkeypatch):
     assert read_json(out)["report"]["alpha"] == 0.06
 
 
+@pytest.mark.parametrize("cfg_values", [{"dim": 2.7}, {"points": 16.9}, {"dim": True},
+                                        {"smin": True}],
+                         ids=["dim_float", "points_float", "dim_bool", "smin_bool"])
+def test_config_value_converts_as_its_flag_text(cfg_values, tmp_path, capsys):
+    # --dim 2.7 exits 3, so the config value 2.7 does too, rather than run as dim 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_values))
+    assert run_cli(["--config", str(cfg), "check-condition"]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed value")
+
+
+def test_config_values_match_the_same_flags(tmp_path):
+    cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.json", tmp_path / "b.json"
+    cfg.write_text(json.dumps({"smin": 1, "smax": "100", "points": "17", "dim": 3}))
+    assert run_cli(["--config", str(cfg), "check-condition", "--output", str(a)]) == 0
+    assert run_cli(["check-condition", "--smin", "1", "--smax", "100", "--points", "17",
+                    "--dim", "3", "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_schema_documents_the_command_table(capsys):
+    """docs/schema.md lists each command's option keys with their builtin
+    defaults, the config file accepts exactly those keys, and each is a
+    --<key> flag of its command."""
+    schema = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schema.md"
+    table = schema.read_text().split("| command ")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([a-z0-9-]+)` +\| (.*) \|$", table, re.M))
+    assert set(rows) == set(_COMMANDS)
+    for name, (_, _, defaults, _) in _COMMANDS.items():
+        documented = dict(re.findall(r"`([a-z]+)(?:=([^`]*))?`", rows[name]))
+        assert {key: _OVERRIDABLE[key](text) if text else None
+                for key, text in documented.items()} == defaults, name
+        with pytest.raises(SystemExit):
+            run_cli([name, "--help"])
+        flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        assert set(defaults) <= flags, name
+    assert set().union(*(row[2] for row in _COMMANDS.values())) == set(_OVERRIDABLE)
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for cfg_values in ({"bogus": 1}, {"jobs": 2}, {"output": str(tmp_path / "o.json")},
@@ -285,6 +326,11 @@ def test_norms_with_a_clamped_table_phi(tmp_path, capsys, spacing, code, orlicz)
     ({}, ["norms", "--fixture", "staircase", "--phi", "table:file=/nonexistent/phi.csv"]),
     ({}, ["check-condition", "--points", "x"]),
     ({}, ["lemma6", "--dim", "1000000000000000", "--samples", "10"]),
+    # output paths that cannot be written
+    ({}, ["example5", "--s-multiples", "10", "--output", "/nonexistent/x.json"]),
+    ({}, ["check-condition", "--points", "16", "--csv", "/nonexistent/x.csv"]),
+    ({}, ["decompose", "--fixture", "staircase", "--outdir", "/dev/null/sub"]),
+    ({}, ["norms", "--fixture", "staircase", "--output", "/"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():

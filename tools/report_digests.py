@@ -20,7 +20,10 @@ variant commands, ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
 the commands run with a ``table:`` Young function sampled from t^1.3,
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
-above 1 (no finite norm) or at most 1 (norm 0).
+above 1 (no finite norm) or at most 1 (norm 0).  Last come commands that
+take options from ``BOL_*`` variables and from a ``--config`` file: a
+dimension for raw csv and ``.grid`` input, int, float and list keys of
+five commands, and the environment beating the config file.
 """
 
 import contextlib
@@ -31,6 +34,7 @@ import os
 import shutil
 import sys
 import tempfile
+from unittest import mock
 
 TEXT = "--text" in sys.argv[1:2]
 ARGS = sys.argv[1 + TEXT:]
@@ -163,6 +167,33 @@ def solve_edge_outputs(tmp):
         emit(" ".join(argv), run_cli(argv), tmp)
 
 
+def override_outputs(tmp):
+    from bol.grid import save_grid_function
+
+    grid, pc, cfg = (os.path.join(tmp, name) for name in ("o.csv", "o.grid", "cfg.json"))
+    with open(grid, "w") as fh:
+        fh.write("1,2,3,4,5,6,7,8,9\n")
+    save_grid_function(workloads._piecewise_constant(np.random.default_rng(6), 8), pc)
+    with open(cfg, "w") as fh:
+        json.dump({"alpha": 0.05, "seed": 3}, fh)
+    for env, argv in (
+            ({"BOL_DIM": "2"}, ["norms", "--input", grid, "--shape", "3,3",
+                                "--phi", "power:p=1.3", "--psi", CRIT[2]]),
+            ({"BOL_DIM": "1"}, ["decompose", "--input", grid, "--verify"]),
+            ({"BOL_DIM": "3"}, ["norms", "--input", pc, "--phi", "power:p=1.3"]),
+            ({}, ["--config", cfg, "example5"]),
+            ({}, ["--config", cfg, "lemma6", "--dim", "2"]),
+            ({"BOL_ALPHA": "0.08"}, ["--config", cfg, "example5"]),
+            ({"BOL_SEED": "5"}, ["--config", cfg, "lemma6", "--dim", "2", "--samples", "1000"]),
+            ({"BOL_POINTS": "17", "BOL_SMIN": "0.01", "BOL_PSI": CRIT[3], "BOL_DIM": "3"},
+             ["check-condition"]),
+            ({"BOL_RADII": "1,0.5", "BOL_PHI": "power:p=1.2"}, ["necessity"]),
+            ({"BOL_N": "16", "BOL_SEED": "4"}, ["--config", cfg, "sobolev"])):
+        with mock.patch.dict(os.environ, env):
+            text = run_cli(argv)
+        emit(" ".join([f"{k}={v}" for k, v in env.items()] + argv), text, tmp)
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="bol_digests_")
     try:
@@ -172,6 +203,7 @@ def main():
         sufficiency_outputs(tmp)
         table_outputs(tmp)
         solve_edge_outputs(tmp)
+        override_outputs(tmp)
     finally:
         shutil.rmtree(tmp)
 
