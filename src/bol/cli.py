@@ -227,14 +227,15 @@ def _cmd_norms(args):
     phi_spec = _resolve(args, "phi")
     if phi_spec:
         phi = parse_young_spec(phi_spec)
-        out["orlicz"] = luxemburg_norm(f, phi).norm
         psi_spec = _resolve(args, "psi")
-        if psi_spec:
-            psi = parse_weight_spec(psi_spec)
-            bn = besov_orlicz_norm(f, phi, psi,
+        if not psi_spec:
+            out["orlicz"] = luxemburg_norm(f, phi).norm
+        else:
+            bn = besov_orlicz_norm(f, phi, parse_weight_spec(psi_spec),
                                    nodes=args.nodes if args.nodes is not None else 256,
                                    t_head=_resolve(args, "tmin"),
                                    t_tail=_resolve(args, "tmax"))
+            out["orlicz"] = bn.orlicz_part
             out["besov"] = {"orlicz_part": bn.orlicz_part,
                             "seminorm_part": bn.seminorm_part,
                             "total": bn.total}

@@ -6,13 +6,13 @@ range (the piecewise-exponential example) still integrate cleanly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ResourceGuardError
 from .young import (SECTION5_R, WeightFunction, YoungFunction,
-                    make_section5_young)
+                    make_section5_weight, make_section5_young)
 
 NEGLIGIBLE_LOG_DROP = 45.0  # contributions e^-45 below the peak are ignored
 TAIL_SLOPE_LIMIT = -0.05
@@ -43,6 +43,9 @@ class ConditionQuad:
         x = np.multiply.accumulate(np.r_[self.u_mid, np.full(n, self.geo_step)])[1:]
         x = x[: np.searchsorted(x, self.u_far) + 1]
         return np.concatenate([near, np.minimum(x, self.u_far)])
+
+
+_QUAD = ConditionQuad()  # the layout of every condition_value integral on [0, inf)
 
 
 @dataclass(frozen=True)
@@ -85,20 +88,18 @@ def log_domain_integral(log_vals, u):
         return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
 
 
-def _integrate_decaying(log_f, quad: ConditionQuad):
-    """Integrate exp(log_f(u)) du over [0, inf) on the nodes of ``quad``.
+def _integrate_decaying(u, lv, u_mid):
+    """Integrate exp(lv) du over [0, inf) from its values lv on the nodes u.
 
     The integral stops after the first node past u_mid from which the
-    integrand stays NEGLIGIBLE_LOG_DROP below its peak, or at u_far when
-    there is none.  Returns (value, remainder, slope, dropped): the
-    log-slope over the last five nodes kept, the exponential tail past
-    them, and whether the integrand dropped that far.  Each caller
+    integrand stays NEGLIGIBLE_LOG_DROP below its peak, or at the last
+    node when there is none.  Returns (value, remainder, slope, dropped):
+    the log-slope over the last five nodes kept, the exponential tail
+    past them, and whether the integrand dropped that far.  Each caller
     decides from these whether its integral diverges.
     """
-    u = quad.nodes()
-    lv = np.asarray(log_f(u))
     low = np.maximum.accumulate(lv[::-1])[::-1] < float(np.max(lv)) - NEGLIGIBLE_LOG_DROP
-    past = np.flatnonzero(low & (u > quad.u_mid))
+    past = np.flatnonzero(low & (u > u_mid))
     cut = int(past[0]) + 1 if past.size else u.size
     span = u[cut - 1] - u[cut - 5]
     slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
@@ -107,23 +108,50 @@ def _integrate_decaying(log_f, quad: ConditionQuad):
     return log_domain_integral(lv[:cut], u[:cut]), remainder, slope, bool(past.size)
 
 
-def _condition_integral(log_f, quad: ConditionQuad):
-    """(value, remainder, diverged) of one condition integral.
+def _condition_integral(log_f):
+    """(value, remainder, diverged) of one condition integral on _QUAD.
 
     It diverges when its integrand neither drops NEGLIGIBLE_LOG_DROP below
     its peak nor ends with a log-slope at or below TAIL_SLOPE_LIMIT; the
-    value is then the integral over [0, u_mid] alone and the remainder
-    infinite.
+    value is then the integral over the [0, u_mid] nodes alone and the
+    remainder infinite.
     """
-    value, remainder, slope, dropped = _integrate_decaying(log_f, quad)
+    u = _QUAD.nodes()
+    lv = np.asarray(log_f(u))
+    value, remainder, slope, dropped = _integrate_decaying(u, lv, _QUAD.u_mid)
     if dropped or slope <= TAIL_SLOPE_LIMIT:
         return value, remainder, False
-    near = replace(quad, u_far=quad.u_mid)
-    return _integrate_decaying(log_f, near)[0], math.inf, True
+    return log_domain_integral(lv[:_QUAD.n_mid], u[:_QUAD.n_mid]), math.inf, True
+
+
+def _first_log(phi: YoungFunction, psi: WeightFunction, d: int, ls: float):
+    """The first condition integral, s^(d-1) / inv(s^d) * int_a^s Psi(1/t) dt/t
+    at ln s = ls, as its log prefactor and the log of its integrand in
+    u = ln s - ln t, which runs from 0 to ln s - ln a (to infinity for the
+    lower limit a = 0)."""
+    return ((d - 1) * ls - float(phi.log_inv(d * ls)),
+            lambda u: np.asarray(psi.log_eval(u - ls)))
+
+
+def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls: float):
+    """The log of the integrand of the second condition integral,
+    int_s^inf Psi(1/t) s^(d-1) / inv(t s^(d-1)) dt/t at ln s = ls, in
+    u = ln t - ln s over [0, infinity)."""
+    def log_f(u):
+        lt = ls + u
+        with np.errstate(over="ignore", invalid="ignore"):  # ln t near float max
+            return (np.asarray(psi.log_eval(-lt)) + (d - 1) * ls
+                    - np.asarray(phi.log_inv(lt + (d - 1) * ls)))
+    return log_f
+
+
+def _even_integral(log_f, u_max: float, n: int) -> float:
+    """Integral of exp(log_f(u)) over [0, u_max] on n even nodes; 0 when u_max <= 0."""
+    u = np.linspace(0.0, max(u_max, 0.0), n)
+    return log_domain_integral(log_f(u), u) if u_max > 0.0 else 0.0
 
 
 def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
-                    quad: ConditionQuad = ConditionQuad(),
                     head_lower_limit: float = None,
                     raise_on_divergence: bool = True) -> ConditionValue:
     """One evaluation of the two-integral expression at scale s.
@@ -134,50 +162,30 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     if s <= 0 or (head_lower_limit is not None and not head_lower_limit > 0.0):
         raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
     ls = math.log(s)
-    log_pref1 = (d - 1) * ls - float(phi.log_inv(d * ls))
+    log_pref1, head_log = _first_log(phi, psi, d, ls)
 
     if head_lower_limit is not None:
-        if head_lower_limit >= s:
-            head_val, head_rem, head_div = 0.0, 0.0, False
-        else:
-            umax = ls - math.log(head_lower_limit)
-            u = np.linspace(0.0, umax, max(quad.n_mid, int(20 * umax) + 16))
-            head_val = log_domain_integral(psi.log_eval(u - ls), u)
-            head_rem, head_div = 0.0, False
+        umax = max(ls - math.log(head_lower_limit), 0.0)
+        head_val = _even_integral(head_log, umax, max(_QUAD.n_mid, int(20 * umax) + 16))
+        head_rem, head_div = 0.0, False
+    elif psi.zero_exponent <= 0:
+        if raise_on_divergence:
+            raise DivergenceError("first integral diverges at its head (weight exponent <= 0)",
+                                  end="head")
+        head_val, head_rem, head_div = math.nan, math.inf, True
     else:
-        if psi.zero_exponent <= 0:
-            if raise_on_divergence:
-                raise DivergenceError(
-                    "first integral diverges at its head (weight exponent <= 0)",
-                    end="head",
-                )
-            head_val, head_rem, head_div = math.nan, math.inf, True
-        else:
-            head_val, head_rem, head_div = _condition_integral(
-                lambda u: np.asarray(psi.log_eval(u - ls)), quad
-            )
+        head_val, head_rem, head_div = _condition_integral(head_log)
     try:
         pref1 = math.exp(log_pref1)
     except OverflowError as exc:
         raise DomainError(f"the first integral's prefactor overflows at s = {s!r}") from exc
-    first = pref1 * head_val if not math.isnan(head_val) else math.nan
+    first = pref1 * head_val
     first_rem = pref1 * head_rem if math.isfinite(head_rem) else math.inf
 
-    def tail_log(u):
-        lt = ls + u
-        return (
-            np.asarray(psi.log_eval(-lt))
-            + (d - 1) * ls
-            - np.asarray(phi.log_inv(lt + (d - 1) * ls))
-        )
-
-    tail_val, tail_rem, tail_div = _condition_integral(tail_log, quad)
+    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls))
     if tail_div and raise_on_divergence:
-        raise DivergenceError(
-            "second integral diverges at its tail (integrand log-slope above "
-            f"{TAIL_SLOPE_LIMIT})",
-            end="tail",
-        )
+        raise DivergenceError("second integral diverges at its tail (integrand log-slope "
+                              f"above {TAIL_SLOPE_LIMIT})", end="tail")
     value = (first if not math.isnan(first) else 0.0) + tail_val
     return ConditionValue(s, value, first_rem + tail_rem, head_div, tail_div)
 
@@ -197,7 +205,6 @@ def _decade_slope(s_grid, values, which):
 
 def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
                   s_range=(1e-6, 1e12), n_points: int = 97,
-                  quad: ConditionQuad = ConditionQuad(),
                   head_lower_limit: float = None) -> ConditionReport:
     """Evaluate the condition on a log grid of scales and classify it.
 
@@ -216,7 +223,7 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     values = np.zeros(n_points)
     diverged_s = math.nan
     for i, s in enumerate(s_grid):
-        cv = condition_value(float(s), phi, psi, d, quad,
+        cv = condition_value(float(s), phi, psi, d,
                              head_lower_limit=head_lower_limit,
                              raise_on_divergence=False)
         values[i] = cv.value
@@ -229,9 +236,7 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     argmax = float(s_grid[near_max][0]) if finite.any() else math.nan
     head_slope = _decade_slope(s_grid[finite], values[finite], "head") if finite.sum() > 1 else 0.0
     tail_slope = _decade_slope(s_grid[finite], values[finite], "tail") if finite.sum() > 1 else 0.0
-    if not math.isnan(diverged_s):
-        verdict = "unbounded"
-    elif tail_slope >= 0.05 or (-head_slope) >= 0.05:
+    if not math.isnan(diverged_s) or tail_slope >= 0.05 or -head_slope >= 0.05:
         verdict = "unbounded"
     elif tail_slope <= 0.02 and (-head_slope) <= 0.02:
         verdict = "bounded"
@@ -244,11 +249,14 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
 # -- the concrete piecewise-exponential example --------------------------------
 
 def section5_first_bound(alpha: float, s_list):
-    """First-integral bound with lower limit r; each value must stay below 2.
+    """The first condition integral of the section5 pair in d = 2, with
+    lower limit r in place of 0; each value must stay below 2.
 
-    Returns rows (s, value, intermediate_bound, passes).
+    Integrates on 4000 even nodes from r to s.  Returns rows
+    (s, value, intermediate_bound, passes).
     """
     phi = make_section5_young(alpha)
+    psi = make_section5_weight(phi)
     r = SECTION5_R
     k = math.log(r)
     rows = []
@@ -256,13 +264,8 @@ def section5_first_bound(alpha: float, s_list):
         if not r * (1 - 1e-12) <= s < math.inf:
             raise DomainError("first-bound scales must be finite and satisfy s >= r")
         ls = math.log(s)
-        log_pref = ls - float(phi.log_inv(2.0 * ls))
-        if ls <= k:
-            value = 0.0
-        else:
-            x = np.linspace(k, ls, 4000)
-            log_integrand = x - np.asarray(phi.log_inv(-2.0 * x)) - 2.0 * x
-            value = math.exp(log_pref) * log_domain_integral(log_integrand, x)
+        log_pref, log_f = _first_log(phi, psi, 2, ls)
+        value = math.exp(log_pref) * _even_integral(log_f, ls - k, 4000)
         beta = alpha / math.log(ls) if ls > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
         rows.append((s, value, inter, value < 2.0))
@@ -270,28 +273,23 @@ def section5_first_bound(alpha: float, s_list):
 
 
 def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
-    """Second-integral value plus a truncation remainder bound.
+    """The second condition integral of the section5 pair in d = 2, plus
+    a truncation remainder bound.
 
-    Integrates in x = ln t from ln s over a window of length x_span;
-    node positions are append-only in x_span so enlarging the window
-    never perturbs the shared prefix.  It diverges unless the integrand
+    Integrates in u = ln t - ln s over a window of length x_span; node
+    positions are append-only in x_span so enlarging the window never
+    perturbs the shared prefix.  It diverges unless the integrand
     decays at the truncation point (end log-slope below -1e-8) and the
     remainder past it is at most the value, and whenever the value is not
     finite.
     """
     phi = make_section5_young(alpha)
-    r = SECTION5_R
-    if s < r * (1 - 1e-12) or not 0.0 < x_span < math.inf:
+    if s < SECTION5_R * (1 - 1e-12) or not 0.0 < x_span < math.inf:
         raise DomainError("second bound needs s >= r and a finite, positive x_span")
-    ls = math.log(s)
-
-    def log_integrand(u):
-        x = ls + u
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ls - x - np.asarray(phi.log_inv(x + ls)) - np.asarray(phi.log_inv(-2.0 * x))
-
+    log_f = _second_log(phi, make_section5_weight(phi), 2, math.log(s))
     quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
-    value, remainder, slope, _ = _integrate_decaying(log_integrand, quad)
+    u = quad.nodes()
+    value, remainder, slope, _ = _integrate_decaying(u, log_f(u), quad.u_mid)
     # a NaN end slope or a non-finite value is a divergence too
     if not (slope < -1e-8 and remainder <= max(value, 1e-300)) or not math.isfinite(value):
         raise DivergenceError("second-bound integrand does not decay past the window",

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .besov import besov_orlicz_norm, saturated_tail
-from .condition import (ConditionQuad, condition_sup, condition_value,
-                        log_domain_integral)
+from .condition import condition_sup, condition_value, log_domain_integral
 from .errors import DomainError
 from .grid import GridFunction, lp_norm, total_variation, unit_ball_volume
 from .molecules import decompose
@@ -17,6 +16,7 @@ from .orlicz import ShiftNormCache
 from .young import WeightFunction, YoungFunction
 
 DEFAULT_MC_SEED = 0x5EED
+BALL_HEAD_CUTOFF = 1e-8  # the smallest shift of the ball-indicator seminorm
 # float64 coordinates per Monte Carlo chunk (48 MB): 2,000,000 points at d = 3
 _MC_CHUNK_FLOATS = 6_000_000
 
@@ -141,7 +141,7 @@ def _indicator_orlicz_norm(phi: YoungFunction, measure: float) -> float:
 
 
 def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
-                     head_cutoff: float = 1e-8):
+                     head_cutoff: float = BALL_HEAD_CUTOFF):
     """Orlicz part, seminorm, and a head-divergence flag for a ball indicator.
 
     The modulus is closed-form: the shift of length t produces a
@@ -207,7 +207,7 @@ def necessity_ball_experiment(phi: YoungFunction, psi: WeightFunction, d: int,
     return ExperimentRecord(
         name="ball_indicator_ratios",
         inputs={"dim": d, "radii": radii, "diam_omega": diam,
-                "head_cutoff": 1e-8},  # the default of ball_besov_parts
+                "head_cutoff": BALL_HEAD_CUTOFF},
         measured={"rows": rows, "growth_factor": growth, "ratio_spread": spread},
         passed=True,
         budget={"bounded_budget": None},  # a key of the report schema
@@ -225,8 +225,7 @@ def sufficiency_molecule_estimates(f: GridFunction, phi: YoungFunction,
         raise DomainError("sufficiency experiment needs a nonzero function")
     dec = decompose(f)
     alpha = max(1.0, dec.alpha_observed)
-    report = condition_sup(phi, psi, d, s_range=(1e-3, 1e6), n_points=33,
-                           quad=ConditionQuad(u_far=8192.0))
+    report = condition_sup(phi, psi, d, s_range=(1e-3, 1e6), n_points=33)
     d_hat = report.D_hat
     h = f.spacing
     rows = []

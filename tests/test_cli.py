@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -51,8 +52,10 @@ def test_example5_alpha_out_of_domain(capsys):
 
 def test_example5_window_past_float_range_exits_3(capsys):
     # at x_span = 1e308 the far nodes overflow, the end slope is NaN and the
-    # value infinite: a divergence, not a passing report
-    assert run_cli(["example5", "--x-span", "1e308", "--s-multiples", "10"]) == 3
+    # value infinite: a divergence, not a passing report, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["example5", "--x-span", "1e308", "--s-multiples", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "does not decay" in captured.err
 

@@ -131,10 +131,9 @@ def test_head_divergence_and_lower_limit():
     phi = make_power_young(1.3)
     psi = make_power_weight(0.0)  # flat weight: first integral head diverges
     with pytest.raises(DivergenceError) as exc:
-        condition_value(1.0, phi, psi, 2, ConditionQuad(u_far=256.0))
+        condition_value(1.0, phi, psi, 2)
     assert exc.value.end == "head"
-    cv = condition_value(1.0, phi, psi, 2, ConditionQuad(u_far=256.0),
-                         head_lower_limit=0.01)
+    cv = condition_value(1.0, phi, psi, 2, head_lower_limit=0.01)
     assert math.isfinite(cv.value) and cv.value > 0
 
 
@@ -214,6 +213,24 @@ def test_section5_second_bound_matches_mpmath_quadrature():
     assert float(want) == pytest.approx(127.0045237538, rel=1e-11)
     value, _ = section5_second_bound(0.1, SECTION5_R)
     assert value == pytest.approx(float(want), rel=1e-7)
+
+
+def test_section5_first_bound_matches_mpmath_quadrature():
+    # s / inv(s^2) * int_r^s Psi(1/t) dt/t with Psi(1/t) = t^-1 / inv(t^-2), in x = ln t
+    phi = make_section5_young(0.1)
+    s_list = [10 * SECTION5_R, 1000 * SECTION5_R]
+    with mpmath.workdps(30):
+        k = mpmath.log(SECTION5_R)
+        integrand = lambda x: mpmath.exp(-x - section5_log_inv_mp(phi, -2 * x))
+        want = []
+        for s in s_list:
+            ls = mpmath.log(s)
+            want.append(float(mpmath.exp(ls - section5_log_inv_mp(phi, 2 * ls))
+                              * mpmath.quad(integrand, [k, ls])))
+    assert want == pytest.approx([0.91558912174936276, 1.0214253067167938], rel=1e-15)
+    got = [value for _, value, _, _ in section5_first_bound(0.1, s_list)]
+    # the 4000-node window is 6e-12 and 4.5e-11 off; 600 nodes would miss by 2e-9
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_section5_pair_verdict_is_bounded():

@@ -16,7 +16,11 @@ digested text itself (``tools/report_drift.py`` compares two of them).
 The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
 the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
 1-3, every ``condition_scan`` job at seed 1, a set of default and
-variant commands, ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
+variant commands (among them ``check-condition`` with a flat weight,
+whose first integral diverges at every scale, and with a lower limit
+on the first integral of the power pair, so that every branch of
+``condition_value`` is covered), ``sufficiency_molecule_estimates`` in
+d = 1, 2, 3,
 the commands run with a ``table:`` Young function sampled from t^1.3,
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
@@ -58,6 +62,8 @@ VARIANTS = [
     ["check-condition", "--phi", "power:p=1.2", "--psi", "powerweight:theta=0.6666666666666667"],
     ["check-condition", "--phi", "power:p=1.4", "--psi", "powerweight:theta=0.4285714285714286"],
     ["check-condition", "--psi", "powerweight:theta=0.8"],
+    ["check-condition", "--psi", "powerweight:theta=0"],
+    ["check-condition", "--head-lower-limit", "1e-3"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
      "--head-lower-limit", "1e-3"],
