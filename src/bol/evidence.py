@@ -17,8 +17,9 @@ from .young import WeightFunction, YoungFunction
 
 DEFAULT_MC_SEED = 0x5EED
 BALL_HEAD_CUTOFF = 1e-8  # the smallest shift of the ball-indicator seminorm
-# float64 coordinates per Monte Carlo chunk (48 MB): 2,000,000 points at d = 3
-_MC_CHUNK_FLOATS = 6_000_000
+# float64 coordinates per Monte Carlo chunk (1.5 MB, 65,536 points at d = 3):
+# small enough that every offset's pass over a chunk stays in cache
+_MC_CHUNK_FLOATS = 196_608
 
 
 @dataclass(frozen=True)
@@ -59,34 +60,71 @@ def ball_symdiff_volume(d: int, r: float, center_dist):
     return float(vol) if vol.ndim == 0 else vol
 
 
-def _mc_symdiff_volume(dim, radius, center_dist, n_samples, seed):
-    """Monte Carlo volume of (B0 u B1) \\ (B0 n B1) for balls of equal radius.
+def _einsum_lanes(dim):
+    """The column order of the two lanes in which numpy's einsum sums a row
+    of ``dim`` products on two float64 lanes without fused multiply-add
+    (its x86-64 builds): blocks of 8 columns, each lane from the back of
+    the block, then the remaining columns in pairs; the lanes are added
+    last."""
+    head = 8 * (dim // 8)
+    return [[b + i + lane for b in range(0, head, 8) for i in (6, 4, 2, 0)]
+            + list(range(head + lane, dim, 2)) for lane in (0, 1)]
 
-    Centers sit at 0 and (center_dist, 0, ..., 0).  Returns (estimate,
-    standard error).  Sampling is deterministic for a fixed seed and runs
-    in chunks of at most ``_MC_CHUNK_FLOATS`` coordinates; the generator
-    fills a draw row by row, so the result does not depend on the chunk.
+
+def _in_ball(x, terms, r2):
+    acc = x * x
+    for t in terms:
+        acc += t
+    return acc <= r2
+
+
+def _mc_symdiff_volumes(dim, radius, center_dists, n_samples, seed):
+    """Monte Carlo volumes of (B0 u B1) \\ (B0 n B1) for balls of equal
+    radius, one per center distance, all from one draw.
+
+    Centers sit at 0 and (c, 0, ..., 0).  Returns one (estimate, standard
+    error) per distance c.  Each distance maps the uniforms of every chunk
+    onto its own box [-r, r + c] x [-r, r]^(d-1) as ``rng.uniform`` does
+    (lo + (hi - lo) * u), and sums the squared distances in einsum's lane
+    order, so its hits are those of a draw reseeded for that distance
+    alone.  Only column 0 depends on c, so the squares of the other
+    columns and their sums that precede column 0 are computed once per
+    chunk.  Chunks hold at most ``_MC_CHUNK_FLOATS`` coordinates; the
+    generator fills a draw row by row, so the result does not depend on
+    the chunk.
     """
     rng = np.random.default_rng(seed)
-    lo = np.full(dim, -radius)
-    hi = np.full(dim, radius)
-    hi[0] += center_dist
-    box = float(np.prod(hi - lo))
-    hits = 0
-    left = n_samples
     r2 = radius * radius
+    lo = -float(radius)
+    width = radius - lo
+    spans = np.full((len(center_dists), dim), width)
+    spans[:, 0] = (radius + np.asarray(center_dists, dtype=np.float64)) - lo
+    lane0, lane1 = _einsum_lanes(dim)
+    x_at = lane0.index(0)
+    before, after = lane0[:x_at], lane0[x_at + 1:]
+    hits = [0] * len(center_dists)
+    left = n_samples
     while left > 0:
         m = min(left, max(1, _MC_CHUNK_FLOATS // dim))
-        pts = rng.uniform(lo, hi, size=(m, dim))
-        d0 = np.einsum("ij,ij->i", pts, pts)
-        pts[:, 0] -= center_dist
-        d1 = np.einsum("ij,ij->i", pts, pts)
-        hits += int(np.count_nonzero((d0 <= r2) ^ (d1 <= r2)))
+        u = rng.random((m, dim)).T.copy()
+        sq = lo + width * u
+        sq *= sq
+        # what each squared distance adds to x^2, in einsum's order
+        terms = [sq[j] for j in after] + [sum(sq[j] for j in lane1)]
+        if before:
+            terms.insert(0, sum(sq[j] for j in before))
+        for k, c in enumerate(center_dists):
+            x = lo + spans[k, 0] * u[0]
+            in0 = _in_ball(x, terms, r2)
+            x -= c
+            hits[k] += int(np.count_nonzero(in0 ^ _in_ball(x, terms, r2)))
         left -= m
-    p = hits / n_samples
-    vol = box * p
-    stderr = box * np.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return vol, stderr
+    out = []
+    for span, h in zip(spans, hits):
+        box = float(np.prod(span))
+        p = h / n_samples
+        out.append((box * p, box * np.sqrt(max(p * (1.0 - p), 0.0) / n_samples)))
+    return out
 
 
 def lemma6_check(d: int, r: float, offsets, n_samples: int = 10_000_000,
@@ -99,11 +137,14 @@ def lemma6_check(d: int, r: float, offsets, n_samples: int = 10_000_000,
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
     vd = unit_ball_volume(d)
+    offsets = list(offsets)
+    if not all(0.0 <= a < r for a in offsets):
+        raise DomainError("offsets must satisfy 0 <= offset < r")
+    if d >= 3 and offsets:
+        mc = _mc_symdiff_volumes(d, r, [2.0 * a for a in offsets], n_samples, seed)
     rows = []
     ok = True
-    for a in offsets:
-        if not 0.0 <= a < r:
-            raise DomainError("offsets must satisfy 0 <= offset < r")
+    for i, a in enumerate(offsets):
         bound = vd * r ** (d - 1) * a
         row = {"offset": a, "bound": bound}
         if d <= 3:
@@ -112,7 +153,7 @@ def lemma6_check(d: int, r: float, offsets, n_samples: int = 10_000_000,
             row["pass_exact"] = exact >= bound - 1e-12 * max(bound, 1.0)
             ok = ok and row["pass_exact"]
         if d >= 3:
-            est, se = _mc_symdiff_volume(d, r, 2.0 * a, n_samples, seed)
+            est, se = mc[i]
             row["mc"] = est
             row["mc_stderr"] = se
             row["pass_mc"] = est >= bound - 3.0 * se
@@ -123,7 +164,7 @@ def lemma6_check(d: int, r: float, offsets, n_samples: int = 10_000_000,
         rows.append(row)
     return ExperimentRecord(
         name="geometric_symdiff_bound",
-        inputs={"dim": d, "r": r, "offsets": list(offsets),
+        inputs={"dim": d, "r": r, "offsets": offsets,
                 "n_samples": n_samples, "seed": seed},
         measured={"rows": rows},
         passed=ok,

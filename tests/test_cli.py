@@ -334,6 +334,8 @@ def test_norms_with_a_clamped_table_phi(tmp_path, capsys, spacing, code, orlicz)
     ({}, ["check-condition", "--points", "16", "--csv", "/nonexistent/x.csv"]),
     ({}, ["decompose", "--fixture", "staircase", "--outdir", "/dev/null/sub"]),
     ({}, ["norms", "--fixture", "staircase", "--output", "/"]),
+    # the second offset is rejected before the first one's draw
+    ({}, ["lemma6", "--dim", "3", "--offsets", "0.5,1.5"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():

@@ -7,7 +7,7 @@ import pytest
 import bol.evidence
 from bol.corpus import make_corpus
 from bol.errors import DivergenceError, DomainError
-from bol.evidence import (_mc_symdiff_volume, ball_besov_parts, ball_symdiff_volume,
+from bol.evidence import (_mc_symdiff_volumes, ball_besov_parts, ball_symdiff_volume,
                           lemma6_check, necessity_ball_experiment, sobolev_check,
                           sufficiency_molecule_estimates)
 from bol.grid import GridFunction, unit_ball_volume
@@ -131,15 +131,55 @@ def test_lemma6_monte_carlo_d3_small():
 
 def test_mc_volume_does_not_depend_on_the_chunk(monkeypatch):
     # the generator fills a draw row by row, so 25-point chunks of a d = 4
-    # draw give the same hit count as one chunk
-    whole = _mc_symdiff_volume(4, 1.0, 0.7, 3000, 11)
+    # draw give the same hit counts as one chunk, 3001 = 120 * 25 + 1
+    whole = _mc_symdiff_volumes(4, 1.0, [0.0, 0.7, 1.9], 3001, 11)
     monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", 100)
-    assert _mc_symdiff_volume(4, 1.0, 0.7, 3000, 11) == whole
+    assert _mc_symdiff_volumes(4, 1.0, [0.0, 0.7, 1.9], 3001, 11) == whole
 
 
-def test_lemma6_offset_domain():
+def _mc_volume_own_draw(dim, radius, center_dist, n_samples, seed):
+    """One distance on a generator reseeded for it alone, with
+    ``rng.uniform`` and ``einsum``: the hits the shared draw must repeat."""
+    rng = np.random.default_rng(seed)
+    lo = np.full(dim, -radius)
+    hi = np.full(dim, radius)
+    hi[0] += center_dist
+    box = float(np.prod(hi - lo))
+    pts = rng.uniform(lo, hi, size=(n_samples, dim))
+    d0 = np.einsum("ij,ij->i", pts, pts)
+    pts[:, 0] -= center_dist
+    d1 = np.einsum("ij,ij->i", pts, pts)
+    r2 = radius * radius
+    p = np.count_nonzero((d0 <= r2) ^ (d1 <= r2)) / n_samples
+    return box * p, box * np.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 9])
+@pytest.mark.parametrize("n_samples, chunk", [(300_001, None), (3001, 100)])
+def test_mc_volumes_repeat_the_hits_of_a_draw_per_distance(monkeypatch, dim, n_samples, chunk):
+    # d = 9 sums a block of 8 columns first; neither n divides the chunk
+    if chunk is not None:
+        monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", chunk)
+    dists = [0.0, 0.4, 1.2, 1.9998]
+    got = _mc_symdiff_volumes(dim, 1.0, dists, n_samples, 0x5EED)
+    assert got == [_mc_volume_own_draw(dim, 1.0, c, n_samples, 0x5EED) for c in dists]
+
+
+def test_mc_volumes_take_an_integer_radius():
+    # the box stays float: an integer one would truncate r + c to an integer
+    assert _mc_symdiff_volumes(3, 1, [0.435], 20_000, 3) == \
+        _mc_symdiff_volumes(3, 1.0, [0.435], 20_000, 3)
+
+
+def test_lemma6_offset_domain(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew before checking every offset")
+
+    monkeypatch.setattr(bol.evidence, "_mc_symdiff_volumes", draw)
     with pytest.raises(DomainError):
         lemma6_check(2, 1.0, [1.5])
+    with pytest.raises(DomainError, match="offsets must satisfy 0 <= offset < r"):
+        lemma6_check(3, 1.0, [0.5, 1.5])
 
 
 def test_measured_iso_constant_is_a_quarter():

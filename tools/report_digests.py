@@ -15,7 +15,11 @@ digested text itself (``tools/report_drift.py`` compares two of them).
 
 The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
 the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
-1-3, every ``condition_scan`` job at seed 1, a set of default and
+1-3, every ``condition_scan`` job at seed 1, the Monte Carlo record of
+``lemma6_check`` (d = 3, 20,000 samples) at the offsets and seed of
+each ``corpus_bv`` ``lemma6 --dim 3`` job and at offsets 0.1, 0.5, 0.9
+with the default seed (that command crashes before it prints its
+report, so these records are what pins its numbers), a set of default and
 variant commands (among them ``check-condition`` with a flat weight,
 whose first integral diverges at every scale, and with a lower limit
 on the first integral of the power pair, so that every branch of
@@ -121,6 +125,20 @@ def workload_outputs(tmp):
             for i, job in enumerate(wl.jobs):
                 if name == "condition_scan" or not job.kind.startswith("lemma6"):
                     emit(f"{name} seed={seed} job={i:02d} {job.kind}", run_job(job), tmp)
+                elif job.kind == "lemma6_d3":
+                    mc_seed = int(job.argv[job.argv.index("--seed") + 1])
+                    lemma6_output(f"{name} seed={seed} job={i:02d}", job.meta["offsets"],
+                                  mc_seed, tmp)
+
+
+def lemma6_output(key, offsets, seed, tmp):
+    """The record of ``lemma6_check`` in d = 3 at 20,000 samples, called
+    directly: the d = 3 command crashes before it prints its report."""
+    try:
+        text = repr(bol.evidence.lemma6_check(3, 1.0, offsets, 20_000, seed).measured)
+    except Exception as exc:
+        text = f"raised {exc!r}"
+    emit(f"{key} lemma6_check(3, 1.0, {offsets!r}, 20000, {seed})", text, tmp)
 
 
 def sufficiency_outputs(tmp):
@@ -205,6 +223,7 @@ def main():
     try:
         for argv in VARIANTS:
             emit(" ".join(argv), run_cli(argv), tmp)
+        lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp)
         workload_outputs(tmp)
         sufficiency_outputs(tmp)
         table_outputs(tmp)
