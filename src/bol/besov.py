@@ -1,16 +1,19 @@
 """Besov-Orlicz norm of a grid function: Orlicz part plus the weighted
 integral of the translation modulus.
 
-The seminorm integral runs over a finite window of scales; below the
-grid spacing the modulus is linear in the shift length and above the
-support diameter it saturates, so both ends get closed-form bounds
-instead of quadrature nodes.
+The seminorm integral runs over a finite window of scales.  Below the
+grid spacing the modulus is taken linear in the shift length and above
+the support diameter it saturates, so each end is a factor of the
+modulus times an improper integral of the weight, taken from its
+log-domain form on the rule of the condition integrals.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .condition import _condition_integral
 from .errors import DivergenceError, DomainError, ResourceGuardError
 from .grid import GridFunction
 from .orlicz import ModulusCurve, ShiftNormCache, luxemburg_norm
@@ -32,19 +35,23 @@ class BesovNorm:
         return self.orlicz_part + self.seminorm_part
 
 
+def _weight_end(log_f, end: str, reason: str) -> float:
+    """The integral of exp(log_f(u)) over u in [0, inf), or DivergenceError at ``end``."""
+    value, _, diverged = _condition_integral(log_f)
+    if diverged:
+        raise DivergenceError(f"seminorm {end} integral diverges ({reason})", end=end)
+    return value
+
+
 def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
     """Integral of Psi(t) * omega_sat dt/t over [t_hi, infinity).
 
-    The modulus is constant (saturated) past t_hi, so the tail has the
-    closed form omega_sat * Psi(t_hi) / zero_exponent.
+    The modulus is constant (saturated) past t_hi, so the tail is
+    omega_sat times the integral of Psi(t) dt/t, taken in u = ln t - ln t_hi.
     """
-    if psi.zero_exponent <= 0.0:
-        raise DivergenceError(
-            "seminorm tail integral diverges (weight is not integrable "
-            "against a bounded modulus)",
-            end="tail",
-        )
-    return omega_sat * float(psi.eval(t_hi)) / psi.zero_exponent
+    lt = math.log(t_hi)
+    return omega_sat * _weight_end(lambda u: psi.log_eval(lt + u), "tail",
+                                   "weight is not integrable against a bounded modulus")
 
 
 def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
@@ -52,7 +59,10 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
                       t_tail: float = None) -> BesovNorm:
     """The window [t_head, t_tail] (by default the grid spacing to just past
     the support diameter) takes a trapezoid rule on ``nodes`` geometric
-    nodes; the head below it and the saturated tail above it are closed forms.
+    nodes.  The head below it is (omega(t_head) / t_head) times the
+    integral of Psi over [0, t_head], and the tail above it is
+    ``saturated_tail``; both raise DivergenceError when their integral of
+    the weight diverges.
     """
     if nodes < 8:
         raise DomainError("seminorm quadrature needs at least 8 nodes")
@@ -75,14 +85,10 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
     mid = float(np.trapezoid(weights * omega / ts, ts))
 
     # head: omega(t) <= (omega(t_lo)/t_lo) * t below the window, so the
-    # integrand behaves like Psi(t) times a constant
-    if not psi.infinity_exponent < 1.0:
-        raise DivergenceError(
-            "seminorm head integral diverges (weight grows at least like 1/t)",
-            end="head",
-        )
-    slope = omega[0] / t_lo
-    head = slope * float(psi.eval(t_lo)) * t_lo / (1.0 - psi.infinity_exponent)
+    # integrand is Psi(t) times a constant; int_0^t_lo Psi dt in u = ln t_lo - ln t
+    lo = math.log(t_lo)
+    head = omega[0] / t_lo * _weight_end(lambda u: psi.log_eval(lo - u) + lo - u, "head",
+                                         "weight is not integrable at 0")
     tail = saturated_tail(psi, cache.saturated(), t_hi)
     return BesovNorm(orlicz, mid + head + tail, head, tail, ModulusCurve(ts, omega))
 

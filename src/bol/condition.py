@@ -45,7 +45,9 @@ class ConditionQuad:
         return np.concatenate([near, np.minimum(x, self.u_far)])
 
 
-_QUAD = ConditionQuad()  # the layout of every condition_value integral on [0, inf)
+_QUAD = ConditionQuad()  # the layout of every integral on [0, inf) but example5's
+_QUAD_U = _QUAD.nodes()  # built once and shared: read-only
+_QUAD_U.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,16 @@ def _integrate_decaying(u, lv, u_mid):
 
 
 def _condition_integral(log_f):
-    """(value, remainder, diverged) of one condition integral on _QUAD.
+    """(value, remainder, diverged) of the integral of exp(log_f(u)) over
+    [0, inf) on the _QUAD layout: each condition integral and each end of
+    a Besov seminorm.
 
     It diverges when its integrand neither drops NEGLIGIBLE_LOG_DROP below
     its peak nor ends with a log-slope at or below TAIL_SLOPE_LIMIT; the
     value is then the integral over the [0, u_mid] nodes alone and the
     remainder infinite.
     """
-    u = _QUAD.nodes()
+    u = _QUAD_U
     lv = np.asarray(log_f(u))
     value, remainder, slope, dropped = _integrate_decaying(u, lv, _QUAD.u_mid)
     if dropped or slope <= TAIL_SLOPE_LIMIT:
@@ -168,13 +172,13 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
         umax = max(ls - math.log(head_lower_limit), 0.0)
         head_val = _even_integral(head_log, umax, max(_QUAD.n_mid, int(20 * umax) + 16))
         head_rem, head_div = 0.0, False
-    elif psi.zero_exponent <= 0:
-        if raise_on_divergence:
-            raise DivergenceError("first integral diverges at its head (weight exponent <= 0)",
-                                  end="head")
-        head_val, head_rem, head_div = math.nan, math.inf, True
     else:
         head_val, head_rem, head_div = _condition_integral(head_log)
+        if head_div:
+            if raise_on_divergence:
+                raise DivergenceError("first integral diverges at its head (integrand "
+                                      f"log-slope above {TAIL_SLOPE_LIMIT})", end="head")
+            head_val = math.nan
     try:
         pref1 = math.exp(log_pref1)
     except OverflowError as exc:

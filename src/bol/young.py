@@ -40,16 +40,13 @@ class YoungFunction:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative continuous weight with asymptotic exponent metadata.
+    """Nonnegative continuous weight.
 
-    ``zero_exponent`` is the power of t in eval(1/t) as t -> 0 and
-    ``infinity_exponent`` the one as t -> infinity; ``log_eval`` maps
-    ln(t) to ln(eval(t)).
+    ``log_eval`` maps ln(t) to ln(eval(t)); every improper integral of
+    a weight is taken from it, and so is the verdict on its divergence.
     """
 
     eval: Callable
-    zero_exponent: float
-    infinity_exponent: float
     kind: str
     params: dict
     log_eval: Callable
@@ -263,14 +260,12 @@ def make_table_young(path: str) -> YoungFunction:
 
 
 def make_power_weight(theta: float) -> WeightFunction:
-    """Psi(t) = t**(-theta); Psi(1/t) = t**theta at both ends."""
+    """Psi(t) = t**(-theta)."""
     def ev(t):
         return _as_array(t) ** (-theta)
 
     return WeightFunction(
         eval=ev,
-        zero_exponent=theta,
-        infinity_exponent=theta,
         kind="powerweight",
         params={"theta": theta},
         log_eval=lambda lt: -theta * _as_array(lt),
@@ -296,18 +291,8 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
         lt = _as_array(lt)
         return lt - phi.log_inv(2.0 * lt)
 
-    if phi.kind == "power":
-        p = phi.params["p"]
-        z = 2.0 / p - 1.0
-        zero_exp, inf_exp = z, z
-    else:
-        # sub-polynomial corrections; the leading power is 1 for section5
-        zero_exp, inf_exp = 1.0, 1.0
-
     return WeightFunction(
         eval=ev,
-        zero_exponent=zero_exp,
-        infinity_exponent=inf_exp,
         kind="section5weight" if phi.kind == "section5" else "pairedweight",
         params=dict(phi.params),
         log_eval=log_ev,

@@ -1,11 +1,15 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from bol.besov import BesovNorm, besov_orlicz_norm
+from bol.besov import BesovNorm, besov_orlicz_norm, saturated_tail
 from bol.errors import DivergenceError, DomainError
 from bol.grid import GridFunction
 from bol.orlicz import ShiftNormCache
-from bol.young import critical_theta, make_power_weight, make_power_young
+from bol.young import (SECTION5_R, critical_theta, make_power_weight, make_power_young,
+                       make_section5_weight, make_section5_young)
 from conftest import ball_indicator
 
 PHI = make_power_young(1.3)
@@ -71,3 +75,56 @@ def test_quadrature_refinement_is_stable():
     coarse = besov_orlicz_norm(f, PHI, PSI, nodes=64).total
     fine = besov_orlicz_norm(f, PHI, PSI, nodes=256).total
     assert fine == pytest.approx(coarse, rel=2e-3)
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5385, 0.9])
+def test_power_weight_ends_match_their_closed_forms(theta):
+    f = small_ball()
+    bn = besov_orlicz_norm(f, PHI, make_power_weight(theta), nodes=32)
+    t_lo, t_hi = f.spacing, f.support_diameter() + 2.0 * f.spacing
+    omega_sat = ShiftNormCache(f, PHI).saturated()
+    assert bn.head_bound == pytest.approx(
+        bn.curve.values[0] * t_lo ** -theta / (1.0 - theta), rel=1e-14)
+    assert bn.tail_bound == pytest.approx(omega_sat * t_hi ** -theta / theta, rel=1e-14)
+
+
+def mp_section5_weight(alpha):
+    """Psi(t) = t / inv(t^2) of the section5 pair at the working precision."""
+    alpha, r = mpmath.mpf(alpha), mpmath.exp(2 * mpmath.e ** 2)
+    g = alpha * mpmath.e ** 2 / 2
+    p = (r * mpmath.exp(-g) - mpmath.exp(g) / r) / (r - 1 / r)
+    q = (mpmath.exp(g) - mpmath.exp(-g)) / (r - 1 / r)
+
+    def inv(x):
+        if x < 1 / r:
+            big_l = mpmath.log(1 / mpmath.sqrt(x))
+            return x * mpmath.exp(alpha * big_l / mpmath.log(big_l))
+        if x < r:
+            return p * x + q
+        big_h = mpmath.log(mpmath.sqrt(x))
+        return x * mpmath.exp(-alpha * big_h / mpmath.log(big_h))
+
+    return lambda t: t / inv(t * t)
+
+
+def test_section5_weight_ends_match_mpmath():
+    # the branch kinks of inv(t^2) sit at t = r^-1/2 (ln 1/t = e^2) and
+    # t = r^1/2 (ln t = e^2); both integrals run in a log variable
+    psi = make_section5_weight(make_section5_young(0.1))
+    f = small_ball()
+    with mpmath.workdps(30):
+        mp_psi = mp_section5_weight("0.1")
+        for h in (1.0, 1.0 / 16):
+            breaks = [math.e ** 2, 20, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5]
+            lo = mpmath.log(1 / mpmath.mpf(h))
+            want = mpmath.quad(lambda big_l: mp_psi(mpmath.exp(-big_l)) * mpmath.exp(-big_l),
+                               [lo] + [b for b in breaks if b > lo] + [mpmath.inf])
+            bn = besov_orlicz_norm(f, PHI, psi, nodes=32, t_head=h, t_tail=8.0)
+            got = bn.head_bound * h / bn.curve.values[0]
+            assert got == pytest.approx(float(want), rel=3e-5), h
+        for t_hi in (0.25, 2.0, 8.0):
+            breaks = [math.log(SECTION5_R) / 2, 20, 50, 100, 300, 1e3]
+            lo = mpmath.log(mpmath.mpf(t_hi))
+            want = mpmath.quad(lambda big_h: mp_psi(mpmath.exp(big_h)),
+                               [lo] + [b for b in breaks if b > lo] + [mpmath.inf])
+            assert saturated_tail(psi, 1.0, t_hi) == pytest.approx(float(want), rel=1e-7), t_hi

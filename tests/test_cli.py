@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -311,6 +312,26 @@ def test_norms_with_a_clamped_table_phi(tmp_path, capsys, spacing, code, orlicz)
     if orlicz is not None:
         assert read_json(out)["report"]["orlicz"] == orlicz
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_norms_with_the_section5_pair(tmp_path):
+    # the paired weight's head integral converges, though its leading power is 1/t
+    out = tmp_path / "n.json"
+    assert run_cli(["norms", "--fixture", "staircase", "--phi", "section5:alpha=0.1",
+                    "--psi", "section5:alpha=0.1", "--output", str(out)]) == 0
+    besov = read_json(out)["report"]["besov"]
+    assert math.isfinite(besov["seminorm_part"]) and besov["seminorm_part"] > 0
+
+
+def test_necessity_with_a_table_paired_weight_diverges_at_its_tail(tmp_path, capsys):
+    # the table clamps inv past its last knot, so Psi(t) = t / inv(t^2)
+    # grows like t past it and the saturated tail diverges
+    table = tmp_path / "phi13.csv"
+    table.write_text("".join(f"{float(t)!r},{float(t) ** 1.3!r}\n"
+                             for t in np.geomspace(1e-6, 1e6, 61)))
+    phi = f"table:file={table}"
+    assert run_cli(["necessity", "--phi", phi, "--psi", f"paired:phi={phi}"]) == 3
+    assert "seminorm tail integral diverges" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("env, argv", [

@@ -25,7 +25,8 @@ whose first integral diverges at every scale, and with a lower limit
 on the first integral of the power pair, so that every branch of
 ``condition_value`` is covered), ``sufficiency_molecule_estimates`` in
 d = 1, 2, 3,
-the commands run with a ``table:`` Young function sampled from t^1.3,
+the commands run with a ``table:`` Young function sampled from t^1.3
+(``necessity`` and ``norms`` also with the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
 above 1 (no finite norm) or at most 1 (norm 0).  Last come commands that
@@ -84,6 +85,8 @@ VARIANTS = [
     ["report"],
     ["decompose", "--fixture", "staircase", "--verify"],
     ["norms", "--fixture", "staircase", "--phi", "power:p=1.3", "--psi", CRIT[2]],
+    ["norms", "--fixture", "staircase", "--phi", "section5:alpha=0.1",
+     "--psi", "section5:alpha=0.1"],
 ]
 
 
@@ -170,7 +173,8 @@ def table_outputs(tmp):
                  ["check-condition", "--phi", phi, "--psi", CRIT[3], "--dim", "3"],
                  ["necessity", "--phi", phi, "--psi", CRIT[2]],
                  ["necessity", "--phi", phi, "--psi", f"paired:phi={phi}"],
-                 ["norms", "--input", grid, "--phi", phi, "--psi", CRIT[2]]):
+                 ["norms", "--input", grid, "--phi", phi, "--psi", CRIT[2]],
+                 ["norms", "--input", grid, "--phi", phi, "--psi", f"paired:phi={phi}"]):
         emit(" ".join(argv), run_cli(argv), tmp)
 
 
