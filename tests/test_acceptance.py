@@ -161,7 +161,7 @@ def test_criterion_7_symmetric_difference_geometry():
     ok = rec1.passed and rec2.passed and rec3.passed and elapsed < 60.0
     sigma = max(abs(r["mc"] - r["exact"]) / r["mc_stderr"]
                 for r in rec3.measured["rows"])
-    _line(7, "symmetric-difference lower bound (exact d<=2, MC d=3)", ok,
+    _line(7, "symmetric-difference lower bound (exact d<=3, MC d=3)", ok,
           f"max MC deviation {sigma:.2f} sigma, {elapsed:.1f}s")
     assert rec1.passed and rec2.passed and rec3.passed
     assert elapsed < 60.0

@@ -357,6 +357,15 @@ def test_necessity_with_a_table_paired_weight_diverges_at_its_tail(tmp_path, cap
     ({}, ["norms", "--fixture", "staircase", "--output", "/"]),
     # the second offset is rejected before the first one's draw
     ({}, ["lemma6", "--dim", "3", "--offsets", "0.5,1.5"]),
+    # radii whose seminorm window [1e-8, 2r] is empty, or whose volume at
+    # its head underflows (d = 341 at r = 1/8)
+    ({}, ["necessity", "--dim", "3", "--radii", "1,1e-60"]),
+    ({}, ["necessity", "--dim", "3", "--radii", "1,4e-9"]),
+    ({}, ["necessity", "--dim", "3", "--radii", "1,1e-170"]),
+    ({}, ["necessity", "--dim", "341"]),
+    # r^d overflows, or r is not finite
+    ({}, ["lemma6", "--dim", "2", "--r", "1e200", "--offsets", "1e199"]),
+    ({}, ["lemma6", "--r", "inf", "--offsets", "1"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():

@@ -27,8 +27,16 @@ def test_symdiff_oracles():
         assert ball_symdiff_volume(d, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
         far = ball_symdiff_volume(d, 1.0, 2.0)
         assert far == pytest.approx(2.0 * unit_ball_volume(d))
-    with pytest.raises(DomainError):
-        ball_symdiff_volume(4, 1.0, 0.5)
+
+
+def test_symdiff_dimension_domain():
+    with pytest.raises(DomainError, match="dimension and radius must be positive"):
+        ball_symdiff_volume(0, 1.0, 0.5)
+    # both unit-ball volumes come before the recursion, so a dimension whose
+    # volume leaves float range raises before any step of it
+    for d in (342, 10 ** 15):
+        with pytest.raises(DomainError, match="leaves float range"):
+            ball_symdiff_volume(d, 1.0, 0.5)
 
 
 def mp_symdiff_volume(d, r, delta):
@@ -55,28 +63,42 @@ def test_symdiff_matches_mpmath_at_all_offsets():
                 assert abs(got - want) <= 2e-15 * want, (d, r, frac)
 
 
-def scalar_symdiff_volume(d, r, delta):
-    """The closed forms in math-module scalar arithmetic."""
-    if delta >= 2.0 * r:
-        return 2.0 * unit_ball_volume(d) * r ** d
-    if d == 1:
-        return 2.0 * delta
-    if d == 2:
-        return 4.0 * r * r * math.asin(delta / (2.0 * r)) \
-            + delta * math.sqrt(4.0 * r * r - delta * delta)
-    return math.pi * delta * (12.0 * r * r - delta * delta) / 6.0
+def mp_betainc_symdiff_volume(d, r, delta):
+    """2 V_d r^d times the regularised incomplete beta I_(s^2)(1/2, (d+1)/2),
+    s = delta / 2r, in 50-digit arithmetic: the cap-volume identity in
+    every dimension."""
+    with mpmath.workdps(50):
+        r, d = mpmath.mpf(r), mpmath.mpf(d)
+        s = mpmath.mpf(delta) / (2 * r)
+        vd = mpmath.pi ** (d / 2) / mpmath.gamma(d / 2 + 1)
+        return 2 * vd * r ** d * mpmath.betainc(mpmath.mpf(0.5), (d + 1) / 2, 0, s * s,
+                                                regularized=True)
+
+
+SYMDIFF_FRACS = [1e-17, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9,
+                 0.99, 0.9995, 0.9999995]
+
+
+@pytest.mark.parametrize("d, tol", [(d, 1e-15) for d in range(1, 11)] + [(40, 5e-15)])
+def test_symdiff_matches_the_incomplete_beta_in_every_dimension(d, tol):
+    for r in (0.125, 1.0, 3.0):
+        for frac in SYMDIFF_FRACS:
+            delta = frac * 2.0 * r
+            want = mp_betainc_symdiff_volume(d, r, delta)
+            got = ball_symdiff_volume(d, r, delta)
+            assert abs(got - want) <= tol * want, (d, r, frac)
 
 
 def test_symdiff_array_form_equals_scalar_calls():
     rng = np.random.default_rng(8)
-    for d in (1, 2, 3):
+    for d in range(1, 11):
         for r in (0.125, 1.0, 3.0):
             deltas = np.concatenate([[0.0, 1e-300, 2.0 * r, 5.0 * r],
                                      rng.uniform(0.0, 2.0 * r, 2000),
                                      np.geomspace(1e-12, 2.0 * r, 500)])
-            want = [scalar_symdiff_volume(d, r, x) for x in deltas]
+            want = [ball_symdiff_volume(d, r, x) for x in deltas]
+            assert all(type(v) is float for v in want)
             assert ball_symdiff_volume(d, r, deltas).tolist() == want
-            assert [ball_symdiff_volume(d, r, x) for x in deltas] == want
     with pytest.raises(DomainError):
         ball_symdiff_volume(2, 1.0, np.array([0.5, -1e-9]))
 
@@ -120,6 +142,17 @@ def test_lemma6_exact_dimensions():
         assert rec.passed
         for row in rec.measured["rows"]:
             assert row["exact"] >= row["bound"]
+
+
+def test_lemma6_d4_rows_carry_the_exact_volume():
+    # whether the record passes is left open (DECISIONS.md D1)
+    rec = lemma6_check(4, 1.0, [0.1, 0.5, 0.9], 20_000)
+    for row in rec.measured["rows"]:
+        want = mp_betainc_symdiff_volume(4, 1.0, 2.0 * row["offset"])
+        assert abs(row["exact"] - want) <= 1e-15 * want
+        assert row["pass_exact"]
+        assert set(row) == {"offset", "bound", "exact", "pass_exact",
+                            "mc", "mc_stderr", "pass_mc", "mc_matches_exact"}
 
 
 def test_lemma6_monte_carlo_d3_small():
@@ -182,15 +215,37 @@ def test_lemma6_offset_domain(monkeypatch):
         lemma6_check(3, 1.0, [0.5, 1.5])
 
 
+def test_lemma6_radius_domain(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew before checking the radius")
+
+    monkeypatch.setattr(bol.evidence, "_mc_symdiff_volumes", draw)
+    for d, r, offsets in ((2, 1e200, [1e199]), (3, 1e200, [1e199]), (2, math.inf, [1.0]),
+                          (3, math.nan, [0.5]), (3, 0.0, []), (3, -1.0, [])):
+        with pytest.raises(DomainError, match="r must be positive"):
+            lemma6_check(d, r, offsets)
+
+
 def test_measured_iso_constant_is_a_quarter():
     # squares are the anisotropic-perimeter maximizers
     assert measured_iso_constant(n=32) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_necessity_critical_pair_ratios_stable():
-    rec = necessity_ball_experiment(PHI, PSI_CRIT, 2, [1, 0.5, 0.25, 0.125])
-    assert rec.measured["ratio_spread"] < 0.10
-    assert not any(r["head_truncated"] for r in rec.measured["rows"])
+    for d in (2, 4):
+        psi = make_power_weight(critical_theta(1.3, d))
+        rec = necessity_ball_experiment(PHI, psi, d, [1, 0.5, 0.25, 0.125])
+        assert all(math.isfinite(r["ratio"]) for r in rec.measured["rows"])
+        assert rec.measured["ratio_spread"] < 0.10, d
+        assert not any(r["head_truncated"] for r in rec.measured["rows"])
+
+
+def test_ball_parts_need_a_window_above_the_head_cutoff():
+    # the seminorm window [head_cutoff, 2r] would run backwards, and in
+    # d = 341 the volume at the cutoff underflows at r = 1/8
+    for d, r in ((3, 4e-9), (3, 1e-60), (3, 1e-170), (341, 0.125)):
+        with pytest.raises(DomainError, match="head cutoff"):
+            ball_besov_parts(PHI, PSI_CRIT, d, r)
 
 
 def test_necessity_failing_pair_ratios_grow():

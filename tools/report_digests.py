@@ -17,14 +17,15 @@ The outputs: every ``norms``, ``decompose`` and ``l1_modulus`` job of
 the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
 1-3, every ``condition_scan`` job at seed 1, the Monte Carlo record of
 ``lemma6_check`` (d = 3, 20,000 samples) at the offsets and seed of
-each ``corpus_bv`` ``lemma6 --dim 3`` job and at offsets 0.1, 0.5, 0.9
-with the default seed (that command crashes before it prints its
-report, so these records are what pins its numbers), a set of default and
-variant commands (among them ``check-condition`` with a flat weight,
-whose first integral diverges at every scale, and with a lower limit
-on the first integral of the power pair, so that every branch of
-``condition_value`` is covered), ``sufficiency_molecule_estimates`` in
-d = 1, 2, 3,
+each ``corpus_bv`` ``lemma6 --dim 3`` job and, in d = 3 and 4, at
+offsets 0.1, 0.5, 0.9 with the default seed (the command crashes before
+it prints its report in d >= 3, so these records are what pins its
+numbers), a set of default and variant commands (among them
+``necessity`` and ``lemma6`` at radii outside the seminorm window or
+float range, ``check-condition`` with a flat weight, whose first
+integral diverges at every scale, and with a lower limit on the first
+integral of the power pair, so that every branch of ``condition_value``
+is covered), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
 the commands run with a ``table:`` Young function sampled from t^1.3
 (``necessity`` and ``norms`` also with the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
@@ -76,10 +77,16 @@ VARIANTS = [
     ["example5", "--alpha", "0.05"],
     ["necessity"],
     ["necessity", "--dim", "3"],
+    ["necessity", "--dim", "4"],
     ["necessity", "--psi", "powerweight:theta=0.8"],
     ["necessity", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
     ["necessity", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1", "--dim", "3"],
+    ["necessity", "--dim", "3", "--radii", "1,4e-9"],
+    ["necessity", "--dim", "3", "--radii", "1,1e-170"],
+    ["necessity", "--dim", "341"],
     ["lemma6", "--dim", "2"],
+    ["lemma6", "--dim", "2", "--r", "1e200", "--offsets", "1e199"],
+    ["lemma6", "--r", "inf", "--offsets", "1"],
     ["lemma6", "--dim", "3", "--samples", "20000"],
     ["sobolev"],
     ["report"],
@@ -134,14 +141,14 @@ def workload_outputs(tmp):
                                   mc_seed, tmp)
 
 
-def lemma6_output(key, offsets, seed, tmp):
-    """The record of ``lemma6_check`` in d = 3 at 20,000 samples, called
-    directly: the d = 3 command crashes before it prints its report."""
+def lemma6_output(key, offsets, seed, tmp, dim=3):
+    """The record of ``lemma6_check`` in ``dim`` >= 3 at 20,000 samples,
+    called directly: the command crashes there before it prints its report."""
     try:
-        text = repr(bol.evidence.lemma6_check(3, 1.0, offsets, 20_000, seed).measured)
+        text = repr(bol.evidence.lemma6_check(dim, 1.0, offsets, 20_000, seed).measured)
     except Exception as exc:
         text = f"raised {exc!r}"
-    emit(f"{key} lemma6_check(3, 1.0, {offsets!r}, 20000, {seed})", text, tmp)
+    emit(f"{key} lemma6_check({dim}, 1.0, {offsets!r}, 20000, {seed})", text, tmp)
 
 
 def sufficiency_outputs(tmp):
@@ -228,6 +235,7 @@ def main():
         for argv in VARIANTS:
             emit(" ".join(argv), run_cli(argv), tmp)
         lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp)
+        lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp, dim=4)
         workload_outputs(tmp)
         sufficiency_outputs(tmp)
         table_outputs(tmp)
