@@ -36,8 +36,9 @@ class BesovNorm:
 
 
 def _weight_end(log_f, end: str, reason: str) -> float:
-    """The integral of exp(log_f(u)) over u in [0, inf), or DivergenceError at ``end``."""
-    value, _, diverged = _condition_integral(log_f)
+    """The integral of exp(log_f(u)) over u in [0, inf), or DivergenceError at ``end``:
+    one row of the condition integrals' kernel."""
+    (value,), _, (diverged,) = _condition_integral(log_f)
     if diverged:
         raise DivergenceError(f"seminorm {end} integral diverges ({reason})", end=end)
     return value

@@ -46,8 +46,11 @@ class ConditionQuad:
 
 
 _QUAD = ConditionQuad()  # the layout of every integral on [0, inf) but example5's
-_QUAD_U = _QUAD.nodes()  # built once and shared: read-only
-_QUAD_U.flags.writeable = False
+_QUAD_U = _QUAD.nodes()  # built once and shared, like its spacings: read-only
+_QUAD_DU = np.diff(_QUAD_U)
+_QUAD_U.flags.writeable = _QUAD_DU.flags.writeable = False
+_QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # first node > u_mid
+_BLOCK = 3  # scales per block of condition_sup (BENCH_condition_blocks.json)
 
 
 @dataclass(frozen=True)
@@ -71,76 +74,115 @@ class ConditionReport:
     diverged_s: float = float("nan")
 
 
-def log_domain_integral(log_vals, u):
-    """Integral over the grid u of the exponential of the piecewise-linear
-    interpolant of log_vals, exact on every node interval and max-scaled.
+def _row_integrals(lv, du, cuts, peaks):
+    """The integral of exp of the piecewise-linear interpolant of each row
+    of lv over its first cuts[i] nodes, given the node spacings du and
+    each row's peak over those nodes: a list of floats, exact on every
+    node interval and max-scaled.
 
     An interval with end values a, b contributes
     du * e^max(a,b) * (1 - e^-|b-a|) / |b-a| (a short series when
-    |b - a| is tiny, 0 when an end is -inf).
+    |b - a| is tiny, 0 when an end is -inf).  Each row's terms are scaled
+    by its peak m and summed by np.sum over the kept prefix; the row gives
+    e^m times that sum, 0 when m = -inf and inf when m is +inf or NaN.
+    The terms are built for all rows at once, up to the longest prefix.
     """
-    lv = np.asarray(log_vals, dtype=np.float64)
-    m = float(np.max(lv))
-    if not math.isfinite(m):
-        return 0.0 if m == -math.inf else math.inf
-    hi = np.maximum(lv[:-1], lv[1:]) - m
+    k = max(cuts)
+    lo, hi = lv[:, :k - 1], lv[:, 1:k]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        x = np.where(hi > -np.inf, np.abs(lv[1:] - lv[:-1]), 0.0)
-        factor = np.where(x < 1e-8, 1.0 - 0.5 * x, -np.expm1(-x) / x)
-        return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
+        terms = np.maximum(lo, hi)
+        terms -= np.asarray(peaks)[:, None]
+        # x = -|b - a|, so that (1 - e^-|b-a|) / |b-a| = expm1(x) / x
+        x = np.subtract(hi, lo)
+        np.abs(x, out=x)
+        np.copyto(x, 0.0, where=~(terms > -np.inf))
+        np.negative(x, out=x)
+        factor = np.expm1(x)
+        factor /= x
+        np.copyto(factor, 1.0 + 0.5 * x, where=x > -1e-8)
+        np.exp(terms, out=terms)
+        terms *= du[:k - 1]
+        terms *= factor
+        return [float(np.exp(m)) * float(np.sum(row[:c - 1])) if math.isfinite(m)
+                else (0.0 if m == -math.inf else math.inf)
+                for row, c, m in zip(terms, cuts, peaks)]
 
 
-def _integrate_decaying(u, lv, u_mid):
-    """Integrate exp(lv) du over [0, inf) from its values lv on the nodes u.
+def log_domain_integral(log_vals, u):
+    """Integral over the grid u of the exponential of the piecewise-linear
+    interpolant of log_vals: one row of ``_row_integrals``."""
+    lv = np.asarray(log_vals, dtype=np.float64)
+    return _row_integrals(lv[None, :], np.diff(u), [lv.size], [float(np.max(lv))])[0]
 
-    The integral stops after the first node past u_mid from which the
-    integrand stays NEGLIGIBLE_LOG_DROP below its peak, or at the last
-    node when there is none.  Returns (value, remainder, slope, dropped):
-    the log-slope over the last five nodes kept, the exponential tail
-    past them, and whether the integrand dropped that far.  Each caller
-    decides from these whether its integral diverges.
+
+def _integrate_rows(lv, u, du, past_mid, diverged_nodes=None):
+    """Integrate exp over [0, inf) of each row of lv, given on the nodes u
+    with spacings du: the condition integrals' kernel.
+
+    A row stops after the first node past u_mid (index ``past_mid`` on)
+    from which it stays NEGLIGIBLE_LOG_DROP below its peak, or at the
+    last node when there is none; a NaN peak never counts as that drop.
+    Returns lists (values, remainders, slopes, diverged): the log-slope
+    over the last five nodes kept and the exponential tail past them.
+    With ``diverged_nodes`` a row diverges when it neither drops that far
+    nor ends with a log-slope at or below TAIL_SLOPE_LIMIT, and its value
+    is then the integral over its first ``diverged_nodes`` nodes and its
+    remainder infinite; without it no row diverges and the caller judges
+    from the slope and remainder.
     """
-    low = np.maximum.accumulate(lv[::-1])[::-1] < float(np.max(lv)) - NEGLIGIBLE_LOG_DROP
-    past = np.flatnonzero(low & (u > u_mid))
-    cut = int(past[0]) + 1 if past.size else u.size
-    span = u[cut - 1] - u[cut - 5]
-    slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
-    with np.errstate(over="ignore"):
-        remainder = float(np.exp(lv[cut - 1])) / -slope if slope < 0 else math.inf
-    return log_domain_integral(lv[:cut], u[:cut]), remainder, slope, bool(past.size)
+    n = lv.shape[1]
+    peaks = np.max(lv, axis=1)
+    with np.errstate(invalid="ignore"):
+        high = lv >= (peaks - NEGLIGIBLE_LOG_DROP)[:, None]
+    # one past each row's last node at or above the drop level (n when none is)
+    starts = np.maximum(n - np.argmax(high[:, ::-1], axis=1), past_mid).tolist()
+    peaks = peaks.tolist()  # every node at or above the drop level is kept, the peak too
+    cuts, remainders, slopes, diverged = [], [], [], []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, (row, start) in enumerate(zip(lv, starts)):
+            cut = start + 1 if start < n else n
+            span = u[cut - 1] - u[cut - 5]
+            slope = float(row[cut - 1] - row[cut - 5]) / span if span > 0 else 0.0
+            remainder = float(np.exp(row[cut - 1])) / -slope if slope < 0 else math.inf
+            div = diverged_nodes is not None and start >= n and not slope <= TAIL_SLOPE_LIMIT
+            if div:
+                cut, remainder = diverged_nodes, math.inf
+                peaks[i] = float(np.max(row[:cut]))  # this prefix may miss the peak
+            cuts.append(cut)
+            remainders.append(remainder)
+            slopes.append(slope)
+            diverged.append(div)
+    return _row_integrals(lv, du, cuts, peaks), remainders, slopes, diverged
 
 
 def _condition_integral(log_f):
-    """(value, remainder, diverged) of the integral of exp(log_f(u)) over
-    [0, inf) on the _QUAD layout: each condition integral and each end of
-    a Besov seminorm.
-
-    It diverges when its integrand neither drops NEGLIGIBLE_LOG_DROP below
-    its peak nor ends with a log-slope at or below TAIL_SLOPE_LIMIT; the
-    value is then the integral over the [0, u_mid] nodes alone and the
-    remainder infinite.
+    """(values, remainders, diverged) of the integral of exp(log_f(u)) over
+    [0, inf) on the _QUAD layout, one per row of log_f(u): each condition
+    integral at a block of scales, and each end of a Besov seminorm (one
+    row).  A row diverges as ``_integrate_rows`` says with its
+    [0, u_mid] nodes as the value.
     """
-    u = _QUAD_U
-    lv = np.asarray(log_f(u))
-    value, remainder, slope, dropped = _integrate_decaying(u, lv, _QUAD.u_mid)
-    if dropped or slope <= TAIL_SLOPE_LIMIT:
-        return value, remainder, False
-    return log_domain_integral(lv[:_QUAD.n_mid], u[:_QUAD.n_mid]), math.inf, True
+    lv = np.atleast_2d(np.asarray(log_f(_QUAD_U), dtype=np.float64))
+    values, remainders, _, diverged = _integrate_rows(lv, _QUAD_U, _QUAD_DU, _QUAD_PAST_MID,
+                                                      _QUAD.n_mid)
+    return values, remainders, diverged
 
 
-def _first_log(phi: YoungFunction, psi: WeightFunction, d: int, ls: float):
+def _first_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
     """The first condition integral, s^(d-1) / inv(s^d) * int_a^s Psi(1/t) dt/t
     at ln s = ls, as its log prefactor and the log of its integrand in
     u = ln s - ln t, which runs from 0 to ln s - ln a (to infinity for the
-    lower limit a = 0)."""
-    return ((d - 1) * ls - float(phi.log_inv(d * ls)),
+    lower limit a = 0).  A column of ln s gives a column of prefactors and
+    one integrand row per scale."""
+    return ((d - 1) * ls - np.asarray(phi.log_inv(d * ls)),
             lambda u: np.asarray(psi.log_eval(u - ls)))
 
 
-def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls: float):
+def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
     """The log of the integrand of the second condition integral,
     int_s^inf Psi(1/t) s^(d-1) / inv(t s^(d-1)) dt/t at ln s = ls, in
-    u = ln t - ln s over [0, infinity)."""
+    u = ln t - ln s over [0, infinity); one row per scale for a column
+    of ln s."""
     def log_f(u):
         lt = ls + u
         with np.errstate(over="ignore", invalid="ignore"):  # ln t near float max
@@ -155,43 +197,64 @@ def _even_integral(log_f, u_max: float, n: int) -> float:
     return log_domain_integral(log_f(u), u) if u_max > 0.0 else 0.0
 
 
+def _condition_block(s_block, phi: YoungFunction, psi: WeightFunction, d: int,
+                     head_lower_limit, raise_on_divergence: bool):
+    """The ConditionValue of each scale in s_block (a list of floats).
+
+    Both integrands are built as one row per scale and integrated by
+    ``_condition_integral`` together; only a head with a lower limit,
+    whose layout depends on the scale, is integrated scale by scale.  The
+    scales are then checked in order and, within one, the head's
+    divergence before its prefactor overflow before the tail's divergence.
+    """
+    if any(s <= 0 for s in s_block) \
+            or (head_lower_limit is not None and not head_lower_limit > 0.0):
+        raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
+    ls = np.array([[math.log(s)] for s in s_block])
+    if head_lower_limit is None:
+        log_pref1, head_log = _first_log(phi, psi, d, ls)
+        log_pref1 = log_pref1[:, 0].tolist()
+        head_val, head_rem, head_div = _condition_integral(head_log)
+    else:
+        lower = math.log(head_lower_limit)
+        log_pref1, head_val = [], []
+        for l in ls[:, 0].tolist():
+            log_pref, head_log = _first_log(phi, psi, d, l)
+            umax = max(l - lower, 0.0)
+            log_pref1.append(log_pref)
+            head_val.append(_even_integral(head_log, umax, max(_QUAD.n_mid, int(20 * umax) + 16)))
+        head_rem, head_div = [0.0] * len(s_block), [False] * len(s_block)
+    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls))
+
+    out = []
+    for i, s in enumerate(s_block):
+        if head_div[i] and raise_on_divergence:
+            raise DivergenceError("first integral diverges at its head (integrand "
+                                  f"log-slope above {TAIL_SLOPE_LIMIT})", end="head")
+        try:
+            pref1 = math.exp(log_pref1[i])
+        except OverflowError as exc:
+            raise DomainError(f"the first integral's prefactor overflows at s = {s!r}") from exc
+        first = pref1 * (math.nan if head_div[i] else head_val[i])
+        first_rem = pref1 * head_rem[i] if math.isfinite(head_rem[i]) else math.inf
+        if tail_div[i] and raise_on_divergence:
+            raise DivergenceError("second integral diverges at its tail (integrand log-slope "
+                                  f"above {TAIL_SLOPE_LIMIT})", end="tail")
+        value = (first if not math.isnan(first) else 0.0) + tail_val[i]
+        out.append(ConditionValue(s, value, first_rem + tail_rem[i], head_div[i], tail_div[i]))
+    return out
+
+
 def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
                     head_lower_limit: float = None,
                     raise_on_divergence: bool = True) -> ConditionValue:
-    """One evaluation of the two-integral expression at scale s.
+    """One evaluation of the two-integral expression at scale s: a block of
+    one scale.
 
     ``head_lower_limit`` replaces 0 as the lower limit of the first
     integral (the compact-domain reading of the condition).
     """
-    if s <= 0 or (head_lower_limit is not None and not head_lower_limit > 0.0):
-        raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
-    ls = math.log(s)
-    log_pref1, head_log = _first_log(phi, psi, d, ls)
-
-    if head_lower_limit is not None:
-        umax = max(ls - math.log(head_lower_limit), 0.0)
-        head_val = _even_integral(head_log, umax, max(_QUAD.n_mid, int(20 * umax) + 16))
-        head_rem, head_div = 0.0, False
-    else:
-        head_val, head_rem, head_div = _condition_integral(head_log)
-        if head_div:
-            if raise_on_divergence:
-                raise DivergenceError("first integral diverges at its head (integrand "
-                                      f"log-slope above {TAIL_SLOPE_LIMIT})", end="head")
-            head_val = math.nan
-    try:
-        pref1 = math.exp(log_pref1)
-    except OverflowError as exc:
-        raise DomainError(f"the first integral's prefactor overflows at s = {s!r}") from exc
-    first = pref1 * head_val
-    first_rem = pref1 * head_rem if math.isfinite(head_rem) else math.inf
-
-    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls))
-    if tail_div and raise_on_divergence:
-        raise DivergenceError("second integral diverges at its tail (integrand log-slope "
-                              f"above {TAIL_SLOPE_LIMIT})", end="tail")
-    value = (first if not math.isnan(first) else 0.0) + tail_val
-    return ConditionValue(s, value, first_rem + tail_rem, head_div, tail_div)
+    return _condition_block([s], phi, psi, d, head_lower_limit, raise_on_divergence)[0]
 
 
 def _decade_slope(s_grid, values, which):
@@ -212,6 +275,11 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
                   head_lower_limit: float = None) -> ConditionReport:
     """Evaluate the condition on a log grid of scales and classify it.
 
+    The scales go through ``_condition_block`` in blocks of _BLOCK, the
+    last one part-filled, so each value and the first diverged scale are
+    those of ``condition_value`` at that scale, and a prefactor overflow
+    names the first scale at which it happens.
+
     bounded: both end slopes at or below 0.02; unbounded: a per-scale
     divergence or a terminal slope of at least 0.05 sustained over the
     last decade; anything in between is inconclusive.
@@ -226,13 +294,13 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     s_grid = np.geomspace(lo, hi, n_points)
     values = np.zeros(n_points)
     diverged_s = math.nan
-    for i, s in enumerate(s_grid):
-        cv = condition_value(float(s), phi, psi, d,
-                             head_lower_limit=head_lower_limit,
-                             raise_on_divergence=False)
-        values[i] = cv.value
-        if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):
-            diverged_s = float(s)
+    for start in range(0, n_points, _BLOCK):
+        block = s_grid[start:start + _BLOCK].tolist()
+        for i, cv in enumerate(_condition_block(block, phi, psi, d, head_lower_limit, False),
+                               start):
+            values[i] = cv.value
+            if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):
+                diverged_s = cv.s
     finite = np.isfinite(values) & (values > 0)
     d_hat = float(values[finite].max()) if finite.any() else math.inf
     # the smallest s within 1e-12 of the max, so rounding cannot pick it on a flat curve
@@ -293,7 +361,8 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
     log_f = _second_log(phi, make_section5_weight(phi), 2, math.log(s))
     quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
     u = quad.nodes()
-    value, remainder, slope, _ = _integrate_decaying(u, log_f(u), quad.u_mid)
+    (value,), (remainder,), (slope,), _ = _integrate_rows(
+        log_f(u)[None, :], u, np.diff(u), int(np.searchsorted(u, quad.u_mid, "right")))
     # a NaN end slope or a non-finite value is a divergence too
     if not (slope < -1e-8 and remainder <= max(value, 1e-300)) or not math.isfinite(value):
         raise DivergenceError("second-bound integrand does not decay past the window",

@@ -42,11 +42,15 @@ def ball_symdiff_volume(d: int, r: float, center_dist):
     I_k = int_0^phi cos^k = cos^(k-1)(phi) s / k + (k-1)/k I_(k-2) from
     I_0 = phi or I_1 = s.  Every term is positive (no full-minus-
     intersection subtraction), so the relative accuracy holds as delta -> 0.
+    A radius with d ln r >= 700, whose r^d would leave float range, is a
+    DomainError.
     """
     delta = np.minimum(np.asarray(center_dist, dtype=np.float64), 2.0 * r)
     if np.any(delta < 0) or r <= 0 or d < 1:
         raise DomainError("dimension and radius must be positive and distance nonnegative")
     vd, v_slice = unit_ball_volume(d), unit_ball_volume(d - 1)
+    if not d * math.log(r) < 700.0:
+        raise DomainError("the radius's r^d leaves float range")
     s = delta / (2.0 * r)
     cos2 = (1.0 - s) * (1.0 + s)
     integral = s if d % 2 else np.arcsin(s)

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bol.condition import (ConditionQuad, condition_sup, condition_value,
+import bol.condition
+from bol.condition import (NEGLIGIBLE_LOG_DROP, TAIL_SLOPE_LIMIT, ConditionQuad,
+                           _integrate_rows, condition_sup, condition_value,
                            log_domain_integral, section5_first_bound,
                            section5_second_bound)
 from bol.errors import DivergenceError, DomainError
 from bol.young import (SECTION5_R, critical_theta, make_power_weight,
                        make_power_young, make_section5_weight,
-                       make_section5_young)
+                       make_section5_young, make_table_young,
+                       parse_weight_spec)
 
 
 def closed_form(p, d=2):
@@ -239,3 +242,148 @@ def test_section5_pair_verdict_is_bounded():
     rep = condition_sup(phi, psi, 2, s_range=(1.0, 1e10), n_points=17)
     assert rep.verdict == "bounded"
     assert math.isfinite(rep.D_hat)
+
+
+def reference_integral(lv, u):
+    """The one-row log-domain rule, written out on its own."""
+    m = float(np.max(lv))
+    if not math.isfinite(m):
+        return 0.0 if m == -math.inf else math.inf
+    hi = np.maximum(lv[:-1], lv[1:]) - m
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x = np.where(hi > -np.inf, np.abs(lv[1:] - lv[:-1]), 0.0)
+        factor = np.where(x < 1e-8, 1.0 - 0.5 * x, -np.expm1(-x) / x)
+        return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
+
+
+def reference_decaying(lv, u, u_mid, diverged_nodes):
+    """One row by the reverse running max: it stops after the first node
+    past u_mid from which every later value is NEGLIGIBLE_LOG_DROP below
+    the peak.  Returns (value, remainder, slope, diverged)."""
+    with np.errstate(invalid="ignore"):
+        low = np.maximum.accumulate(lv[::-1])[::-1] < np.max(lv) - NEGLIGIBLE_LOG_DROP
+    past = np.flatnonzero(low & (u > u_mid))
+    cut = int(past[0]) + 1 if past.size else u.size
+    span = u[cut - 1] - u[cut - 5]
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
+        remainder = float(np.exp(lv[cut - 1])) / -slope if slope < 0 else math.inf
+    if diverged_nodes is not None and not past.size and not slope <= TAIL_SLOPE_LIMIT:
+        n = diverged_nodes
+        return reference_integral(lv[:n], u[:n]), math.inf, slope, True
+    return reference_integral(lv[:cut], u[:cut]), remainder, slope, False
+
+
+def hand_made_rows(u):
+    n = u.size
+    rows = {
+        "decaying": -u,
+        "nan": np.where(np.arange(n) == 9, math.nan, -u),
+        "nan_past_the_drop": np.where(np.arange(n) == n - 2, math.nan, -u),
+        "inf": np.where(np.arange(n) == 3, math.inf, -u),
+        "all_minus_inf": np.full(n, -math.inf),
+        "minus_inf_inside": np.where((np.arange(n) > 2) & (np.arange(n) < 6), -math.inf, -u),
+        "plateau": np.zeros(n),
+        "slow_decay": -0.01 * u,
+        "cut_in_last_five": np.where(np.arange(n) < n - 3, 0.0, -100.0),
+        "drops_before_u_mid": np.where(u < 2.0, 0.0, -100.0 - u),
+        "rises": 0.02 * u,
+        "tiny_steps": 1e-10 * np.arange(n) - 50.0,
+        "steps_near_the_series_switch": 5e-9 * np.arange(n) - 50.0,
+    }
+    return {k: np.asarray(v, dtype=np.float64) for k, v in rows.items()}
+
+
+@pytest.mark.parametrize("diverged_nodes", [None, 7])
+def test_integrate_rows_matches_the_running_max_rule(diverged_nodes):
+    u_mid = 6.0
+    u = np.r_[np.linspace(0.0, u_mid, 7), u_mid * 1.5 ** np.arange(1, 11)]
+    past_mid = int(np.searchsorted(u, u_mid, side="right"))
+    rows = hand_made_rows(u)
+    block = np.array(list(rows.values()))
+    got = _integrate_rows(block, u, np.diff(u), past_mid, diverged_nodes)
+    for i, (name, lv) in enumerate(rows.items()):
+        want = reference_decaying(lv, u, u_mid, diverged_nodes)
+        one = _integrate_rows(lv[None, :], u, np.diff(u), past_mid, diverged_nodes)
+        for result in (tuple(part[i] for part in got), tuple(part[0] for part in one)):
+            # equal as bit patterns, NaN included
+            assert np.array(result[:3]).tobytes() == np.array(want[:3]).tobytes(), name
+            assert result[3] == want[3], name
+
+
+def test_log_domain_integral_matches_the_reference_rule():
+    u = np.r_[np.linspace(0.0, 6.0, 7), 6.0 * 1.5 ** np.arange(1, 11)]
+    for name, lv in hand_made_rows(u).items():
+        for k in (1, 2, 5, u.size):
+            got, want = log_domain_integral(lv[:k], u[:k]), reference_integral(lv[:k], u[:k])
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (name, k)
+
+
+def table_pair(tmp_path):
+    path = tmp_path / "phi13.csv"
+    path.write_text("".join(f"{t!r},{t ** 1.3!r}\n" for t in np.geomspace(1e-6, 1e6, 61).tolist()))
+    psi = parse_weight_spec(f"paired:phi=table:file={path}")
+    return make_table_young(str(path)), psi
+
+
+def sweep_pairs(tmp_path):
+    s5 = make_section5_young(0.1)
+    pairs = [(f"power p={p} d={d}", make_power_young(p),
+              make_power_weight(critical_theta(p, d)), d, None)
+             for d in (2, 3) for p in (1.2, 1.4)]
+    pairs += [(f"theta={theta}", make_power_young(1.3), make_power_weight(theta), 2, None)
+              for theta in (0.8, 0.0)]
+    pairs += [("section5", s5, make_section5_weight(s5), 2, None),
+              ("section5 limited", s5, make_section5_weight(s5), 2, 1e-3),
+              ("table", *table_pair(tmp_path), 2, None)]
+    return pairs
+
+
+@pytest.mark.parametrize("n_points", [17, 19])
+def test_sweep_equals_the_scale_by_scale_values(tmp_path, n_points):
+    assert n_points % bol.condition._BLOCK  # a ragged last block
+    for name, phi, psi, d, lower in sweep_pairs(tmp_path):
+        rep = condition_sup(phi, psi, d, n_points=n_points, head_lower_limit=lower)
+        cvs = [condition_value(s, phi, psi, d, head_lower_limit=lower,
+                               raise_on_divergence=False) for s in rep.s_grid.tolist()]
+        assert rep.values.tobytes() == np.array([cv.value for cv in cvs]).tobytes(), name
+        diverged = [cv.s for cv in cvs if cv.head_diverged or cv.tail_diverged]
+        assert np.array(rep.diverged_s).tobytes() == \
+            np.array(diverged[0] if diverged else math.nan).tobytes(), name
+        if name.startswith("theta"):
+            assert diverged
+
+
+def test_divergence_and_overflow_errors_keep_their_order():
+    # in d = 3 with p = 1000 the first prefactor s^(2 - 3/p) overflows at
+    # s = 1e160; a flat weight makes the head diverge at 0, and the tail
+    # integrand falls like t^(-1/p), too slowly for its window
+    phi, psi = make_power_young(1000.0), make_power_weight(0.0)
+    with pytest.raises(DivergenceError) as exc:
+        condition_value(1e160, phi, psi, 3)
+    assert exc.value.end == "head"
+    with pytest.raises(DomainError, match="prefactor overflows at s = 1e\\+160"):
+        condition_value(1e160, phi, psi, 3, head_lower_limit=1e-3)
+    with pytest.raises(DomainError, match="prefactor overflows"):
+        condition_value(1e160, phi, psi, 3, raise_on_divergence=False)
+    with pytest.raises(DivergenceError) as exc:
+        condition_value(1.0, phi, psi, 3, head_lower_limit=1e-3)
+    assert exc.value.end == "tail"
+    cv = condition_value(1.0, phi, psi, 3, raise_on_divergence=False)
+    assert cv.head_diverged and cv.tail_diverged
+
+
+def test_sweep_names_the_first_overflowing_scale():
+    phi, psi = make_power_young(3.0), make_power_weight(critical_theta(3.0, 5))
+    s_grid = np.geomspace(1e100, 1e200, 21).tolist()
+    first = None
+    for s in s_grid:
+        try:
+            condition_value(s, phi, psi, 5, raise_on_divergence=False)
+        except DomainError:
+            first = s
+            break
+    assert first is not None and s_grid.index(first) % bol.condition._BLOCK
+    with pytest.raises(DomainError) as exc:
+        condition_sup(phi, psi, 5, s_range=(1e100, 1e200), n_points=21)
+    assert str(exc.value).endswith(f"s = {first!r}")

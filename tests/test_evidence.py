@@ -283,3 +283,11 @@ def test_sobolev_ratios_bounded():
     assert rec.measured["max_ratio"] < 1.0
     with pytest.raises(DomainError):
         sobolev_check([], 2)
+
+
+def test_radius_past_float_range_is_a_domain_error():
+    # r^d of a Python float would raise a bare OverflowError here
+    with pytest.raises(DomainError, match="leaves float range"):
+        ball_symdiff_volume(2, 1e200, 1.0)
+    with pytest.raises(DomainError, match="leaves float range"):
+        ball_besov_parts(PHI, make_power_weight(0.5385), 2, 1e200)

@@ -25,7 +25,8 @@ numbers), a set of default and variant commands (among them
 float range, ``check-condition`` with a flat weight, whose first
 integral diverges at every scale, and with a lower limit on the first
 integral of the power pair, so that every branch of ``condition_value``
-is covered), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
+is covered, and with 17 and 50 scales, whose sweep ends in a part-filled
+block), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
 the commands run with a ``table:`` Young function sampled from t^1.3
 (``necessity`` and ``norms`` also with the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
@@ -73,6 +74,9 @@ VARIANTS = [
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
      "--head-lower-limit", "1e-3"],
+    ["check-condition", "--points", "17"],
+    ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
+     "--points", "50"],
     ["example5", "--alpha", "0.1"],
     ["example5", "--alpha", "0.05"],
     ["necessity"],
