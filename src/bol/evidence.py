@@ -178,7 +178,7 @@ def lemma6_check(d: int, r: float, offsets, n_samples: int = 10_000_000,
 def _indicator_orlicz_norm(phi: YoungFunction, measure: float) -> float:
     if measure <= 0:
         return 0.0
-    return 1.0 / float(phi.inv(1.0 / measure))
+    return math.exp(-float(phi.log_inv(-math.log(measure))))
 
 
 def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
@@ -199,17 +199,18 @@ def ball_besov_parts(phi: YoungFunction, psi: WeightFunction, d: int, r: float,
     vol = unit_ball_volume(d) * r ** d
     orlicz = _indicator_orlicz_norm(phi, vol)
 
-    def omega(ts):
-        return 1.0 / np.asarray(phi.inv(1.0 / ball_symdiff_volume(d, r, ts)))
+    def log_integrand(u):
+        """ln(Psi(t) * omega(t)) at t = e^u, with ln omega = -log_inv(-ln vol)."""
+        log_vol = np.log(ball_symdiff_volume(d, r, np.exp(u)))
+        return np.asarray(psi.log_eval(u)) - np.asarray(phi.log_inv(-log_vol))
 
     # head behavior: slope of Psi(t)*omega(t) near zero decides integrability
-    t_probe = np.array([head_cutoff, head_cutoff * 1.001])
-    probe = psi.eval(t_probe) * omega(t_probe)
-    head_slope = (math.log(probe[1]) - math.log(probe[0])) / math.log(1.001)
+    probe = log_integrand(np.log([head_cutoff, head_cutoff * 1.001]))
+    head_slope = float(probe[1] - probe[0]) / math.log(1.001)
     head_diverged = head_slope <= 1e-9
 
     u = np.linspace(math.log(head_cutoff), math.log(2.0 * r), 4000)
-    seminorm = log_domain_integral(np.asarray(psi.log_eval(u)) + np.log(omega(np.exp(u))), u)
+    seminorm = log_domain_integral(log_integrand(u), u)
     # omega is constant past the diameter
     seminorm += saturated_tail(psi, _indicator_orlicz_norm(phi, 2.0 * vol), 2.0 * r)
     return orlicz, seminorm, head_diverged

@@ -1,9 +1,9 @@
 """Young functions, weight functions and their presets.
 
-A Young function carries its forward map, its inverse, and a log-domain
-inverse, exact for every preset, so that the improper-integral machinery
-can work far outside float range; a weight carries its log-domain form
-the same way.
+A Young function carries its forward map and is defined by its log-domain
+inverse, a weight by its log-domain form, exact for every preset, so that
+the improper-integral machinery can work far outside float range; the
+linear-domain ``inv`` and weight ``eval`` derive from them.
 """
 
 import csv
@@ -23,33 +23,52 @@ def _as_array(t):
     return np.asarray(t, dtype=np.float64)
 
 
+def _exp_of(log_form, floor_at_zero):
+    """x -> exp(log_form(ln x)); with ``floor_at_zero`` x <= 0 maps to 0."""
+    def linear(x):
+        x = _as_array(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.exp(log_form(np.log(x)))
+        return np.where(x <= 0.0, 0.0, out) if floor_at_zero else out
+    return linear
+
+
 @dataclass(frozen=True)
 class YoungFunction:
     """Convex Young function with its inverse.
 
     ``eval`` and ``inv`` accept scalars or numpy arrays.  ``log_inv``
-    maps ln(x) to ln(inv(x)).
+    maps ln(x) to ln(inv(x)); unless given, ``inv`` is exp(log_inv(ln x))
+    for x > 0 and 0 for x <= 0.
     """
 
     kind: str
     params: dict
     eval: Callable
-    inv: Callable
     log_inv: Callable
+    inv: Callable = None
+
+    def __post_init__(self):
+        if self.inv is None:
+            object.__setattr__(self, "inv", _exp_of(self.log_inv, True))
 
 
 @dataclass(frozen=True)
 class WeightFunction:
     """Nonnegative continuous weight.
 
-    ``log_eval`` maps ln(t) to ln(eval(t)); every improper integral of
-    a weight is taken from it, and so is the verdict on its divergence.
+    ``log_eval`` maps ln(t) to ln(eval(t)); ``eval`` (unless given), every
+    improper integral of a weight and its divergence verdict derive from it.
     """
 
-    eval: Callable
     kind: str
     params: dict
     log_eval: Callable
+    eval: Callable = None
+
+    def __post_init__(self):
+        if self.eval is None:
+            object.__setattr__(self, "eval", _exp_of(self.log_eval, False))
 
 
 def make_power_young(p: float) -> YoungFunction:
@@ -60,14 +79,10 @@ def make_power_young(p: float) -> YoungFunction:
     def ev(t):
         return _as_array(t) ** p
 
-    def inv(s):
-        return _as_array(s) ** (1.0 / p)
-
     return YoungFunction(
         kind="power",
         params={"p": p},
         eval=ev,
-        inv=inv,
         log_inv=lambda lx: _as_array(lx) / p,
     )
 
@@ -160,8 +175,8 @@ def _invert_monotone(log_inv, s):
 
 
 def make_section5_young(alpha: float) -> YoungFunction:
-    """Three-piece inverse: slow correction below 1/r, linear middle,
-    reciprocal correction above r.  The forward map solves
+    """Three-piece log-domain inverse: slow correction below 1/r, linear
+    middle, reciprocal correction above r.  The forward map solves
     log_inv(v) = ln s for v = ln Phi(s) over the whole argument array at
     once (``_invert_monotone``), to 1e-12 relative."""
     if not 0.0 < alpha < E_MINUS_2:
@@ -175,30 +190,10 @@ def make_section5_young(alpha: float) -> YoungFunction:
     p_lin = (r * math.exp(-g) - math.exp(g) / r) / (r - 1.0 / r)
     q_lin = (math.exp(g) - math.exp(-g)) / (r - 1.0 / r)
 
-    def inv(t):
-        t = _as_array(t)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).astype(np.float64)
-        out = np.empty_like(t)
-        low = t < 1.0 / r
-        mid = (t >= 1.0 / r) & (t < r)
-        high = t >= r
-        tl = t[low]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            big_l = np.log(1.0 / np.sqrt(tl))  # > 1 on this branch
-            out[low] = np.where(
-                tl > 0.0, tl * np.exp(alpha * big_l / np.log(big_l)), 0.0
-            )
-        out[mid] = p_lin * t[mid] + q_lin
-        th = t[high]
-        big_h = np.log(np.sqrt(th))
-        out[high] = th * np.exp(-alpha * big_h / np.log(big_h))
-        return out[0] if scalar else out
-
     def log_inv(lx):
         lx = _as_array(lx)
         scalar = lx.ndim == 0
-        lx = np.atleast_1d(lx).astype(np.float64)
+        lx = np.atleast_1d(lx)
         lr = math.log(r)
         out = np.empty_like(lx)
         low = lx < -lr
@@ -219,7 +214,6 @@ def make_section5_young(alpha: float) -> YoungFunction:
         kind="section5",
         params={"alpha": alpha, "r": r, "p_lin": p_lin, "q_lin": q_lin},
         eval=ev,
-        inv=inv,
         log_inv=log_inv,
     )
 
@@ -244,28 +238,17 @@ def make_table_young(path: str) -> YoungFunction:
             res = np.exp(np.interp(np.log(np.maximum(t, 1e-300)), lt, lv))
         return np.where(t > 0.0, res, 0.0)
 
-    def inv(s):
-        s = _as_array(s)
-        with np.errstate(divide="ignore"):
-            res = np.exp(np.interp(np.log(np.maximum(s, 1e-300)), lv, lt))
-        return np.where(s > 0.0, res, 0.0)
-
     return YoungFunction(
         kind="table",
         params={"file": path},
         eval=ev,
-        inv=inv,
         log_inv=lambda lx: np.interp(lx, lv, lt),
     )
 
 
 def make_power_weight(theta: float) -> WeightFunction:
     """Psi(t) = t**(-theta)."""
-    def ev(t):
-        return _as_array(t) ** (-theta)
-
     return WeightFunction(
-        eval=ev,
         kind="powerweight",
         params={"theta": theta},
         log_eval=lambda lt: -theta * _as_array(lt),
@@ -278,21 +261,11 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
     For the power preset with exponent p this collapses to
     t^(1 - 2/p), i.e. the critical power weight in dimension 2.
     """
-    def ev(t):
-        t = _as_array(t)
-        denom = phi.inv(t ** 2)
-        if np.any((_as_array(t) > 0.0) & (denom == 0.0)):
-            raise DomainError("inv(t^2) vanishes at a positive t")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(t > 0.0, t / np.where(denom > 0, denom, 1.0), 0.0)
-        return out
-
     def log_ev(lt):
         lt = _as_array(lt)
         return lt - phi.log_inv(2.0 * lt)
 
     return WeightFunction(
-        eval=ev,
         kind="section5weight" if phi.kind == "section5" else "pairedweight",
         params=dict(phi.params),
         log_eval=log_ev,

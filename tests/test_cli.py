@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -294,6 +295,48 @@ def test_norms_at_extreme_spacing(tmp_path, spacing, orlicz):
     assert run_cli(["norms", "--input", str(path), "--dim", "2", "--shape", "3,3",
                     "--spacing", spacing, "--phi", "power:p=1.3", "--output", str(out)]) == 0
     assert read_json(out)["report"]["orlicz"] == pytest.approx(orlicz, rel=1e-13, abs=0.0)
+
+
+def test_norms_with_the_paired_weight_where_t_squared_underflows(tmp_path):
+    # at spacing 1e-170 the window's t^2 underflows to 0; the paired weight is
+    # its log form, so it still equals the critical power weight it collapses to
+    path = tmp_path / "g.csv"
+    path.write_text("1,2,3,4,5,6,7,8,9\n")
+    totals = []
+    for psi in ("paired:phi=power:p=1.3", f"powerweight:theta={2.0 / 1.3 - 1.0!r}"):
+        out = tmp_path / "n.json"
+        assert run_cli(["norms", "--input", str(path), "--dim", "1", "--spacing", "1e-170",
+                        "--phi", "power:p=1.3", "--psi", psi, "--output", str(out)]) == 0
+        totals.append(read_json(out)["report"]["besov"]["total"])
+    assert totals[0] > 0.0
+    assert totals[0] == pytest.approx(totals[1], rel=1e-12, abs=0.0)
+
+
+def _load_spans():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--fixture", "staircase", "--phi", "power:p=1.3",
+     "--psi", "powerweight:theta=0.5384615384615385"],
+    ["necessity", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
+], ids=["norms", "necessity"])
+def test_reports_are_unchanged_under_the_benchmark_tracer(argv, capsys):
+    # the tracer rebuilds every Young function and weight with
+    # dataclasses.replace over the callables they carry, by field name
+    spans = _load_spans()
+    assert run_cli(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = spans.Tracer()
+    with spans.installed(tracer), tracer.job(0, "cli.main"):
+        assert run_cli(argv) == 0
+    assert capsys.readouterr().out == plain
+    _, calls, _ = tracer.take()
+    assert calls.get("young.build", 0) >= 2
 
 
 @pytest.mark.parametrize("spacing, code, orlicz", [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bol.errors import DomainError
 from bol.grid import GridFunction
@@ -69,7 +71,7 @@ def test_section5_log_inverse_matches_linear_domain():
     phi = make_section5_young(0.1)
     for x in (1e-8, 0.5, 3.0, 1e5, 1e8):
         assert float(phi.log_inv(math.log(x))) == pytest.approx(
-            math.log(float(phi.inv(x))), rel=1e-10
+            math.log(section5_inv_reference(phi, x)[0]), rel=1e-10
         )
 
 
@@ -183,7 +185,8 @@ def test_table_log_inverse_is_the_log_log_interpolant(tmp_path):
     # the same value as the linear-domain inverse, wherever a float reaches
     x = np.concatenate([[5e-324, 1e-310, 1e-300], np.geomspace(1e-299, 1e308, 499),
                         [1.7976931348623157e308]])
-    assert np.max(np.abs(phi.log_inv(np.log(x)) - np.log(phi.inv(x)))) <= 1e-14
+    ref = table_inv_reference(phi.params["file"], x)
+    assert np.max(np.abs(phi.log_inv(np.log(x)) - np.log(ref))) <= 1e-14
 
 
 def test_table_luxemburg_norm_matches_the_power_preset(tmp_path):
@@ -194,3 +197,91 @@ def test_table_luxemburg_norm_matches_the_power_preset(tmp_path):
     expect = luxemburg_norm(f, make_power_young(1.3)).norm
     assert np.all((f.values / got > 1e-6) & (f.values / got < 1e6))
     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+# -- the linear-domain formulas the log forms replaced, kept as references -----
+
+def power_inv_reference(p, s):
+    return np.asarray(s, dtype=np.float64) ** (1.0 / p)
+
+
+def section5_inv_reference(phi, t):
+    """The section5 inverse written in t: slow correction below 1/r, the
+    chord in the middle, reciprocal correction above r."""
+    alpha, r, p_lin, q_lin = (phi.params[k] for k in ("alpha", "r", "p_lin", "q_lin"))
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    out = np.empty_like(t)
+    low, high = t < 1.0 / r, t >= r
+    mid = ~low & ~high
+    tl = t[low]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big_l = np.log(1.0 / np.sqrt(tl))  # > 1 on this branch
+        out[low] = np.where(tl > 0.0, tl * np.exp(alpha * big_l / np.log(big_l)), 0.0)
+    out[mid] = p_lin * t[mid] + q_lin
+    th = t[high]
+    with np.errstate(invalid="ignore"):
+        big_h = np.log(np.sqrt(th))
+        out[high] = th * np.exp(-alpha * big_h / np.log(big_h))
+    return out
+
+
+def table_inv_reference(path, s):
+    """Log-log interpolation of the table's knots with the columns swapped."""
+    ts, vs = np.loadtxt(path, delimiter=",", unpack=True)
+    s = np.asarray(s, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        res = np.exp(np.interp(np.log(np.maximum(s, 1e-300)), np.log(vs), np.log(ts)))
+    return np.where(s > 0.0, res, 0.0)
+
+
+@pytest.fixture(scope="module")
+def table13(tmp_path_factory):
+    return _power_table(tmp_path_factory.mktemp("table13"))
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(np.asarray(got) / ref - 1.0)))
+
+
+# exp turns an absolute rounding error of the log form into a relative one,
+# so the bounds hold where |ln inv| <= about 700 (s in [1e-300, 1e300]) and
+# |ln Psi| <= about 120 (t in [1e-50, 1e50])
+LOG10_S = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8)
+LOG10_T = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8)
+POWER_P = st.floats(1.0, 4.0, exclude_min=True)
+SECTION5_ALPHA = st.floats(0.0, E_MINUS_2, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=POWER_P, alpha=SECTION5_ALPHA, e=LOG10_S)
+def test_derived_inverse_matches_the_linear_formulas(table13, p, alpha, e):
+    s = 10.0 ** np.array(e)
+    section5 = make_section5_young(alpha)
+    assert _rel_err(make_power_young(p).inv(s), power_inv_reference(p, s)) <= 2e-13
+    assert _rel_err(section5.inv(s), section5_inv_reference(section5, s)) <= 2e-13
+    assert _rel_err(table13.inv(s), table_inv_reference(table13.params["file"], s)) <= 2e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 1.0, exclude_min=True), p=POWER_P, alpha=SECTION5_ALPHA, e=LOG10_T)
+def test_derived_weight_matches_the_linear_formulas(table13, theta, p, alpha, e):
+    t = 10.0 ** np.array(e)
+    section5 = make_section5_young(alpha)
+    assert _rel_err(make_power_weight(theta).eval(t), t ** -theta) <= 5e-14
+    # the paired weight t / inv(t^2), with each preset's linear inverse
+    for phi, inv in ((make_power_young(p), lambda x: power_inv_reference(p, x)),
+                     (section5, lambda x: section5_inv_reference(section5, x)),
+                     (table13, lambda x: table_inv_reference(table13.params["file"], x))):
+        assert _rel_err(make_section5_weight(phi).eval(t), t / inv(t ** 2)) <= 5e-14
+
+
+def test_derived_inverse_at_zero_below_zero_and_infinity(table13):
+    s = np.array([0.0, -0.0, -1.0, -np.inf, np.inf])
+    section5 = make_section5_young(0.1)
+    np.testing.assert_array_equal(section5.inv(s), section5_inv_reference(section5, s))
+    np.testing.assert_array_equal(table13.inv(s), table_inv_reference(table13.params["file"], s))
+    phi = make_power_young(1.3)
+    np.testing.assert_array_equal(phi.inv(s[[0, 1, 4]]), power_inv_reference(1.3, s[[0, 1, 4]]))
+    # below zero the fractional power of the power preset was nan; every
+    # preset now maps s <= 0 to 0
+    assert phi.inv(s[2:4]).tolist() == [0.0, 0.0]

@@ -31,7 +31,10 @@ the commands run with a ``table:`` Young function sampled from t^1.3
 (``necessity`` and ``norms`` also with the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
-above 1 (no finite norm) or at most 1 (norm 0).  Last come commands that
+above 1 (no finite norm) or at most 1 (norm 0), and ``norms`` with the
+weight paired with t^1.3 on a 1-D grid at spacing 1e-170, where t^2
+underflows (``norms --input g.csv --dim 1 --spacing 1e-170 --phi
+power:p=1.3 --psi paired:phi=power:p=1.3``).  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
@@ -204,6 +207,10 @@ def solve_edge_outputs(tmp):
         argv = ["norms", "--input", path, "--dim", "2", "--shape", shape,
                 "--spacing", spacing, "--phi", phi]
         emit(" ".join(argv), run_cli(argv), tmp)
+    # the weight paired with t^1.3 where t^2 underflows: its log form still holds
+    argv = ["norms", "--input", grid, "--dim", "1", "--spacing", "1e-170",
+            "--phi", "power:p=1.3", "--psi", "paired:phi=power:p=1.3"]
+    emit(" ".join(argv), run_cli(argv), tmp)
 
 
 def override_outputs(tmp):
