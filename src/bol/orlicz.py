@@ -39,8 +39,12 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
     W Phi(V / lambda), so the norm is at most V / inv(1/W) = V 2^c.  Each
     row walks by factors of 2 from V 2^floor(c) until its modular crosses
     1; the bracket (V 2^(k-1), V 2^k) it ends on is the one a walk from V
-    finds.  A row of total weight 0, or whose walk reaches lambda = 0, has
-    norm 0; a walk that reaches lambda = inf raises ``DomainError``.
+    finds.  The modular falls from W Phi(inf) to W Phi(0+), and a clamped
+    Phi (a table) reaches both at float arguments, so a row with
+    W Phi(inf) <= 1 has norm 0 without a walk, and W Phi at the smallest
+    subnormal above 1 raises ``DomainError``.  A row of total weight 0, or
+    whose walk reaches lambda = 0, has norm 0; a walk that reaches
+    lambda = inf raises ``DomainError``.
     ``illinois_log_root`` then solves -ln m(e^u) = 0, u = ln lambda, until
     hi - lo <= 1e-14 * hi; the norm is hi, whose modular is at most 1.
     Returns (norms, iterations, residuals |m(norm) - 1|), one entry per
@@ -60,6 +64,11 @@ def _luxemburg_rows(table, weights, phi: YoungFunction):
 
     top, total = table.max(axis=1, initial=0.0), weights.sum(axis=1)
     live = np.flatnonzero((top > 0.0) & (total > 0.0))
+    phi_ends = phi.eval(np.array([np.finfo(np.float64).smallest_subnormal, np.inf]))
+    with np.errstate(invalid="ignore"):
+        if np.any(total[live] * phi_ends[0] > 1.0):
+            raise DomainError("the modular stays above 1 as lambda grows; no finite norm")
+        live = live[~(total[live] * phi_ends[1] <= 1.0)]
     c = -phi.log_inv(-np.log(total[live])) / math.log(2.0)
     if not np.all(np.isfinite(c)):
         raise DomainError("Luxemburg bound V / inv(1/W) is not finite; mis-scaled input")

@@ -3,7 +3,10 @@
 A Young function carries its forward map and is defined by its log-domain
 inverse, a weight by its log-domain form, exact for every preset, so that
 the improper-integral machinery can work far outside float range; the
-linear-domain ``inv`` and weight ``eval`` derive from them.
+linear-domain ``inv`` and weight ``eval`` derive from them.  No forward
+map runs a root solve: power is t**p, a table its log-log interpolant,
+and section5 inverts its inverse piece by piece.  ``illinois_log_root``
+is the root finder of the Luxemburg solve (``orlicz._luxemburg_rows``).
 """
 
 import csv
@@ -88,7 +91,8 @@ def make_power_young(p: float) -> YoungFunction:
 
 
 def illinois_log_root(fun, lo, hi, f_lo, f_hi, rel_tol):
-    """Bracketed Illinois regula falsi in u = ln x, vectorised over elements.
+    """Bracketed Illinois regula falsi in u = ln x, vectorised over elements;
+    the Luxemburg solve's root finder.
 
     Element i holds a bracket 0 <= lo[i] < hi[i] with f_lo[i] < 0 <= f_hi[i]
     for a function increasing in x; ``fun(idx, x)`` evaluates it on the
@@ -132,56 +136,19 @@ def illinois_log_root(fun, lo, hi, f_lo, f_hi, rel_tol):
     return lo, hi, f_hi, steps
 
 
-def _invert_monotone(log_inv, s):
-    """Solve inv(t) = s for t elementwise, in the log domain.
-
-    With v = ln t each element solves log_inv(v) - ln s = 0, increasing in
-    v.  The bracket starts at v = ln s: the far end steps away from it by
-    twice the value there, doubling the step until the value changes sign
-    (a far end that leaves float range ends the growth).  ``illinois_log_root``
-    then runs until hi - lo <= 1e-12 * hi and the midpoint is returned.
-    s <= 0 maps to 0, +inf to inf and nan to nan.  ``log_inv`` must act
-    elementwise on arrays.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    flat = s.ravel()
-    out = np.where(flat <= 0.0, 0.0, flat)
-    todo = np.flatnonzero((flat > 0.0) & (flat < np.inf))
-    t0 = flat[todo]
-    ls = np.log(t0)
-
-    def fun(idx, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(log_inv(np.log(t)), dtype=np.float64) - ls[idx]
-
-    f0 = fun(np.arange(todo.size), t0)
-    up = f0 < 0.0
-    near, f_near = t0.copy(), f0.copy()
-    far, f_far = t0.copy(), f0.copy()
-    step = 2.0 * np.abs(f0) + 1e-12
-    act = np.arange(todo.size)
-    while act.size:
-        with np.errstate(over="ignore"):
-            far[act] = t0[act] * np.exp(np.where(up[act], step[act], -step[act]))
-        f_far[act] = fun(act, far[act])
-        act = act[((f_far[act] < 0.0) == up[act]) & (far[act] > 0.0) & (far[act] < np.inf)]
-        near[act], f_near[act] = far[act], f_far[act]
-        step[act] *= 2.0
-    lo, hi, _, _ = illinois_log_root(fun, np.where(up, near, far), np.where(up, far, near),
-                                     np.where(up, f_near, f_far), np.where(up, f_far, f_near),
-                                     1e-12)
-    out[todo] = 0.5 * (lo + hi)
-    return out.reshape(s.shape)
-
-
 def make_section5_young(alpha: float) -> YoungFunction:
-    """Three-piece log-domain inverse: slow correction below 1/r, linear
-    middle, reciprocal correction above r.  The forward map solves
-    log_inv(v) = ln s for v = ln Phi(s) over the whole argument array at
-    once (``_invert_monotone``), to 1e-12 relative."""
+    """Three-piece log-domain inverse: slow correction below 1/r, the chord
+    p_lin x + q_lin in the middle, reciprocal correction above r.  The two
+    outer pieces are one expression, ``outer``.  The forward map inverts
+    each piece on its own: the chord as (s - q_lin) / p_lin, and ``outer``
+    by three vectorised Newton steps in v = ln Phi(s) from ln s +- g, the
+    shift at the matching points.  Past the edges the slope of ``outer``
+    lies in [1 - alpha/8, 1] and bends little, so three steps reach
+    rounding for every alpha."""
     if not 0.0 < alpha < E_MINUS_2:
         raise DomainError("section5 needs 0 < alpha < e^-2")
     r = SECTION5_R
+    lr = math.log(r)
     # ln(sqrt(r)) = e^2, ln(ln(sqrt(r))) = 2, so the branch exponent at the
     # matching points is alpha * e^2 / 2.
     g = alpha * math.e ** 2 / 2.0
@@ -190,25 +157,36 @@ def make_section5_young(alpha: float) -> YoungFunction:
     p_lin = (r * math.exp(-g) - math.exp(g) / r) / (r - 1.0 / r)
     q_lin = (math.exp(g) - math.exp(-g)) / (r - 1.0 / r)
 
+    def outer(v):
+        """v - sign(v) alpha B / ln B with B = |v| / 2, for |v| >= ln r."""
+        big = np.abs(v) / 2.0
+        return v - np.copysign(alpha * big / np.log(big), v)
+
     def log_inv(lx):
         lx = _as_array(lx)
         scalar = lx.ndim == 0
         lx = np.atleast_1d(lx)
-        lr = math.log(r)
-        out = np.empty_like(lx)
-        low = lx < -lr
+        out = np.full_like(lx, np.nan)
+        far = (lx < -lr) | (lx >= lr)
         mid = (lx >= -lr) & (lx < lr)
-        high = lx >= lr
-        big_l = -lx[low] / 2.0
-        out[low] = lx[low] + alpha * big_l / np.log(big_l)
+        out[far] = outer(lx[far])
         out[mid] = np.log(p_lin * np.exp(lx[mid]) + q_lin)
-        big_h = lx[high] / 2.0
-        out[high] = lx[high] - alpha * big_h / np.log(big_h)
         return out[0] if scalar else out
 
     def ev(t):
-        out = _invert_monotone(log_inv, _as_array(t))
-        return float(out) if out.ndim == 0 else out
+        s = np.atleast_1d(_as_array(t))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.where(s <= 0.0, 0.0, (s - q_lin) / p_lin)  # the chord's inverse
+            y = np.log(s)
+            # outer(+-ln r) = +-(ln r - g); past that ln s, solve outer(v) = y
+            far = (np.abs(y) >= lr - g) & (np.abs(y) < np.inf)
+            y = y[far]
+            v = y + np.copysign(g, y)
+            for _ in range(3):
+                lb = np.log(np.abs(v) / 2.0)
+                v -= (outer(v) - y) / (1.0 - alpha / 2.0 * (1.0 / lb - 1.0 / lb ** 2))
+            out[far] = np.exp(v)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     return YoungFunction(
         kind="section5",
@@ -231,17 +209,10 @@ def make_table_young(path: str) -> YoungFunction:
     if np.any(ts <= 0) or np.any(vs <= 0):
         raise DomainError("table knots must be strictly positive")
     lt, lv = np.log(ts), np.log(vs)
-
-    def ev(t):
-        t = _as_array(t)
-        with np.errstate(divide="ignore"):
-            res = np.exp(np.interp(np.log(np.maximum(t, 1e-300)), lt, lv))
-        return np.where(t > 0.0, res, 0.0)
-
     return YoungFunction(
         kind="table",
         params={"file": path},
-        eval=ev,
+        eval=_exp_of(lambda ly: np.interp(ly, lt, lv), True),
         log_inv=lambda lx: np.interp(lx, lv, lt),
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,7 +13,8 @@ from bol.errors import DomainError, ResourceGuardError
 from bol.grid import GridFunction, lp_norm, shift_difference, total_variation
 from bol.orlicz import (ShiftNormCache, _luxemburg_rows, _shift_count, l1_modulus,
                         lattice_shifts, luxemburg_norm)
-from bol.young import illinois_log_root, make_power_young, make_section5_young
+from bol.young import (illinois_log_root, make_power_young, make_section5_young,
+                       make_table_young)
 from conftest import ball_indicator
 from test_grid import _shift_power_sum_by_cells
 
@@ -337,6 +339,33 @@ def test_luxemburg_norm_of_zero_total_weight_is_zero():
     # a cell volume that underflows to 0 leaves nothing to measure
     res = luxemburg_norm(np.arange(1.0, 10.0), make_power_young(1.3), cell_volume=1e-200 ** 2)
     assert (res.norm, res.iterations, res.residual) == (0.0, 0, 0.0)
+
+
+def _clamped_table(tmp_path):
+    """Table Phi, constant at 1e-4 below its first knot and at 1e7 above its last."""
+    path = tmp_path / "phi.csv"
+    path.write_text("0.001,1e-4\n1,1\n1000,1e7\n")
+    return make_table_young(str(path))
+
+
+def test_luxemburg_norm_of_a_clamped_table_is_zero_without_a_walk(tmp_path):
+    # W Phi(inf) = 1e-8 * 1e7 <= 1: every lambda > 0 has modular at most 1
+    res = luxemburg_norm(np.ones(100), _clamped_table(tmp_path), cell_volume=1e-10)
+    assert (res.norm, res.iterations, res.residual) == (0.0, 0, 0.0)
+
+
+def test_luxemburg_norm_of_a_clamped_table_raises_without_a_walk(tmp_path):
+    # W Phi(0+) = 1e6 * 1e-4 > 1: no lambda brings the modular down to 1
+    phi = _clamped_table(tmp_path)
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return phi.eval(t)
+
+    with pytest.raises(DomainError, match="no finite norm"):
+        luxemburg_norm(np.ones(100), dataclasses.replace(phi, eval=counted), cell_volume=1e4)
+    assert len(calls) == 1
 
 
 def test_illinois_log_root_stays_in_its_bracket_through_non_finite_values():

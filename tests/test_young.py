@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bol.errors import DomainError
 from bol.grid import GridFunction
 from bol.orlicz import luxemburg_norm
-from bol.young import (E_MINUS_2, SECTION5_R, _invert_monotone, critical_theta,
+from bol.young import (E_MINUS_2, SECTION5_R, critical_theta,
                        make_power_weight, make_power_young,
                        make_section5_weight, make_section5_young,
                        make_table_young, parse_weight_spec, parse_young_spec)
@@ -106,19 +107,74 @@ def test_section5_eval_inverts_inv_across_branch_points():
 def test_section5_forward_map_is_a_short_log_domain_solve(alpha):
     phi = make_section5_young(alpha)
     s = np.geomspace(1e-300, 1e300, 5001)
-    passes = []
-
-    def log_inv(lx):
-        passes.append(np.size(lx))
-        return phi.log_inv(lx)
-
-    t = _invert_monotone(log_inv, s)
-    # the bisection from [0, 1] it replaced took 45-60 passes of inv
-    assert len(passes) <= 8
-    assert np.max(np.abs(phi.inv(t) / s - 1.0)) <= 1e-12
+    assert np.max(np.abs(phi.inv(phi.eval(s)) / s - 1.0)) <= 1e-12
     out = phi.eval(np.array([0.0, -2.0, np.inf, np.nan, 1e308]))
     assert out[:2].tolist() == [0.0, 0.0] and out[2] == np.inf and np.isnan(out[3])
-    assert out[4] == np.inf
+    # Phi(1e308) is 1.3527e308 at alpha = 0.005 and past float range above
+    assert (out[4] < np.inf) == (alpha == 0.005)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.005, 0.1, 0.13, 0.1353])
+def test_section5_forward_map_round_trips_to_rounding(alpha):
+    phi = make_section5_young(alpha)
+    ls = np.log(np.exp(np.linspace(-744.0, 709.0, 100_001)))
+    t = phi.eval(np.exp(ls))
+    normal = (t >= np.finfo(np.float64).tiny) & (t < np.inf)
+    err = np.abs(phi.log_inv(np.log(t[normal])) - ls[normal])
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ls[normal])))
+    assert phi.eval(0.0) == phi.eval(-1.0) == 0.0 and phi.eval(np.inf) == np.inf
+    assert type(phi.eval(2.0)) is float
+
+
+def section5_phi_mpmath(alpha, s):
+    """Phi(s) at 40 digits: the root v = ln Phi(s) of log_inv(v) = ln s on
+    the branch that holds it, the chord's inverse in the middle."""
+    with mpmath.workdps(40):
+        a, e2 = mpmath.mpf(alpha), mpmath.e ** 2
+        lr, g = 2 * e2, a * e2 / 2
+        y = mpmath.log(mpmath.mpf(s))
+        if abs(y) < lr - g:
+            r = mpmath.exp(lr)
+            p_lin = (r * mpmath.exp(-g) - mpmath.exp(g) / r) / (r - 1 / r)
+            q_lin = (mpmath.exp(g) - mpmath.exp(-g)) / (r - 1 / r)
+            return (mpmath.mpf(s) - q_lin) / p_lin
+        sign = mpmath.sign(y)
+
+        def outer_minus_y(v):
+            big = abs(v) / 2
+            return v - sign * a * big / mpmath.log(big) - y
+
+        return mpmath.exp(mpmath.findroot(outer_minus_y, y + sign * g))
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.1, 0.13])
+def test_section5_forward_map_matches_mpmath_on_every_branch(alpha):
+    phi = make_section5_young(alpha)
+    g, r = alpha * math.e ** 2 / 2.0, SECTION5_R
+    # the matching points Phi = 1/r and Phi = r lie at s = e^g / r and r e^-g
+    edges = [x * f for x in (math.exp(g) / r, r * math.exp(-g)) for f in (1 - 1e-9, 1 + 1e-9)]
+    s = np.array([1e-320, 1e-300, 1e-100, 1e-8, 1e-3, 1.0, 1e5, 1e8, 1e40, 1e300, 1e308] + edges)
+    got = phi.eval(s)
+    for x, y in zip(s, got):
+        exact = section5_phi_mpmath(alpha, x)
+        if exact > np.finfo(np.float64).max:
+            assert y == np.inf
+        elif exact < np.finfo(np.float64).tiny:
+            assert abs(y - float(exact)) <= np.finfo(np.float64).smallest_subnormal
+        else:
+            assert abs(math.log(y) - float(mpmath.log(exact))) <= 1e-15 * max(1.0, abs(math.log(y)))
+    if alpha == 0.1:
+        # 1.876e-323 lies nearest to 4 subnormal steps, 1.976e-323
+        assert float(section5_phi_mpmath(alpha, 1e-320)) == pytest.approx(1.876e-323, rel=1e-3, abs=0.0)
+        assert got[0] == 2e-323
+
+
+def test_section5_maps_nan_to_nan():
+    phi = make_section5_young(0.1)
+    for f in (phi.log_inv, phi.inv, phi.eval):
+        assert math.isnan(f(float("nan")))
+        out = f(np.array([2.0, np.nan, 3.0]))
+        assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
 
 
 def test_section5_monotone_and_convex_for_large_arguments():
@@ -146,6 +202,16 @@ def test_table_young_roundtrip(tmp_path):
     phi = make_table_young(str(path))
     assert float(phi.eval(3.0)) == pytest.approx(3.0 ** 1.5, rel=1e-10)
     assert float(phi.inv(8.0)) == pytest.approx(4.0, rel=1e-10)
+
+
+def test_table_young_interpolates_below_1e_300(tmp_path):
+    path = tmp_path / "phi.csv"
+    path.write_text("1e-305,1e-305\n1,1\n2,4\n")
+    phi = make_table_young(str(path))
+    assert float(phi.eval(1e-303)) == pytest.approx(1e-303, rel=1e-12, abs=0.0)
+    # constant below the first knot; 0 at and below zero
+    below = phi.eval(np.array([5e-324, 0.0, -1.0]))
+    assert below[0] == pytest.approx(1e-305, rel=1e-12, abs=0.0) and below[1:].tolist() == [0.0, 0.0]
 
 
 def test_table_young_rejects_nonmonotone(tmp_path):
