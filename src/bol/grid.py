@@ -44,7 +44,10 @@ class GridFunction:
 
     @property
     def cell_volume(self):
-        return self.spacing ** self.dim
+        try:
+            return self.spacing ** self.dim
+        except OverflowError:  # a Python float power raises past float range
+            raise DomainError("cell volume spacing^dim is past float range") from None
 
     def support_box(self) -> np.ndarray:
         """The values trimmed to the bounding box of the nonzero cells; it

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +27,21 @@ class Molecule:
     level_measure: float
     sign: int
 
+    @cached_property
+    def norms(self):
+        """The layer's l1 and linf norms and its TV, computed once for the
+        decomposition, both checks and the manifest."""
+        return {"l1": lp_norm(self.layer, 1), "linf": lp_norm(self.layer, np.inf),
+                "tv": total_variation(self.layer)}
+
     def l1(self):
-        return lp_norm(self.layer, 1)
+        return self.norms["l1"]
 
     def linf(self):
-        return lp_norm(self.layer, np.inf)
+        return self.norms["linf"]
 
     def tv(self):
-        return total_variation(self.layer)
+        return self.norms["tv"]
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def write_decomposition(dec: Decomposition, directory: str) -> str:
                 "a_lo": m.a_lo,
                 "a_hi": m.a_hi,
                 "level_measure": m.level_measure,
-                "norms": {"l1": m.l1(), "linf": m.linf(), "tv": m.tv()},
+                "norms": m.norms,
             }
         )
     manifest = {

@@ -11,7 +11,8 @@ from .grid import GridFunction, shift_difference_values
 from .young import YoungFunction, illinois_log_root
 
 SHIFT_BUDGET = 1_000_000
-# table cells (rows x padded width) per batched solve; bounds the working set
+# cells per batched solve (rows x padded width) and per shift-sum broadcast
+# (rows x band width x last extent); bounds the working set
 _CHUNK_CELLS = 8192
 
 
@@ -291,17 +292,73 @@ def _slab_sums(sat, lo, up, axis, width):
     return out
 
 
+# a band broadcast pays once it stands in for _BAND_SHIFTS slice pairs: a
+# call holding one group of s shifts on 64-9,594 overlap cells runs
+# 1.25-2.15x the slice pairs' time at s = 1, 0.93-1.06x at s = 5 and
+# 0.6-1.0x at s = 9; the setup of the padded box is shared by the groups
+# of a call (BENCH_shift_bands.json)
+_BAND_SHIFTS = 5
+
+
 def _inside_by_overlaps(a, shifts, p):
-    """sum_O |a(x+k) - a(x)|^p for each row k of ``shifts``, one overlap
-    slice pair per shift; O is the overlap of the box and its translate."""
-    ext = np.array(a.shape)
-    pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
+    """sum_O |a(x+k) - a(x)|^p for each row k of ``shifts``; O is the
+    overlap of the box and its translate.
+
+    Shifts with the same leading components k_1..k_{d-1} share the overlap
+    rows on the leading axes and form one group.  A group's band [j_0, j_1]
+    of last components is one broadcast of |a(x + j) - a(x)|^p over those
+    rows and the whole last axis, read from a copy of the box padded with
+    NaN on that axis; the NaN of x + j outside the box are dropped and the
+    rest summed per j.  The band is cut into equal pieces of at most
+    ``_CHUNK_CELLS`` cells.  Where that leaves fewer than ``_BAND_SHIFTS``
+    shifts per piece (few shifts, or rows of 10^4 cells), the group takes
+    one overlap slice pair per shift."""
+    out = np.empty(len(shifts))
+    if not len(shifts):
+        return out
+    lead_ext, n = a.shape[:-1], a.shape[-1]
+    axes = tuple(range(a.ndim - 1))
     # d ** 1.0 would copy every slice of the L1 case
     power = (lambda d: d) if p == 1.0 else (lambda d: d ** p)
-    return np.fromiter(
-        (power(np.abs(a[tuple(map(slice, lk, uk))] - a[tuple(map(slice, lx, ux))])).sum()
-         for lx, ux, lk, uk in zip(neg, ext - pos, pos, ext - neg)),
-        dtype=np.float64, count=len(shifts))
+    order = np.lexsort(shifts.T[::-1])
+    ks = shifts[order]
+    starts = (np.flatnonzero((ks[1:, :-1] != ks[:-1, :-1]).any(axis=1)) + 1).tolist()
+    windows = None
+    for lo, hi in zip([0] + starts, starts + [len(ks)]):
+        lead, js = ks[lo, :-1].tolist(), ks[lo:hi, -1]
+        rows_x = tuple(slice(max(-c, 0), e - max(c, 0)) for c, e in zip(lead, lead_ext))
+        rows_k = tuple(slice(max(c, 0), e - max(-c, 0)) for c, e in zip(lead, lead_ext))
+        base = a[rows_x]
+        j0, width = int(js[0]), int(js[-1]) - int(js[0]) + 1
+        # last components per piece of at most _CHUNK_CELLS cells
+        fits = _CHUNK_CELLS // base.size
+        pieces = -(-width // max(fits, 1))
+        if not fits or hi - lo < _BAND_SHIFTS * pieces:
+            for row, j in zip(order[lo:hi].tolist(), js.tolist()):
+                px, pk = max(-j, 0), max(j, 0)
+                out[row] = power(np.abs(a[rows_k + (slice(pk, n - px),)]
+                                        - a[rows_x + (slice(px, n - pk),)])).sum()
+            continue
+        if windows is None:
+            # window w of the last axis is a(x + w - reach) for every x, NaN
+            # where x + w - reach leaves the box; np.fmax(., 0) drops a NaN
+            reach = int(np.abs(ks[:, -1]).max())
+            padded = np.full(lead_ext + (n + 2 * reach,), np.nan)
+            padded[..., reach:reach + n] = a
+            windows = np.lib.stride_tricks.as_strided(
+                padded, lead_ext + (2 * reach + 1, n), padded.strides + padded.strides[-1:],
+                writeable=False)
+        band = np.empty(width)
+        step = -(-width // pieces)
+        for w0 in range(0, width, step):
+            w = slice(j0 + reach + w0, j0 + reach + min(w0 + step, width))
+            d = windows[rows_k + (w,)] - base[..., None, :]
+            np.abs(d, out=d)
+            if p != 1.0:
+                np.power(d, p, out=d)
+            band[w0:w0 + step] = np.fmax(d.sum(axis=axes), 0.0).sum(axis=-1)
+        out[order[lo:hi]] = band[js - j0]
+    return out
 
 
 def _fft_len(n):
@@ -361,7 +418,12 @@ def _outside_sums(mag, shifts):
 # level sets pay once K * 2^d * _LEVEL_COST <= the shift count: they cost K
 # pairs of FFTs on 2^d times the box, the loop one overlap per shift; the
 # time over the benchmark's PC and corpus grids is flat for 2..6 and grows
-# from 8 on (BENCH_power_moduli.json)
+# from 8 on (BENCH_power_moduli.json).  Against the banded direct sums the
+# break-even shifts / (K 2^d) grows with the box: 2.5-3.4 on the 16^2 and
+# 32^2 corpus boxes at 4h, 3.0-9.3 on the besov_pc boxes, 6.5 on the 12^2
+# and 16^2 rough ones and 5.4-13.6 on the 32^2-128^2 corpus boxes at 16h
+# and 64h; 4 picks the faster evaluator on 34 of 37 boxes, the other three
+# within 1.25x at 16h (BENCH_shift_bands.json)
 _LEVEL_COST = 4
 
 

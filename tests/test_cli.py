@@ -450,6 +450,9 @@ BAD_GRID_INPUTS = {
     "header_not_json.grid": ("{shape: [2]}\n1.0\n2.0\n", []),
     "header_without_spacing.grid": ('{"dim": 1, "origin": [0.0], "shape": [2]}\n1.0\n2.0\n', []),
     "header_wrong_types.grid": ('{"origin": [0.0], "shape": ["a"], "spacing": "x"}\n1.0\n', []),
+    "cell_volume_past_float_range.csv": ("1,2,3\n4,5,6\n7,8,9\n",
+                                         ["--dim", "2", "--shape", "3,3", "--spacing", "1e200",
+                                          "--phi", "power:p=1.3"]),
 }
 
 

@@ -238,6 +238,62 @@ def test_shift_sum_evaluators_match_cell_loops(name, p, inside):
         assert s == pytest.approx(want, rel=1e-12, abs=1e-14 * total)
 
 
+def _half_ball(a, radius):
+    """The lattice shifts of length <= radius, one per {k, -k} pair, that
+    overlap the box: the set ``l1_modulus`` (small radius) and
+    ``ShiftNormCache`` (the box diagonal) pass to the shift sums."""
+    shifts = lattice_shifts(a.ndim, radius)
+    return shifts[(np.abs(shifts) < a.shape).all(axis=1)]
+
+
+BAND_GRIDS = {1: _rng.uniform(-2.0, 2.0, 13), 2: _rng.uniform(-2.0, 2.0, (5, 7)),
+              3: _rng.uniform(-2.0, 2.0, (3, 4, 5))}
+
+
+@pytest.mark.parametrize("branch", ["slices", "bands"])
+@pytest.mark.parametrize("radius", [3.0, 20.0])
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inside_sums_match_cell_loops_in_both_branches(monkeypatch, dim, p, radius, branch):
+    a = BAND_GRIDS[dim]
+    shifts = _half_ball(a, radius)
+    if dim > 1:
+        # the k_1 = 0 half group, and on the ball groups of a single shift
+        _, sizes = np.unique(shifts[:, :-1], axis=0, return_counts=True)
+        assert (shifts[:, 0] == 0).any() and (sizes == 1).any() == (radius == 3.0)
+    # no band fits a budget of one cell; with one shift per band every
+    # group takes the broadcast, single shifts included
+    if branch == "slices":
+        monkeypatch.setattr(bol.orlicz, "_CHUNK_CELLS", 1)
+    else:
+        monkeypatch.setattr(bol.orlicz, "_BAND_SHIFTS", 1)
+    spy = mock.Mock(wraps=np.lib.stride_tricks.as_strided)
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided", spy)
+    got_inside = _inside_by_overlaps(a, shifts, p)
+    assert spy.called == (branch == "bands")
+    got = bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside
+    total = math.fsum(np.abs(a).ravel() ** p)
+    assert np.all(got_inside >= 0.0)
+    for k, s in zip(shifts, got):
+        assert s == pytest.approx(_shift_power_sum_by_cells(a, k, p), rel=1e-13, abs=1e-15 * total)
+
+
+def test_inside_sums_do_not_depend_on_the_chunk_budget(monkeypatch):
+    # the budget moves groups between the branches and cuts bands into
+    # pieces; it changes no sum beyond rounding
+    a = np.random.default_rng(8).uniform(-2.0, 2.0, (16, 16))
+    shifts = _half_ball(a, 30.0)
+    whole = _inside_by_overlaps(a, shifts, 1.3)
+    total = math.fsum(np.abs(a).ravel() ** 1.3)
+    for budget, bands in ((1, False), (128, True), (512, True), (4096, True)):
+        monkeypatch.setattr(bol.orlicz, "_CHUNK_CELLS", budget)
+        spy = mock.Mock(wraps=np.lib.stride_tricks.as_strided)
+        with mock.patch.object(np.lib.stride_tricks, "as_strided", spy):
+            got = _inside_by_overlaps(a, shifts, 1.3)
+        assert spy.called == bands
+        assert np.all(np.abs(got - whole) <= 1e-15 * total)
+
+
 @pytest.mark.parametrize("inner, t", [((9, 6), 3.0), ((9, 6), 40.0), ((4, 1), 0.2)])
 def test_l1_modulus_saturates_without_enumerating(monkeypatch, inner, t):
     # floor(max(t, h)/h) reaches the smallest support extent

@@ -34,7 +34,10 @@ and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 above 1 (no finite norm) or at most 1 (norm 0), and ``norms`` with the
 weight paired with t^1.3 on a 1-D grid at spacing 1e-170, where t^2
 underflows (``norms --input g.csv --dim 1 --spacing 1e-170 --phi
-power:p=1.3 --psi paired:phi=power:p=1.3``).  Last come commands that
+power:p=1.3 --psi paired:phi=power:p=1.3``), and ``norms --psi
+powerweight:theta=...`` of a power Phi on grids whose every cell is a
+distinct value (40 cells in d = 1, 32x32 and 6x5x7 cells), whose shift
+sums all take the direct evaluator.  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
@@ -213,6 +216,23 @@ def solve_edge_outputs(tmp):
     emit(" ".join(argv), run_cli(argv), tmp)
 
 
+def distinct_outputs(tmp):
+    """``norms`` of a power pair on grids whose every cell is a distinct
+    nonzero value, in d = 1, 2 and 3: their shift sums take the direct
+    evaluator, never the level sets."""
+    from bol.grid import GridFunction, save_grid_function
+
+    rng = np.random.default_rng(7)
+    for shape, phi, psi in (((40,), "power:p=1.3", "powerweight:theta=0.5"),
+                            ((32, 32), "power:p=1.3", CRIT[2]),
+                            ((6, 5, 7), "power:p=2.5", CRIT[3])):
+        vals = rng.uniform(0.2, 3.0, shape) * np.where(rng.uniform(size=shape) < 0.4, -1.0, 1.0)
+        path = os.path.join(tmp, f"distinct_{len(shape)}d.grid")
+        save_grid_function(GridFunction(1.0 / shape[0], (0.0,) * len(shape), vals), path)
+        argv = ["norms", "--input", path, "--phi", phi, "--psi", psi]
+        emit(" ".join(argv), run_cli(argv), tmp)
+
+
 def override_outputs(tmp):
     from bol.grid import save_grid_function
 
@@ -251,6 +271,7 @@ def main():
         sufficiency_outputs(tmp)
         table_outputs(tmp)
         solve_edge_outputs(tmp)
+        distinct_outputs(tmp)
         override_outputs(tmp)
     finally:
         shutil.rmtree(tmp)
