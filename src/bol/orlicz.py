@@ -373,17 +373,21 @@ def _fft_len(n):
         n += 1
 
 
+def _fft_shape(a):
+    """Real-FFT lengths of at least 2 n_i - 1 per axis, so a linear
+    correlation on the box does not wrap for |k_i| < n_i, and the axes."""
+    return tuple(_fft_len(2 * n - 1) for n in a.shape), tuple(range(a.ndim))
+
+
 def _inside_by_levels(a, shifts, p, levels):
     """The same sums from level sets: with ``levels`` the K distinct values
     of ``a``, the sum at k is sum_v corr(1_{a=v}, |a - v|^p)(k), where
     corr(u, g)(k) = sum_x u(x) g(x + k).
-    Each correlation is a product of real FFTs zero-padded to at least
-    2 n_i - 1 points per axis, so a linear correlation does not wrap for
-    |k_i| < n_i; the spectra are summed over the levels before one inverse
-    transform.  FFT rounding is absolute, near 1e-16 of sum |a|^p, so the
-    result is clamped at 0."""
-    shape = tuple(_fft_len(2 * n - 1) for n in a.shape)
-    axes = tuple(range(a.ndim))
+    Each correlation is a product of real FFTs on the lengths of
+    ``_fft_shape``; the spectra are summed over the levels before one
+    inverse transform.  FFT rounding is absolute, near 1e-16 of
+    sum |a|^p, so the result is clamped at 0."""
+    shape, axes = _fft_shape(a)
     spec = 0.0
     for v in levels:
         spec = spec + (np.conj(np.fft.rfftn(a == v, shape, axes))
@@ -415,35 +419,72 @@ def _outside_sums(mag, shifts):
     return outside
 
 
-# level sets pay once K * 2^d * _LEVEL_COST <= the shift count: they cost K
-# pairs of FFTs on 2^d times the box, the loop one overlap per shift; the
-# time over the benchmark's PC and corpus grids is flat for 2..6 and grows
-# from 8 on (BENCH_power_moduli.json).  Against the banded direct sums the
-# break-even shifts / (K 2^d) grows with the box: 2.5-3.4 on the 16^2 and
-# 32^2 corpus boxes at 4h, 3.0-9.3 on the besov_pc boxes, 6.5 on the 12^2
-# and 16^2 rough ones and 5.4-13.6 on the 32^2-128^2 corpus boxes at 16h
-# and 64h; 4 picks the faster evaluator on 34 of 37 boxes, the other three
-# within 1.25x at 16h (BENCH_shift_bands.json)
-_LEVEL_COST = 4
+# the FFT route costs its forward transforms, each on 2^d times the box, at
+# _FFT_COST shifts of the direct route apiece, and is taken where that is at
+# most the shift count; at p != 1 this is the old rule K 2^d 4 for two
+# transforms per level, so every decision there stands (break-even 1.3-6.8
+# shifts per transform per 2^d, BENCH_shift_bands.json).  At p = 1 the
+# coarea route against the direct one, outside sums included, breaks even
+# at 0.5-4.0 on the corpus_bv boxes at 4h (all at most 1, so they stay
+# direct), 2.4-7.3 at 16h, 6.7-14.9 at 64h and 0.9-8.7 on the besov_pc
+# boxes: 2 picks the faster route on 73 of 83 boxes, the rest within 1.25x
+# but one 16^2 box at 4h (0.33 against 0.18 ms) (BENCH_coarea_l1.json)
+_FFT_COST = 2
+
+
+def _coarea_sums(a, shifts, levels):
+    """The whole S_k = sum_x |a(x+k) - a(x)| (p = 1) by the coarea formula.
+
+    With ``levels`` the distinct values of ``a`` with 0 added, v_0 < ... <
+    v_T, every s in the gap (v_(i-1), v_i) cuts the same threshold set U_i,
+    taken compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when v_i <= 0.
+    |a(x+k) - a(x)| is the length of the s that separate the two values,
+    so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)) = 2 ||a||_1 -
+    2 sum_i (v_i - v_(i-1)) R_i(k), R_i the autocorrelation of 1_(U_i):
+    one real FFT per set on the lengths of ``_fft_shape``, the weighted
+    |F_i|^2 summed before one inverse transform, the result clamped at 0
+    (the rounding is absolute, near 1e-16 of ||a||_1)."""
+    shape, axes = _fft_shape(a)
+    spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
+    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
+        part = np.fft.rfftn(a >= hi if hi > 0.0 else a <= lo, shape, axes)
+        spec += (hi - lo) * (part.real ** 2 + part.imag ** 2)
+    corr = np.fft.irfftn(spec, shape, axes)
+    return np.maximum(2.0 * (np.abs(a).sum() - corr[tuple((shifts % shape).T)]), 0.0)
 
 
 def _shift_sums(a, shifts, p):
     """S_k = sum_x |a(x+k) - a(x)|^p for each row k of ``shifts``, a zero
-    outside its box and |k_i| < n_i on every axis, by the overlap split
+    outside its box and |k_i| < n_i on every axis.
+
+    The FFT route: at p = 1 the whole sum by the coarea formula
+    (``_coarea_sums``), T forward transforms for the T gaps between the
+    distinct values of the box with 0 added; at any other p the overlap
+    split
 
         S_k = (mass of |a|^p outside O and outside O + k)
               + sum_O |a(x+k) - a(x)|^p,
 
-    O the cells x where both x and x+k lie in the box.  The first term is
-    ``_outside_sums``.  The inside sum comes from ``_inside_by_levels``
-    where the box has K distinct values with K * 2^d * ``_LEVEL_COST`` at
-    most the shift count, else from ``_inside_by_overlaps``.
+    O the cells x where both x and x+k lie in the box, with the first term
+    from ``_outside_sums`` and the inside sum from ``_inside_by_levels``,
+    2K forward transforms for the K distinct values.  One rule: the FFT
+    route where its transforms times 2^d times ``_FFT_COST`` are at most
+    the shift count, else the overlap split with the inside sum from
+    ``_inside_by_overlaps``.
     """
-    outside = _outside_sums(np.abs(a) ** p, shifts)
     # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms);
     # an all-zero f has an empty box, no level and no shift
-    levels, _ = np.unique(a, return_counts=True)
-    if len(shifts) and len(levels) * 2 ** a.ndim * _LEVEL_COST <= len(shifts):
+    if p == 1.0:
+        levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
+        transforms = len(levels) - 1
+    else:
+        levels, _ = np.unique(a, return_counts=True)
+        transforms = 2 * len(levels)
+    fft = len(shifts) and transforms * 2 ** a.ndim * _FFT_COST <= len(shifts)
+    if fft and p == 1.0:
+        return _coarea_sums(a, shifts, levels)
+    outside = _outside_sums(np.abs(a) ** p, shifts)
+    if fft:
         return outside + _inside_by_levels(a, shifts, p, levels)
     return outside + _inside_by_overlaps(a, shifts, p)
 
@@ -462,8 +503,11 @@ def l1_modulus(f: GridFunction, t: float) -> float:
       the two copies no longer overlap.  Once t/h reaches min(n_i) the
       shift set holds such a k, the sup is 2 ||f||_1 and no shift is
       enumerated.
-    - otherwise each shift's ||Delta_k f||_1 is the p = 1 case of the
-      overlap split ``_shift_sums`` on the box, times the cell volume.
+    - otherwise each shift's ||Delta_k f||_1 is the p = 1 sum of
+      ``_shift_sums`` on the box, times the cell volume: by the coarea
+      formula, one FFT per threshold set of the box, where its T sets
+      times 2^d times ``_FFT_COST`` are at most the shift count, else by
+      the overlap split and direct sums.
     """
     if t <= 0:
         raise DomainError("modulus needs t > 0")

@@ -13,9 +13,10 @@ from bol.errors import DomainError, ResourceGuardError
 from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
-from bol.orlicz import (ShiftNormCache, _inside_by_levels, _inside_by_overlaps, l1_modulus,
-                        lattice_shifts, luxemburg_norm)
-from bol.young import make_power_young
+from bol.corpus import random_piecewise_constant
+from bol.orlicz import (ShiftNormCache, _coarea_sums, _inside_by_levels, _inside_by_overlaps,
+                        l1_modulus, lattice_shifts, luxemburg_norm)
+from bol.young import YoungFunction, make_power_young
 from conftest import ball_indicator
 
 
@@ -214,6 +215,8 @@ EVALUATOR_GRIDS = {
     "all distinct, 2d": _rng.uniform(-2.0, 2.0, (4, 5)),
     "all distinct, 3d": _rng.uniform(-1.0, 1.0, (3, 2, 3)),
     "all zero": np.zeros((3, 4)),
+    "all negative, 2d": np.random.default_rng(13).choice([-3.0, -1.25, -0.5], (5, 4)),
+    "one level, 2d": np.full((4, 3), 1.75),
 }
 
 
@@ -221,21 +224,65 @@ def _by_levels(a, shifts, p):
     return _inside_by_levels(a, shifts, p, np.unique(a))
 
 
-@pytest.mark.parametrize("inside", [_inside_by_overlaps, _by_levels])
-@pytest.mark.parametrize("p", [1.0, 1.3, 2.5])
+def _by_coarea(a, shifts, p):
+    return _coarea_sums(a, shifts, np.unique(np.append(a, 0.0)))
+
+
+@pytest.mark.parametrize("p, inside", [(p, inside) for p in (1.0, 1.3, 2.5)
+                                       for inside in (_inside_by_overlaps, _by_levels)]
+                         + [(1.0, _by_coarea)])
 @pytest.mark.parametrize("name", list(EVALUATOR_GRIDS))
 def test_shift_sum_evaluators_match_cell_loops(name, p, inside):
-    # every shift with |k_i| < n_i, k = 0 and both of each {k, -k} pair
+    # every shift with |k_i| < n_i, k = 0 and both of each {k, -k} pair; the
+    # coarea route gives the whole sum, the others the inside sum over O
     a = EVALUATOR_GRIDS[name]
     shifts = np.array(list(itertools.product(*(range(1 - n, n) for n in a.shape))))
     got_inside = inside(a, shifts, p)
-    got = bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside
+    got = (got_inside if inside is _by_coarea
+           else bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside)
     total = math.fsum(np.abs(a).ravel() ** p)
     assert np.all(got_inside >= 0.0) and np.all(got >= 0.0)
     for k, s in zip(shifts, got):
         want = (_shift_l1_by_cells(a, k, 1.0) if p == 1.0 else
                 _shift_power_sum_by_cells(a, k, p))
         assert s == pytest.approx(want, rel=1e-12, abs=1e-14 * total)
+
+
+def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
+    # a signed 8 x 8 box with zero cells inside and T = 5 gaps between its
+    # values with 0 added: at 6h (56 shifts >= T 2^d _FFT_COST) and in the
+    # p = 1 cache the sums come from T forward FFTs and no outside sums
+    f = random_piecewise_constant(np.random.default_rng(11), dim=2, n=10, n_pieces=3)
+    box = f.support_box()
+    sets = np.unique(np.append(box, 0.0)).size - 1
+    assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and sets == 5
+    assert sets * 4 * bol.orlicz._FFT_COST <= len(lattice_shifts(2, 6.0))
+
+    def refuse(*args):
+        raise AssertionError("the coarea route takes no outside sums")
+
+    monkeypatch.setattr(bol.orlicz, "_outside_sums", refuse)
+    spy = mock.Mock(wraps=np.fft.rfftn)
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    h = f.spacing
+    expect = max(_shift_l1_by_cells(box, k, h) for k in lattice_shifts(2, 6.0))
+    assert l1_modulus(f, 6.0 * h) == pytest.approx(expect, rel=1e-13)
+    assert spy.call_count == sets
+
+    # the power preset takes p > 1, so Phi(t) = t is built directly
+    spy.reset_mock()
+
+    def identity(x):
+        return np.asarray(x, dtype=np.float64)
+
+    cache = ShiftNormCache(f, YoungFunction("power", {"p": 1.0}, identity, identity))
+    cache.sup_up_to(h)
+    assert spy.call_count == sets
+    shifts = lattice_shifts(2, math.hypot(7.0, 7.0))
+    shifts = shifts[(np.abs(shifts) < 8).all(axis=1)]
+    assert cache.evaluated == len(shifts)
+    for k, norm in zip(shifts, cache._norms):
+        assert norm == pytest.approx(_shift_l1_by_cells(box, k, h), rel=1e-13)
 
 
 def _half_ball(a, radius):

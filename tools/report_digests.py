@@ -37,7 +37,10 @@ underflows (``norms --input g.csv --dim 1 --spacing 1e-170 --phi
 power:p=1.3 --psi paired:phi=power:p=1.3``), and ``norms --psi
 powerweight:theta=...`` of a power Phi on grids whose every cell is a
 distinct value (40 cells in d = 1, 32x32 and 6x5x7 cells), whose shift
-sums all take the direct evaluator.  Last come commands that
+sums all take the direct evaluator, and ``l1_modulus`` of an
+all-negative grid and of a signed grid with zero cells inside, in d = 1
+(40 cells, 20h) and d = 3 (8x7x6 cells, 4h), whose shift sums take the
+coarea route.  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
@@ -233,6 +236,28 @@ def distinct_outputs(tmp):
         emit(" ".join(argv), run_cli(argv), tmp)
 
 
+def coarea_outputs(tmp):
+    """``l1_modulus`` of piecewise-constant grids in d = 1 and 3, one
+    all-negative and one signed with zero cells inside, at radii whose
+    shift sums take the coarea route."""
+    from bol.grid import GridFunction
+
+    rng = np.random.default_rng(9)
+    for shape, m in (((40,), 20), ((8, 7, 6), 4)):
+        levels = rng.uniform(0.2, 3.0, 3)
+        negative = -rng.choice(levels, shape)
+        signed = rng.choice([-levels[0], 0.0, levels[1], levels[2]], shape)
+        # nonzero corners keep the support box the whole grid, zeros inside
+        signed[(0,) * len(shape)] = signed[(-1,) * len(shape)] = levels[2]
+        for label, vals in (("negative", negative), ("signed", signed)):
+            f = GridFunction(1.0 / shape[0], (0.0,) * len(shape), vals)
+            try:
+                text = repr(bol.orlicz.l1_modulus(f, m * f.spacing))
+            except Exception as exc:
+                text = f"raised {exc!r}"
+            emit(f"l1_modulus {label} {'x'.join(map(str, shape))} {m}h", text, tmp)
+
+
 def override_outputs(tmp):
     from bol.grid import save_grid_function
 
@@ -272,6 +297,7 @@ def main():
         table_outputs(tmp)
         solve_edge_outputs(tmp)
         distinct_outputs(tmp)
+        coarea_outputs(tmp)
         override_outputs(tmp)
     finally:
         shutil.rmtree(tmp)
