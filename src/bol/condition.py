@@ -51,6 +51,9 @@ _QUAD_DU = np.diff(_QUAD_U)
 _QUAD_U.flags.writeable = _QUAD_DU.flags.writeable = False
 _QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # first node > u_mid
 _BLOCK = 3  # scales per block of condition_sup (BENCH_condition_blocks.json)
+_LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
+_LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
+_NEEDS_POSITIVE = "condition_value needs s > 0 and a positive head_lower_limit"
 
 
 @dataclass(frozen=True)
@@ -74,24 +77,18 @@ class ConditionReport:
     diverged_s: float = float("nan")
 
 
-def _row_integrals(lv, du, cuts, peaks):
-    """The integral of exp of the piecewise-linear interpolant of each row
-    of lv over its first cuts[i] nodes, given the node spacings du and
-    each row's peak over those nodes: a list of floats, exact on every
-    node interval and max-scaled.
+def _interval_terms(lo, hi, du, peaks):
+    """The integral of exp of the linear interpolant of log values lo to
+    hi over widths du, each scaled by e^-peak: the exact rule on one node
+    interval.
 
     An interval with end values a, b contributes
-    du * e^max(a,b) * (1 - e^-|b-a|) / |b-a| (a short series when
-    |b - a| is tiny, 0 when an end is -inf).  Each row's terms are scaled
-    by its peak m and summed by np.sum over the kept prefix; the row gives
-    e^m times that sum, 0 when m = -inf and inf when m is +inf or NaN.
-    The terms are built for all rows at once, up to the longest prefix.
+    du * e^(max(a,b) - peak) * (1 - e^-|b-a|) / |b-a| (a short series when
+    |b - a| is tiny, 0 when an end is -inf).
     """
-    k = max(cuts)
-    lo, hi = lv[:, :k - 1], lv[:, 1:k]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         terms = np.maximum(lo, hi)
-        terms -= np.asarray(peaks)[:, None]
+        terms -= peaks
         # x = -|b - a|, so that (1 - e^-|b-a|) / |b-a| = expm1(x) / x
         x = np.subtract(hi, lo)
         np.abs(x, out=x)
@@ -101,8 +98,25 @@ def _row_integrals(lv, du, cuts, peaks):
         factor /= x
         np.copyto(factor, 1.0 + 0.5 * x, where=x > -1e-8)
         np.exp(terms, out=terms)
-        terms *= du[:k - 1]
+        terms *= du
         terms *= factor
+    return terms
+
+
+def _row_integrals(lv, du, cuts, peaks):
+    """The integral of exp of the piecewise-linear interpolant of each row
+    of lv over its first cuts[i] nodes, given the node spacings du and
+    each row's peak over those nodes: a list of floats, exact on every
+    node interval (``_interval_terms``) and max-scaled.
+
+    Each row's terms are scaled by its peak m and summed by np.sum over
+    the kept prefix; the row gives e^m times that sum, 0 when m = -inf
+    and inf when m is +inf or NaN.  The terms are built for all rows at
+    once, up to the longest prefix.
+    """
+    k = max(cuts)
+    terms = _interval_terms(lv[:, :k - 1], lv[:, 1:k], du[:k - 1], np.asarray(peaks)[:, None])
+    with np.errstate(over="ignore"):
         return [float(np.exp(m)) * float(np.sum(row[:c - 1])) if math.isfinite(m)
                 else (0.0 if m == -math.inf else math.inf)
                 for row, c, m in zip(terms, cuts, peaks)]
@@ -191,39 +205,83 @@ def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
     return log_f
 
 
-def _even_integral(log_f, u_max: float, n: int) -> float:
-    """Integral of exp(log_f(u)) over [0, u_max] on n even nodes; 0 when u_max <= 0."""
-    u = np.linspace(0.0, max(u_max, 0.0), n)
-    return log_domain_integral(log_f(u), u) if u_max > 0.0 else 0.0
+def _anchored_heads(psi: WeightFunction, lower, s_list):
+    """The integral of e^psi(w), psi = ``psi.log_eval``, from w = -ln s up
+    to the anchor w = -ln lower at each scale s of s_list: the head of the
+    first condition integral with lower limit ``lower``, 0 where s <= lower.
+    None when ``lower`` is None: heads from 0 are rows of
+    ``_condition_block``.
 
-
-def _condition_block(s_block, phi: YoungFunction, psi: WeightFunction, d: int,
-                     head_lower_limit, raise_on_divergence: bool):
-    """The ConditionValue of each scale in s_block (a list of floats).
-
-    Both integrands are built as one row per scale and integrated by
-    ``_condition_integral`` together; only a head with a lower limit,
-    whose layout depends on the scale, is integrated scale by scale.  The
-    scales are then checked in order and, within one, the head's
-    divergence before its prefactor overflow before the tail's divergence.
+    The nodes are -ln lower - k * _LATTICE_STEP, so they depend on lower
+    alone; a scale adds the interval from its last node down to -ln s.
+    Each interval follows ``_interval_terms``.  The running sum from the
+    anchor goes in whole chunks of _LATTICE_CHUNK intervals, each scaled
+    by its largest node value, and the sum over the chunks before a scale
+    is kept as e^ref * total.  So a scale's value does not depend on the
+    other scales of the call.  A head is 0 when every value it meets is
+    -inf, and inf when one is +inf or NaN.
     """
-    if any(s <= 0 for s in s_block) \
-            or (head_lower_limit is not None and not head_lower_limit > 0.0):
-        raise DomainError("condition_value needs s > 0 and a positive head_lower_limit")
+    if lower is None:
+        return None
+    if not lower > 0.0:
+        raise DomainError(_NEEDS_POSITIVE)
+    top = -math.log(lower)
+    ws = np.array([-math.log(s) for s in s_list])
+    heads = np.zeros(ws.size)
+    inside = np.flatnonzero(ws < top)  # the scales s > lower
+    if not inside.size:
+        return heads.tolist()
+    ws = ws[inside]
+    whole = np.floor((top - ws) / _LATTICE_STEP)  # whole intervals below the anchor
+    chunk_of = (whole // _LATTICE_CHUNK).astype(np.intp)
+    node_of = (whole - chunk_of * _LATTICE_CHUNK).astype(np.intp)
+    end_log = np.asarray(psi.log_eval(ws), dtype=np.float64)
+    steps = np.arange(_LATTICE_CHUNK + 1)
+    ref, total = -math.inf, 0.0
+    for j in range(int(chunk_of.max()) + 1):
+        w = top - (j * _LATTICE_CHUNK + steps) * _LATTICE_STEP
+        lv = np.asarray(psi.log_eval(w), dtype=np.float64)
+        m = float(np.max(lv))
+        m = math.inf if math.isnan(m) else m
+        run = np.zeros(_LATTICE_CHUNK + 1)
+        if m > -math.inf:
+            np.cumsum(_interval_terms(lv[:-1], lv[1:], _LATTICE_STEP, m), out=run[1:])
+        sel = np.flatnonzero(chunk_of == j)
+        if sel.size:
+            at = node_of[sel]
+            lo, hi = end_log[sel], lv[at]
+            with np.errstate(invalid="ignore", over="ignore"):
+                peak = np.maximum(np.maximum(lo, hi), max(ref, m))
+                val = np.exp(peak) * (total * np.exp(ref - peak) + run[at] * np.exp(m - peak)
+                                      + _interval_terms(lo, hi, w[at] - ws[sel], peak))
+            heads[inside[sel]] = np.where(peak > -np.inf,
+                                          np.where(peak < np.inf, val, np.inf), 0.0)
+        new_ref = max(ref, m)
+        if new_ref > -math.inf:
+            total = total * math.exp(ref - new_ref) + float(run[-1]) * math.exp(m - new_ref)
+            ref = new_ref
+    return heads.tolist()
+
+
+def _condition_block(s_block, phi: YoungFunction, psi: WeightFunction, d: int, heads,
+                     raise_on_divergence: bool):
+    """The ConditionValue of each scale in s_block (a list of floats), given
+    the heads of the first integral with a lower limit (``_anchored_heads``)
+    or None for the lower limit 0.
+
+    The integrands of both integrals, the first's only without a lower
+    limit, are built as one row per scale and integrated by
+    ``_condition_integral`` together.  The scales are then checked in order
+    and, within one, the head's divergence before its prefactor overflow
+    before the tail's divergence.
+    """
     ls = np.array([[math.log(s)] for s in s_block])
-    if head_lower_limit is None:
-        log_pref1, head_log = _first_log(phi, psi, d, ls)
-        log_pref1 = log_pref1[:, 0].tolist()
+    log_pref1, head_log = _first_log(phi, psi, d, ls)
+    log_pref1 = log_pref1[:, 0].tolist()
+    if heads is None:
         head_val, head_rem, head_div = _condition_integral(head_log)
     else:
-        lower = math.log(head_lower_limit)
-        log_pref1, head_val = [], []
-        for l in ls[:, 0].tolist():
-            log_pref, head_log = _first_log(phi, psi, d, l)
-            umax = max(l - lower, 0.0)
-            log_pref1.append(log_pref)
-            head_val.append(_even_integral(head_log, umax, max(_QUAD.n_mid, int(20 * umax) + 16)))
-        head_rem, head_div = [0.0] * len(s_block), [False] * len(s_block)
+        head_val, head_rem, head_div = heads, [0.0] * len(s_block), [False] * len(s_block)
     tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls))
 
     out = []
@@ -254,7 +312,12 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     ``head_lower_limit`` replaces 0 as the lower limit of the first
     integral (the compact-domain reading of the condition).
     """
-    return _condition_block([s], phi, psi, d, head_lower_limit, raise_on_divergence)[0]
+    if s <= 0:
+        raise DomainError(_NEEDS_POSITIVE)
+    if head_lower_limit is not None and not math.isfinite(s):
+        raise DomainError("a head_lower_limit needs a finite s")
+    return _condition_block([s], phi, psi, d, _anchored_heads(psi, head_lower_limit, [s]),
+                            raise_on_divergence)[0]
 
 
 def _decade_slope(s_grid, values, which):
@@ -275,10 +338,11 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
                   head_lower_limit: float = None) -> ConditionReport:
     """Evaluate the condition on a log grid of scales and classify it.
 
-    The scales go through ``_condition_block`` in blocks of _BLOCK, the
-    last one part-filled, so each value and the first diverged scale are
-    those of ``condition_value`` at that scale, and a prefactor overflow
-    names the first scale at which it happens.
+    The heads with a lower limit come from one ``_anchored_heads`` call
+    for the whole sweep.  The scales go through ``_condition_block`` in
+    blocks of _BLOCK, the last one part-filled, so each value and the
+    first diverged scale are those of ``condition_value`` at that scale,
+    and a prefactor overflow names the first scale at which it happens.
 
     bounded: both end slopes at or below 0.02; unbounded: a per-scale
     divergence or a terminal slope of at least 0.05 sustained over the
@@ -292,12 +356,13 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     if not 0 < lo < hi < math.inf:
         raise DomainError("s_range must be finite, positive and increasing")
     s_grid = np.geomspace(lo, hi, n_points)
+    heads = _anchored_heads(psi, head_lower_limit, s_grid.tolist())
     values = np.zeros(n_points)
     diverged_s = math.nan
     for start in range(0, n_points, _BLOCK):
         block = s_grid[start:start + _BLOCK].tolist()
-        for i, cv in enumerate(_condition_block(block, phi, psi, d, head_lower_limit, False),
-                               start):
+        block_heads = None if heads is None else heads[start:start + _BLOCK]
+        for i, cv in enumerate(_condition_block(block, phi, psi, d, block_heads, False), start):
             values[i] = cv.value
             if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):
                 diverged_s = cv.s
@@ -324,20 +389,19 @@ def section5_first_bound(alpha: float, s_list):
     """The first condition integral of the section5 pair in d = 2, with
     lower limit r in place of 0; each value must stay below 2.
 
-    Integrates on 4000 even nodes from r to s.  Returns rows
-    (s, value, intermediate_bound, passes).
+    The heads are one ``_anchored_heads`` call with lower limit r.
+    Returns rows (s, value, intermediate_bound, passes).
     """
     phi = make_section5_young(alpha)
     psi = make_section5_weight(phi)
     r = SECTION5_R
-    k = math.log(r)
+    if not all(r * (1 - 1e-12) <= s < math.inf for s in s_list):
+        raise DomainError("first-bound scales must be finite and satisfy s >= r")
     rows = []
-    for s in s_list:
-        if not r * (1 - 1e-12) <= s < math.inf:
-            raise DomainError("first-bound scales must be finite and satisfy s >= r")
+    for s, head in zip(s_list, _anchored_heads(psi, r, s_list)):
         ls = math.log(s)
-        log_pref, log_f = _first_log(phi, psi, 2, ls)
-        value = math.exp(log_pref) * _even_integral(log_f, ls - k, 4000)
+        log_pref, _ = _first_log(phi, psi, 2, ls)
+        value = math.exp(log_pref) * head
         beta = alpha / math.log(ls) if ls > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
         rows.append((s, value, inter, value < 2.0))

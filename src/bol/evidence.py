@@ -63,24 +63,6 @@ def ball_symdiff_volume(d: int, r: float, center_dist):
     return float(vol) if vol.ndim == 0 else vol
 
 
-def _einsum_lanes(dim):
-    """The column order of the two lanes in which numpy's einsum sums a row
-    of ``dim`` products on two float64 lanes without fused multiply-add
-    (its x86-64 builds): blocks of 8 columns, each lane from the back of
-    the block, then the remaining columns in pairs; the lanes are added
-    last."""
-    head = 8 * (dim // 8)
-    return [[b + i + lane for b in range(0, head, 8) for i in (6, 4, 2, 0)]
-            + list(range(head + lane, dim, 2)) for lane in (0, 1)]
-
-
-def _in_ball(x, terms, r2):
-    acc = x * x
-    for t in terms:
-        acc += t
-    return acc <= r2
-
-
 def _mc_symdiff_volumes(dim, radius, center_dists, n_samples, seed):
     """Monte Carlo volumes of (B0 u B1) \\ (B0 n B1) for balls of equal
     radius, one per center distance, all from one draw.
@@ -88,13 +70,12 @@ def _mc_symdiff_volumes(dim, radius, center_dists, n_samples, seed):
     Centers sit at 0 and (c, 0, ..., 0).  Returns one (estimate, standard
     error) per distance c.  Each distance maps the uniforms of every chunk
     onto its own box [-r, r + c] x [-r, r]^(d-1) as ``rng.uniform`` does
-    (lo + (hi - lo) * u), and sums the squared distances in einsum's lane
-    order, so its hits are those of a draw reseeded for that distance
-    alone.  Only column 0 depends on c, so the squares of the other
-    columns and their sums that precede column 0 are computed once per
-    chunk.  Chunks hold at most ``_MC_CHUNK_FLOATS`` coordinates; the
-    generator fills a draw row by row, so the result does not depend on
-    the chunk.
+    (lo + (hi - lo) * u), so its hits are those of a draw reseeded for
+    that distance alone.  A squared distance is x^2 plus the squares of
+    the other columns summed left to right; only column 0 depends on c,
+    so that sum is computed once per chunk.  Chunks hold at most
+    ``_MC_CHUNK_FLOATS`` coordinates; the generator fills a draw row by
+    row, so the result does not depend on the chunk.
     """
     rng = np.random.default_rng(seed)
     r2 = radius * radius
@@ -102,25 +83,23 @@ def _mc_symdiff_volumes(dim, radius, center_dists, n_samples, seed):
     width = radius - lo
     spans = np.full((len(center_dists), dim), width)
     spans[:, 0] = (radius + np.asarray(center_dists, dtype=np.float64)) - lo
-    lane0, lane1 = _einsum_lanes(dim)
-    x_at = lane0.index(0)
-    before, after = lane0[:x_at], lane0[x_at + 1:]
     hits = [0] * len(center_dists)
     left = n_samples
     while left > 0:
         m = min(left, max(1, _MC_CHUNK_FLOATS // dim))
         u = rng.random((m, dim)).T.copy()
-        sq = lo + width * u
+        sq = lo + width * u[1:]
         sq *= sq
-        # what each squared distance adds to x^2, in einsum's order
-        terms = [sq[j] for j in after] + [sum(sq[j] for j in lane1)]
-        if before:
-            terms.insert(0, sum(sq[j] for j in before))
+        rest = sum(sq)
         for k, c in enumerate(center_dists):
             x = lo + spans[k, 0] * u[0]
-            in0 = _in_ball(x, terms, r2)
+            acc = x * x
+            acc += rest
+            in0 = acc <= r2
             x -= c
-            hits[k] += int(np.count_nonzero(in0 ^ _in_ball(x, terms, r2)))
+            np.multiply(x, x, out=acc)
+            acc += rest
+            hits[k] += int(np.count_nonzero(in0 ^ (acc <= r2)))
         left -= m
     out = []
     for span, h in zip(spans, hits):

@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bol.condition
 from bol.condition import (NEGLIGIBLE_LOG_DROP, TAIL_SLOPE_LIMIT, ConditionQuad,
-                           _integrate_rows, condition_sup, condition_value,
+                           _anchored_heads, _integrate_rows, condition_sup, condition_value,
                            log_domain_integral, section5_first_bound,
                            section5_second_bound)
 from bol.errors import DivergenceError, DomainError
@@ -81,6 +81,8 @@ _step = st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-1e-6, 1e-6),
 @settings(max_examples=150, deadline=None)
 @given(start=st.floats(-700.0, 700.0),
        steps=st.lists(st.tuples(_step, st.floats(1e-3, 10.0)), min_size=1, max_size=40))
+# a subnormal sum, 1.1e-311: correctly rounded, but 1e-13 of it is below half its spacing
+@example(start=-700.0, steps=[(-math.inf, 1.0), (-16.0, 1.0), (0.0, 1.0)])
 def test_log_domain_integral_matches_exact_sum(start, steps):
     # random piecewise-linear logs with flat, tiny, large and -inf increments
     lv, u = [start], [0.0]
@@ -94,7 +96,7 @@ def test_log_domain_integral_matches_exact_sum(start, steps):
     if want == 0:
         assert got == 0.0
     else:
-        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - want) <= 1e-13 * want + math.ulp(0.0)
 
 
 def test_log_domain_integral_non_finite_peaks():
@@ -232,8 +234,41 @@ def test_section5_first_bound_matches_mpmath_quadrature():
                               * mpmath.quad(integrand, [k, ls])))
     assert want == pytest.approx([0.91558912174936276, 1.0214253067167938], rel=1e-15)
     got = [value for _, value, _, _ in section5_first_bound(0.1, s_list)]
-    # the 4000-node window is 6e-12 and 4.5e-11 off; 600 nodes would miss by 2e-9
+    # the anchored lattice (step 2^-10 from r) is 1.8e-11 and 1.4e-11 off
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta", [critical_theta(1.3, 2), 0.0, 0.8, 1.5])
+def test_power_heads_with_a_lower_limit_match_closed_form(theta):
+    # int_a^s t^theta dt/t: the rule is exact on a linear log-integrand
+    a = 1e-3
+    s_grid = np.geomspace(1e-6, 1e12, 97).tolist()
+    heads = _anchored_heads(make_power_weight(theta), a, s_grid)
+    for s, head in zip(s_grid, heads):
+        if s <= a:
+            assert head == 0.0
+        else:
+            want = math.log(s / a) if theta == 0.0 else (s ** theta - a ** theta) / theta
+            assert head == pytest.approx(want, rel=1e-14), s
+
+
+def test_section5_first_integral_with_a_lower_limit_matches_mpmath_quadrature():
+    # the first integral alone: the value with lower limit a less the value
+    # with lower limit s, whose head is 0; breakpoints at the kinks of Psi
+    phi = make_section5_young(0.1)
+    psi = make_section5_weight(phi)
+    a = 1e-3
+    with mpmath.workdps(30):
+        kink = mpmath.log(SECTION5_R) / 2
+        integrand = lambda x: mpmath.exp(-x - section5_log_inv_mp(phi, -2 * x))
+        for s in (1e-2, 1.0, 1e3, 1e6, 1e12):
+            ls, la = mpmath.log(s), mpmath.log(a)
+            cuts = [la] + [x for x in (-kink, kink) if la < x < ls] + [ls]
+            want = float(mpmath.exp(ls - section5_log_inv_mp(phi, 2 * ls))
+                         * mpmath.quad(integrand, cuts))
+            got = (condition_value(s, phi, psi, 2, head_lower_limit=a).value
+                   - condition_value(s, phi, psi, 2, head_lower_limit=s).value)
+            assert got == pytest.approx(want, rel=1e-7), s
 
 
 def test_section5_pair_verdict_is_bounded():
@@ -333,6 +368,8 @@ def sweep_pairs(tmp_path):
              for d in (2, 3) for p in (1.2, 1.4)]
     pairs += [(f"theta={theta}", make_power_young(1.3), make_power_weight(theta), 2, None)
               for theta in (0.8, 0.0)]
+    pairs += [("power limited", make_power_young(1.3),
+               make_power_weight(critical_theta(1.3, 2)), 2, 1e-3)]
     pairs += [("section5", s5, make_section5_weight(s5), 2, None),
               ("section5 limited", s5, make_section5_weight(s5), 2, 1e-3),
               ("table", *table_pair(tmp_path), 2, None)]

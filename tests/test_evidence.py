@@ -172,16 +172,21 @@ def test_mc_volume_does_not_depend_on_the_chunk(monkeypatch):
 
 def _mc_volume_own_draw(dim, radius, center_dist, n_samples, seed):
     """One distance on a generator reseeded for it alone, with
-    ``rng.uniform`` and ``einsum``: the hits the shared draw must repeat."""
+    ``rng.uniform``: the hits the shared draw must repeat.  A squared
+    distance is x^2 plus the other columns' squares summed left to right."""
     rng = np.random.default_rng(seed)
     lo = np.full(dim, -radius)
     hi = np.full(dim, radius)
     hi[0] += center_dist
     box = float(np.prod(hi - lo))
     pts = rng.uniform(lo, hi, size=(n_samples, dim))
-    d0 = np.einsum("ij,ij->i", pts, pts)
-    pts[:, 0] -= center_dist
-    d1 = np.einsum("ij,ij->i", pts, pts)
+    rest = np.zeros(n_samples)
+    for j in range(1, dim):
+        rest = rest + pts[:, j] * pts[:, j]
+    x = pts[:, 0]
+    d0 = x * x + rest
+    x = x - center_dist
+    d1 = x * x + rest
     r2 = radius * radius
     p = np.count_nonzero((d0 <= r2) ^ (d1 <= r2)) / n_samples
     return box * p, box * np.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
@@ -190,7 +195,7 @@ def _mc_volume_own_draw(dim, radius, center_dist, n_samples, seed):
 @pytest.mark.parametrize("dim", [3, 4, 5, 9])
 @pytest.mark.parametrize("n_samples, chunk", [(300_001, None), (3001, 100)])
 def test_mc_volumes_repeat_the_hits_of_a_draw_per_distance(monkeypatch, dim, n_samples, chunk):
-    # d = 9 sums a block of 8 columns first; neither n divides the chunk
+    # neither n divides the chunk
     if chunk is not None:
         monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", chunk)
     dists = [0.0, 0.4, 1.2, 1.9998]

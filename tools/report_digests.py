@@ -24,9 +24,12 @@ numbers), a set of default and variant commands (among them
 ``necessity`` and ``lemma6`` at radii outside the seminorm window or
 float range, ``check-condition`` with a flat weight, whose first
 integral diverges at every scale, and with a lower limit on the first
-integral of the power pair, so that every branch of ``condition_value``
-is covered, and with 17 and 50 scales, whose sweep ends in a part-filled
-block), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
+integral of the power and the section5 pair, so that every branch of
+``condition_value`` is covered, and with 17 and 50 scales, whose sweep
+ends in a part-filled block, the section5 pair also with a lower limit,
+and ``example5`` at scale multiples 1, 1.5 and 1e6, the first bound at
+s = r and one whose lower-limit integral spans more than one chunk of
+its running sum), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
 the commands run with a ``table:`` Young function sampled from t^1.3
 (``necessity`` and ``norms`` also with the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
@@ -86,7 +89,10 @@ VARIANTS = [
     ["check-condition", "--points", "17"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
      "--points", "50"],
+    ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
+     "--head-lower-limit", "1e-3", "--points", "50"],
     ["example5", "--alpha", "0.1"],
+    ["example5", "--s-multiples", "1,1.5,1000000"],
     ["example5", "--alpha", "0.05"],
     ["necessity"],
     ["necessity", "--dim", "3"],
