@@ -312,10 +312,8 @@ def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
     ``head_lower_limit`` replaces 0 as the lower limit of the first
     integral (the compact-domain reading of the condition).
     """
-    if s <= 0:
-        raise DomainError(_NEEDS_POSITIVE)
-    if head_lower_limit is not None and not math.isfinite(s):
-        raise DomainError("a head_lower_limit needs a finite s")
+    if not 0.0 < s < math.inf:
+        raise DomainError("condition_value needs a finite s > 0")
     return _condition_block([s], phi, psi, d, _anchored_heads(psi, head_lower_limit, [s]),
                             raise_on_divergence)[0]
 

@@ -1,6 +1,5 @@
 """Luxemburg norms and integral moduli of continuity on grid functions."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -270,28 +269,6 @@ class ShiftNormCache:
         return len(self._norms)
 
 
-def _summed_area(values: np.ndarray) -> np.ndarray:
-    """Table with a leading zero plane: entry j is the sum of values over [0, j)."""
-    sat = np.zeros(tuple(n + 1 for n in values.shape))
-    sat[(slice(1, None),) * values.ndim] = values
-    for axis in range(values.ndim):
-        np.cumsum(sat, axis=axis, out=sat)
-    return sat
-
-
-def _slab_sums(sat, lo, up, axis, width):
-    """Row-wise sums over the slab of cells inside [lo, up) on the axes before
-    ``axis``, in [0, width) on ``axis`` and anywhere on the axes after it,
-    read from the summed-area table ``sat`` by inclusion-exclusion."""
-    rest = tuple(n - 1 for n in sat.shape[axis + 1:])
-    out = np.zeros(len(lo))
-    for corner in itertools.product((0, 1), repeat=axis):
-        idx = tuple(up[:, j] if c else lo[:, j] for j, c in enumerate(corner))
-        sign = -1.0 if (axis - sum(corner)) % 2 else 1.0
-        out += sign * sat[idx + (width,) + rest]
-    return out
-
-
 # a band broadcast pays once it stands in for _BAND_SHIFTS slice pairs: a
 # call holding one group of s shifts on 64-9,594 overlap cells runs
 # 1.25-2.15x the slice pairs' time at s = 1, 0.93-1.06x at s = 5 and
@@ -300,19 +277,20 @@ def _slab_sums(sat, lo, up, axis, width):
 _BAND_SHIFTS = 5
 
 
-def _inside_by_overlaps(a, shifts, p):
-    """sum_O |a(x+k) - a(x)|^p for each row k of ``shifts``; O is the
+def _inside_by_overlaps(a, mag, shifts, p):
+    """The deficit D_k = sum_O c(a(x), a(x+k)) of ``_shift_sums`` for each
+    row k of ``shifts``, summed cell by cell; ``mag`` = |a|^p and O is the
     overlap of the box and its translate.
 
     Shifts with the same leading components k_1..k_{d-1} share the overlap
     rows on the leading axes and form one group.  A group's band [j_0, j_1]
-    of last components is one broadcast of |a(x + j) - a(x)|^p over those
-    rows and the whole last axis, read from a copy of the box padded with
-    NaN on that axis; the NaN of x + j outside the box are dropped and the
-    rest summed per j.  The band is cut into equal pieces of at most
-    ``_CHUNK_CELLS`` cells.  Where that leaves fewer than ``_BAND_SHIFTS``
-    shifts per piece (few shifts, or rows of 10^4 cells), the group takes
-    one overlap slice pair per shift."""
+    of last components is one broadcast of c(a(x), a(x + j)) over those
+    rows and the whole last axis, read from copies of a and |a|^p padded
+    with zeros on that axis, where c(u, 0) = 0 exactly; it is summed per
+    j.  The band is cut into equal pieces of at most ``_CHUNK_CELLS``
+    cells.  Where that leaves fewer than ``_BAND_SHIFTS`` shifts per piece
+    (few shifts, or rows of 10^4 cells), the group takes one overlap slice
+    pair per shift, as three scalar sums."""
     out = np.empty(len(shifts))
     if not len(shifts):
         return out
@@ -323,7 +301,17 @@ def _inside_by_overlaps(a, shifts, p):
     order = np.lexsort(shifts.T[::-1])
     ks = shifts[order]
     starts = (np.flatnonzero((ks[1:, :-1] != ks[:-1, :-1]).any(axis=1)) + 1).tolist()
-    windows = None
+    reach = int(np.abs(ks[:, -1]).max())
+
+    def windows(x):
+        # window w of the last axis is x(. + w - reach), 0 where that leaves the box
+        padded = np.zeros(lead_ext + (n + 2 * reach,))
+        padded[..., reach:reach + n] = x
+        return np.lib.stride_tricks.as_strided(
+            padded, lead_ext + (2 * reach + 1, n), padded.strides + padded.strides[-1:],
+            writeable=False)
+
+    win_a = win_mag = None
     for lo, hi in zip([0] + starts, starts + [len(ks)]):
         lead, js = ks[lo, :-1].tolist(), ks[lo:hi, -1]
         rows_x = tuple(slice(max(-c, 0), e - max(c, 0)) for c, e in zip(lead, lead_ext))
@@ -335,28 +323,24 @@ def _inside_by_overlaps(a, shifts, p):
         pieces = -(-width // max(fits, 1))
         if not fits or hi - lo < _BAND_SHIFTS * pieces:
             for row, j in zip(order[lo:hi].tolist(), js.tolist()):
-                px, pk = max(-j, 0), max(j, 0)
-                out[row] = power(np.abs(a[rows_k + (slice(pk, n - px),)]
-                                        - a[rows_x + (slice(px, n - pk),)])).sum()
+                sk = rows_k + (slice(max(j, 0), n - max(-j, 0)),)
+                sx = rows_x + (slice(max(-j, 0), n - max(j, 0)),)
+                out[row] = mag[sk].sum() + mag[sx].sum() - power(np.abs(a[sk] - a[sx])).sum()
             continue
-        if windows is None:
-            # window w of the last axis is a(x + w - reach) for every x, NaN
-            # where x + w - reach leaves the box; np.fmax(., 0) drops a NaN
-            reach = int(np.abs(ks[:, -1]).max())
-            padded = np.full(lead_ext + (n + 2 * reach,), np.nan)
-            padded[..., reach:reach + n] = a
-            windows = np.lib.stride_tricks.as_strided(
-                padded, lead_ext + (2 * reach + 1, n), padded.strides + padded.strides[-1:],
-                writeable=False)
+        if win_a is None:
+            win_a, win_mag = windows(a), windows(mag)
+        base_mag = mag[rows_x][..., None, :]
         band = np.empty(width)
         step = -(-width // pieces)
         for w0 in range(0, width, step):
-            w = slice(j0 + reach + w0, j0 + reach + min(w0 + step, width))
-            d = windows[rows_k + (w,)] - base[..., None, :]
+            w = rows_k + (slice(j0 + reach + w0, j0 + reach + min(w0 + step, width)),)
+            d = win_a[w] - base[..., None, :]
             np.abs(d, out=d)
             if p != 1.0:
                 np.power(d, p, out=d)
-            band[w0:w0 + step] = np.fmax(d.sum(axis=axes), 0.0).sum(axis=-1)
+            np.subtract(win_mag[w], d, out=d)
+            d += base_mag
+            band[w0:w0 + step] = d.sum(axis=axes).sum(axis=-1)
         out[order[lo:hi]] = band[js - j0]
     return out
 
@@ -379,99 +363,79 @@ def _fft_shape(a):
     return tuple(_fft_len(2 * n - 1) for n in a.shape), tuple(range(a.ndim))
 
 
-def _inside_by_levels(a, shifts, p, levels):
-    """The same sums from level sets: with ``levels`` the K distinct values
-    of ``a``, the sum at k is sum_v corr(1_{a=v}, |a - v|^p)(k), where
-    corr(u, g)(k) = sum_x u(x) g(x + k).
+def _inside_by_levels(a, mag, shifts, p, levels):
+    """The deficit D_k of ``_shift_sums`` from level sets: with ``levels``
+    the K' distinct nonzero values of ``a`` and ``mag`` = |a|^p,
+    D_k = sum_v corr(1_{a=v}, |v|^p + |a|^p - |a - v|^p)(k), where
+    corr(u, g)(k) = sum_x u(x) g(x + k); the zero level adds c(0, w) = 0.
     Each correlation is a product of real FFTs on the lengths of
     ``_fft_shape``; the spectra are summed over the levels before one
-    inverse transform.  FFT rounding is absolute, near 1e-16 of
-    sum |a|^p, so the result is clamped at 0."""
+    inverse transform."""
     shape, axes = _fft_shape(a)
-    spec = 0.0
+    spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=np.complex128)
     for v in levels:
-        spec = spec + (np.conj(np.fft.rfftn(a == v, shape, axes))
-                       * np.fft.rfftn(np.abs(a - v) ** p, shape, axes))
+        spec += (np.conj(np.fft.rfftn(a == v, shape, axes))
+                 * np.fft.rfftn(abs(v) ** p + mag - np.abs(a - v) ** p, shape, axes))
     corr = np.fft.irfftn(spec, shape, axes)
-    return np.maximum(corr[tuple((shifts % shape).T)], 0.0)
-
-
-def _outside_sums(mag, shifts):
-    """sum |a|^p - sum_O |a(x)|^p + sum |a|^p - sum_O |a(x+k)|^p for each row k
-    of ``shifts``, ``mag`` = |a|^p: the mass outside the overlap box O and
-    outside its translate, read for all shifts at once from summed-area
-    tables of ``mag`` (one plain, one reversed per axis) as a sum of
-    disjoint slabs, so a short shift never takes a small difference of
-    near-total sums."""
-    ext = np.array(mag.shape)
-    tables = [_summed_area(mag)] + [_summed_area(np.flip(mag, axis)) for axis in range(mag.ndim)]
-    pos, neg = np.maximum(shifts, 0), np.maximum(-shifts, 0)
-    # x runs over [neg, ext - pos) and x + k over [pos, ext - neg); outside a
-    # box [lo, up) lie the disjoint slabs "inside on the axes before i, below
-    # lo_i or from up_i on axis i"; an upper slab is a lower one of the table
-    # reversed along axis i
-    outside = np.zeros(len(shifts))
-    for lo, gap in ((neg, pos), (pos, neg)):
-        up = ext - gap
-        for axis in range(mag.ndim):
-            outside += _slab_sums(tables[0], lo, up, axis, lo[:, axis])
-            outside += _slab_sums(tables[axis + 1], lo, up, axis, gap[:, axis])
-    return outside
+    return corr[tuple((shifts % shape).T)]
 
 
 # the FFT route costs its forward transforms, each on 2^d times the box, at
 # _FFT_COST shifts of the direct route apiece, and is taken where that is at
-# most the shift count; at p != 1 this is the old rule K 2^d 4 for two
-# transforms per level, so every decision there stands (break-even 1.3-6.8
-# shifts per transform per 2^d, BENCH_shift_bands.json).  At p = 1 the
-# coarea route against the direct one, outside sums included, breaks even
-# at 0.5-4.0 on the corpus_bv boxes at 4h (all at most 1, so they stay
-# direct), 2.4-7.3 at 16h, 6.7-14.9 at 64h and 0.9-8.7 on the besov_pc
-# boxes: 2 picks the faster route on 73 of 83 boxes, the rest within 1.25x
-# but one 16^2 box at 4h (0.33 against 0.18 ms) (BENCH_coarea_l1.json)
+# most the shift count.  Against the direct deficit sums, the break-even
+# (shifts per transform per 2^d) over every call the besov_pc, rough_grids
+# and corpus_bv workloads make at seeds 101-103 is 0.9-3.6 on the corpus_bv
+# boxes at 4h (at most 1.0 there, so all direct), 1.5-5.0 at 16h, 3.5-6.0
+# at 64h, 2.1-6.0 on the besov_pc boxes (p = 1.3) and 2.2-4.3 on the rough
+# ones: 2 picks the faster route on all 111 calls, as does any value in
+# 1.5-4 (BENCH_shift_deficit.json)
 _FFT_COST = 2
 
 
-def _coarea_sums(a, shifts, levels):
-    """The whole S_k = sum_x |a(x+k) - a(x)| (p = 1) by the coarea formula.
+def _inside_by_coarea(a, shifts, levels):
+    """The deficit D_k of ``_shift_sums`` at p = 1 by the coarea formula.
 
     With ``levels`` the distinct values of ``a`` with 0 added, v_0 < ... <
     v_T, every s in the gap (v_(i-1), v_i) cuts the same threshold set U_i,
     taken compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when v_i <= 0.
     |a(x+k) - a(x)| is the length of the s that separate the two values,
-    so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)) = 2 ||a||_1 -
-    2 sum_i (v_i - v_(i-1)) R_i(k), R_i the autocorrelation of 1_(U_i):
-    one real FFT per set on the lengths of ``_fft_shape``, the weighted
-    |F_i|^2 summed before one inverse transform, the result clamped at 0
-    (the rounding is absolute, near 1e-16 of ||a||_1)."""
+    so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)) = 2 ||a||_1 - D_k
+    with D_k = 2 sum_i (v_i - v_(i-1)) R_i(k), R_i the autocorrelation of
+    1_(U_i): one real FFT per set on the lengths of ``_fft_shape``, the
+    weighted |F_i|^2 summed before one inverse transform."""
     shape, axes = _fft_shape(a)
     spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
     for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
         part = np.fft.rfftn(a >= hi if hi > 0.0 else a <= lo, shape, axes)
         spec += (hi - lo) * (part.real ** 2 + part.imag ** 2)
     corr = np.fft.irfftn(spec, shape, axes)
-    return np.maximum(2.0 * (np.abs(a).sum() - corr[tuple((shifts % shape).T)]), 0.0)
+    return 2.0 * corr[tuple((shifts % shape).T)]
 
 
 def _shift_sums(a, shifts, p):
     """S_k = sum_x |a(x+k) - a(x)|^p for each row k of ``shifts``, a zero
     outside its box and |k_i| < n_i on every axis.
 
-    The FFT route: at p = 1 the whole sum by the coarea formula
-    (``_coarea_sums``), T forward transforms for the T gaps between the
-    distinct values of the box with 0 added; at any other p the overlap
-    split
+    Every route takes the one identity
 
-        S_k = (mass of |a|^p outside O and outside O + k)
-              + sum_O |a(x+k) - a(x)|^p,
+        S_k = 2 sum_x |a(x)|^p - D_k,   D_k = sum_x c(a(x), a(x+k)),
+        c(u, w) = |u|^p + |w|^p - |w - u|^p,
 
-    O the cells x where both x and x+k lie in the box, with the first term
-    from ``_outside_sums`` and the inside sum from ``_inside_by_levels``,
-    2K forward transforms for the K distinct values.  One rule: the FFT
-    route where its transforms times 2^d times ``_FFT_COST`` are at most
-    the shift count, else the overlap split with the inside sum from
-    ``_inside_by_overlaps``.
+    where c(u, 0) = 0, so only the overlap O of the box and its translate
+    adds to the deficit D_k, and three evaluators of D_k: the coarea
+    formula at p = 1 (``_inside_by_coarea``, T forward transforms for the
+    T gaps between the distinct values of the box with 0 added), level
+    sets at any other p (``_inside_by_levels``, 2K' forward transforms
+    for the K' distinct nonzero values), and direct sums over O
+    (``_inside_by_overlaps``).  One rule: an FFT route where its
+    transforms times 2^d times ``_FFT_COST`` are at most the shift count,
+    else the direct one.  The difference 2 sum |a|^p - D_k carries an
+    absolute rounding error near 1e-15 sum |a|^p on every route, so a
+    shift with S_k far below sum |a|^p (a long plateau) has a relative
+    error above that of a direct sum of |a(x+k) - a(x)|^p (7.6e-14 against
+    4.9e-16 at p = 2.5 on a 2,000-cell plateau); the result is clamped at 0.
     """
+    mag = np.abs(a) ** p
     # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms);
     # an all-zero f has an empty box, no level and no shift
     if p == 1.0:
@@ -479,14 +443,16 @@ def _shift_sums(a, shifts, p):
         transforms = len(levels) - 1
     else:
         levels, _ = np.unique(a, return_counts=True)
+        levels = levels[levels != 0.0]
         transforms = 2 * len(levels)
     fft = len(shifts) and transforms * 2 ** a.ndim * _FFT_COST <= len(shifts)
-    if fft and p == 1.0:
-        return _coarea_sums(a, shifts, levels)
-    outside = _outside_sums(np.abs(a) ** p, shifts)
-    if fft:
-        return outside + _inside_by_levels(a, shifts, p, levels)
-    return outside + _inside_by_overlaps(a, shifts, p)
+    if not fft:
+        deficit = _inside_by_overlaps(a, mag, shifts, p)
+    elif p == 1.0:
+        deficit = _inside_by_coarea(a, shifts, levels)
+    else:
+        deficit = _inside_by_levels(a, mag, shifts, p, levels)
+    return np.maximum(2.0 * mag.sum() - deficit, 0.0)
 
 
 def l1_modulus(f: GridFunction, t: float) -> float:
@@ -507,7 +473,7 @@ def l1_modulus(f: GridFunction, t: float) -> float:
       ``_shift_sums`` on the box, times the cell volume: by the coarea
       formula, one FFT per threshold set of the box, where its T sets
       times 2^d times ``_FFT_COST`` are at most the shift count, else by
-      the overlap split and direct sums.
+      direct sums over the overlap of the box and its translate.
     """
     if t <= 0:
         raise DomainError("modulus needs t > 0")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -147,6 +148,12 @@ def test_input_validation():
     psi = make_power_weight(0.5)
     with pytest.raises(DomainError):
         condition_value(0.0, phi, psi, 2)
+    # a scale that is not finite is refused before any integrand is evaluated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite s > 0"):
+                condition_value(s, phi, psi, 2, raise_on_divergence=False)
     with pytest.raises(DomainError):
         condition_sup(phi, psi, 2, n_points=8)
     with pytest.raises(DomainError):

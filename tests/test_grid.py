@@ -14,7 +14,7 @@ from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_funct
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.corpus import random_piecewise_constant
-from bol.orlicz import (ShiftNormCache, _coarea_sums, _inside_by_levels, _inside_by_overlaps,
+from bol.orlicz import (ShiftNormCache, _inside_by_coarea, _inside_by_levels, _inside_by_overlaps,
                         l1_modulus, lattice_shifts, luxemburg_norm)
 from bol.young import YoungFunction, make_power_young
 from conftest import ball_indicator
@@ -220,48 +220,58 @@ EVALUATOR_GRIDS = {
 }
 
 
-def _by_levels(a, shifts, p):
-    return _inside_by_levels(a, shifts, p, np.unique(a))
+def _by_levels(a, mag, shifts, p):
+    levels = np.unique(a)
+    return _inside_by_levels(a, mag, shifts, p, levels[levels != 0.0])
 
 
-def _by_coarea(a, shifts, p):
-    return _coarea_sums(a, shifts, np.unique(np.append(a, 0.0)))
+def _by_coarea(a, mag, shifts, p):
+    return _inside_by_coarea(a, shifts, np.unique(np.append(a, 0.0)))
 
 
-@pytest.mark.parametrize("p, inside", [(p, inside) for p in (1.0, 1.3, 2.5)
-                                       for inside in (_inside_by_overlaps, _by_levels)]
-                         + [(1.0, _by_coarea)])
+EVALUATORS = ([(p, inside) for p in (1.0, 1.3, 2.5) for inside in (_inside_by_overlaps, _by_levels)]
+              + [(1.0, _by_coarea)])
+
+
+@pytest.mark.parametrize("p, inside", EVALUATORS)
 @pytest.mark.parametrize("name", list(EVALUATOR_GRIDS))
 def test_shift_sum_evaluators_match_cell_loops(name, p, inside):
-    # every shift with |k_i| < n_i, k = 0 and both of each {k, -k} pair; the
-    # coarea route gives the whole sum, the others the inside sum over O
+    # every shift with |k_i| < n_i, k = 0 and both of each {k, -k} pair:
+    # each evaluator gives the deficit D_k, and S_k = 2 sum |a|^p - D_k
     a = EVALUATOR_GRIDS[name]
     shifts = np.array(list(itertools.product(*(range(1 - n, n) for n in a.shape))))
-    got_inside = inside(a, shifts, p)
-    got = (got_inside if inside is _by_coarea
-           else bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside)
     total = math.fsum(np.abs(a).ravel() ** p)
-    assert np.all(got_inside >= 0.0) and np.all(got >= 0.0)
+    got = 2.0 * total - inside(a, np.abs(a) ** p, shifts, p)
     for k, s in zip(shifts, got):
         want = (_shift_l1_by_cells(a, k, 1.0) if p == 1.0 else
                 _shift_power_sum_by_cells(a, k, p))
         assert s == pytest.approx(want, rel=1e-12, abs=1e-14 * total)
 
 
+@pytest.mark.parametrize("p, inside", EVALUATORS)
+def test_shift_sum_evaluators_on_a_plateau(p, inside):
+    # 2,000 cells of 1.7, every 7th 0.9: S_k is far below sum |a|^p, and the
+    # absolute rounding of 2 sum |a|^p - D_k stays near 1e-15 of the total
+    a = np.where(np.arange(2000) % 7 == 0, 0.9, 1.7)
+    shifts = np.arange(1, 40)[:, None]
+    total = math.fsum(np.abs(a) ** p)
+    got = 2.0 * total - inside(a, np.abs(a) ** p, shifts, p)
+    for k, s in zip(shifts, got):
+        want = math.fsum(np.abs(shift_difference_values(a, k)) ** p)
+        assert want < 0.3 * total
+        assert s == pytest.approx(want, rel=0.0, abs=1e-14 * total)
+
+
 def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
     # a signed 8 x 8 box with zero cells inside and T = 5 gaps between its
     # values with 0 added: at 6h (56 shifts >= T 2^d _FFT_COST) and in the
-    # p = 1 cache the sums come from T forward FFTs and no outside sums
+    # p = 1 cache the sums come from T forward FFTs
     f = random_piecewise_constant(np.random.default_rng(11), dim=2, n=10, n_pieces=3)
     box = f.support_box()
     sets = np.unique(np.append(box, 0.0)).size - 1
     assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and sets == 5
     assert sets * 4 * bol.orlicz._FFT_COST <= len(lattice_shifts(2, 6.0))
 
-    def refuse(*args):
-        raise AssertionError("the coarea route takes no outside sums")
-
-    monkeypatch.setattr(bol.orlicz, "_outside_sums", refuse)
     spy = mock.Mock(wraps=np.fft.rfftn)
     monkeypatch.setattr(np.fft, "rfftn", spy)
     h = f.spacing
@@ -316,11 +326,9 @@ def test_inside_sums_match_cell_loops_in_both_branches(monkeypatch, dim, p, radi
         monkeypatch.setattr(bol.orlicz, "_BAND_SHIFTS", 1)
     spy = mock.Mock(wraps=np.lib.stride_tricks.as_strided)
     monkeypatch.setattr(np.lib.stride_tricks, "as_strided", spy)
-    got_inside = _inside_by_overlaps(a, shifts, p)
-    assert spy.called == (branch == "bands")
-    got = bol.orlicz._outside_sums(np.abs(a) ** p, shifts) + got_inside
     total = math.fsum(np.abs(a).ravel() ** p)
-    assert np.all(got_inside >= 0.0)
+    got = 2.0 * total - _inside_by_overlaps(a, np.abs(a) ** p, shifts, p)
+    assert spy.called == (branch == "bands")
     for k, s in zip(shifts, got):
         assert s == pytest.approx(_shift_power_sum_by_cells(a, k, p), rel=1e-13, abs=1e-15 * total)
 
@@ -330,13 +338,14 @@ def test_inside_sums_do_not_depend_on_the_chunk_budget(monkeypatch):
     # pieces; it changes no sum beyond rounding
     a = np.random.default_rng(8).uniform(-2.0, 2.0, (16, 16))
     shifts = _half_ball(a, 30.0)
-    whole = _inside_by_overlaps(a, shifts, 1.3)
+    mag = np.abs(a) ** 1.3
+    whole = _inside_by_overlaps(a, mag, shifts, 1.3)
     total = math.fsum(np.abs(a).ravel() ** 1.3)
     for budget, bands in ((1, False), (128, True), (512, True), (4096, True)):
         monkeypatch.setattr(bol.orlicz, "_CHUNK_CELLS", budget)
         spy = mock.Mock(wraps=np.lib.stride_tricks.as_strided)
         with mock.patch.object(np.lib.stride_tricks, "as_strided", spy):
-            got = _inside_by_overlaps(a, shifts, 1.3)
+            got = _inside_by_overlaps(a, mag, shifts, 1.3)
         assert spy.called == bands
         assert np.all(np.abs(got - whole) <= 1e-15 * total)
 
