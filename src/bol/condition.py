@@ -53,7 +53,6 @@ _QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # fir
 _BLOCK = 3  # scales per block of condition_sup (BENCH_condition_blocks.json)
 _LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
 _LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
-_NEEDS_POSITIVE = "condition_value needs s > 0 and a positive head_lower_limit"
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,7 @@ def _anchored_heads(psi: WeightFunction, lower, s_list):
     if lower is None:
         return None
     if not lower > 0.0:
-        raise DomainError(_NEEDS_POSITIVE)
+        raise DomainError(f"the head lower limit must be positive, got {lower!r}")
     top = -math.log(lower)
     ws = np.array([-math.log(s) for s in s_list])
     heads = np.zeros(ws.size)

@@ -141,7 +141,9 @@ def load_grid_function(path: str) -> GridFunction:
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
-            vals = np.array([float(line) for line in fh if line.strip()])
+            # the lines a text file iterates over, blank ones dropped: not
+            # str.split() or splitlines, which also split inside a line
+            vals = np.fromiter(map(float, filter(str.strip, fh.read().split("\n"))), np.float64)
         shape = tuple(operator.index(n) for n in header["shape"])
         spacing, origin = float(header["spacing"]), tuple(map(float, header["origin"]))
     except (OSError, ValueError, KeyError, TypeError) as exc:  # incl. json.JSONDecodeError

@@ -296,8 +296,6 @@ def _inside_by_overlaps(a, mag, shifts, p):
         return out
     lead_ext, n = a.shape[:-1], a.shape[-1]
     axes = tuple(range(a.ndim - 1))
-    # d ** 1.0 would copy every slice of the L1 case
-    power = (lambda d: d) if p == 1.0 else (lambda d: d ** p)
     order = np.lexsort(shifts.T[::-1])
     ks = shifts[order]
     starts = (np.flatnonzero((ks[1:, :-1] != ks[:-1, :-1]).any(axis=1)) + 1).tolist()
@@ -325,7 +323,7 @@ def _inside_by_overlaps(a, mag, shifts, p):
             for row, j in zip(order[lo:hi].tolist(), js.tolist()):
                 sk = rows_k + (slice(max(j, 0), n - max(-j, 0)),)
                 sx = rows_x + (slice(max(-j, 0), n - max(j, 0)),)
-                out[row] = mag[sk].sum() + mag[sx].sum() - power(np.abs(a[sk] - a[sx])).sum()
+                out[row] = mag[sk].sum() + mag[sx].sum() - (np.abs(a[sk] - a[sx]) ** p).sum()
             continue
         if win_a is None:
             win_a, win_mag = windows(a), windows(mag)
@@ -336,8 +334,7 @@ def _inside_by_overlaps(a, mag, shifts, p):
             w = rows_k + (slice(j0 + reach + w0, j0 + reach + min(w0 + step, width)),)
             d = win_a[w] - base[..., None, :]
             np.abs(d, out=d)
-            if p != 1.0:
-                np.power(d, p, out=d)
+            np.power(d, p, out=d)
             np.subtract(win_mag[w], d, out=d)
             d += base_mag
             band[w0:w0 + step] = d.sum(axis=axes).sum(axis=-1)
@@ -380,79 +377,72 @@ def _inside_by_levels(a, mag, shifts, p, levels):
     return corr[tuple((shifts % shape).T)]
 
 
-# the FFT route costs its forward transforms, each on 2^d times the box, at
-# _FFT_COST shifts of the direct route apiece, and is taken where that is at
-# most the shift count.  Against the direct deficit sums, the break-even
-# (shifts per transform per 2^d) over every call the besov_pc, rough_grids
-# and corpus_bv workloads make at seeds 101-103 is 0.9-3.6 on the corpus_bv
-# boxes at 4h (at most 1.0 there, so all direct), 1.5-5.0 at 16h, 3.5-6.0
-# at 64h, 2.1-6.0 on the besov_pc boxes (p = 1.3) and 2.2-4.3 on the rough
-# ones: 2 picks the faster route on all 111 calls, as does any value in
-# 1.5-4 (BENCH_shift_deficit.json)
+# the level route costs its 2K' forward transforms, each on 2^d times the
+# box, at _FFT_COST shifts of the direct route apiece, and is taken where
+# that is at most the shift count.  On the 42 p != 1 calls the besov_pc and
+# rough_grids workloads make at seeds 101-103, the shifts per transform per
+# 2^d are 4.3-35 on the besov_pc boxes (p = 1.3), where the level route is
+# faster (break-even 2.1-6.0), and at most 0.23 on the rough ones, where the
+# direct route is: any value in 0.5-4 picks the faster route on all 42
+# (BENCH_shift_deficit.json)
 _FFT_COST = 2
-
-
-def _inside_by_coarea(a, shifts, levels):
-    """The deficit D_k of ``_shift_sums`` at p = 1 by the coarea formula.
-
-    With ``levels`` the distinct values of ``a`` with 0 added, v_0 < ... <
-    v_T, every s in the gap (v_(i-1), v_i) cuts the same threshold set U_i,
-    taken compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when v_i <= 0.
-    |a(x+k) - a(x)| is the length of the s that separate the two values,
-    so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)) = 2 ||a||_1 - D_k
-    with D_k = 2 sum_i (v_i - v_(i-1)) R_i(k), R_i the autocorrelation of
-    1_(U_i): one real FFT per set on the lengths of ``_fft_shape``, the
-    weighted |F_i|^2 summed before one inverse transform."""
-    shape, axes = _fft_shape(a)
-    spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
-    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
-        part = np.fft.rfftn(a >= hi if hi > 0.0 else a <= lo, shape, axes)
-        spec += (hi - lo) * (part.real ** 2 + part.imag ** 2)
-    corr = np.fft.irfftn(spec, shape, axes)
-    return 2.0 * corr[tuple((shifts % shape).T)]
 
 
 def _shift_sums(a, shifts, p):
     """S_k = sum_x |a(x+k) - a(x)|^p for each row k of ``shifts``, a zero
     outside its box and |k_i| < n_i on every axis.
 
-    Every route takes the one identity
+    Both routes take the one identity
 
         S_k = 2 sum_x |a(x)|^p - D_k,   D_k = sum_x c(a(x), a(x+k)),
         c(u, w) = |u|^p + |w|^p - |w - u|^p,
 
     where c(u, 0) = 0, so only the overlap O of the box and its translate
-    adds to the deficit D_k, and three evaluators of D_k: the coarea
-    formula at p = 1 (``_inside_by_coarea``, T forward transforms for the
-    T gaps between the distinct values of the box with 0 added), level
-    sets at any other p (``_inside_by_levels``, 2K' forward transforms
-    for the K' distinct nonzero values), and direct sums over O
-    (``_inside_by_overlaps``).  One rule: an FFT route where its
-    transforms times 2^d times ``_FFT_COST`` are at most the shift count,
-    else the direct one.  The difference 2 sum |a|^p - D_k carries an
-    absolute rounding error near 1e-15 sum |a|^p on every route, so a
-    shift with S_k far below sum |a|^p (a long plateau) has a relative
-    error above that of a direct sum of |a(x+k) - a(x)|^p (7.6e-14 against
-    4.9e-16 at p = 2.5 on a 2,000-cell plateau); the result is clamped at 0.
+    adds to the deficit D_k, and two evaluators of D_k: level sets
+    (``_inside_by_levels``, 2K' forward transforms for the K' distinct
+    nonzero values) and direct sums over O (``_inside_by_overlaps``).  One
+    rule: the level route where its transforms times 2^d times
+    ``_FFT_COST`` are at most the shift count, else the direct one.  The
+    difference 2 sum |a|^p - D_k carries an absolute rounding error near
+    1e-15 sum |a|^p on both routes, so a shift with S_k far below
+    sum |a|^p (a long plateau) has a relative error above that of a direct
+    sum of |a(x+k) - a(x)|^p (7.6e-14 against 4.9e-16 at p = 2.5 on a
+    2,000-cell plateau); the result is clamped at 0.
     """
     mag = np.abs(a) ** p
     # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms);
     # an all-zero f has an empty box, no level and no shift
-    if p == 1.0:
-        levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
-        transforms = len(levels) - 1
-    else:
-        levels, _ = np.unique(a, return_counts=True)
-        levels = levels[levels != 0.0]
-        transforms = 2 * len(levels)
-    fft = len(shifts) and transforms * 2 ** a.ndim * _FFT_COST <= len(shifts)
-    if not fft:
-        deficit = _inside_by_overlaps(a, mag, shifts, p)
-    elif p == 1.0:
-        deficit = _inside_by_coarea(a, shifts, levels)
-    else:
+    levels, _ = np.unique(a, return_counts=True)
+    levels = levels[levels != 0.0]
+    if len(shifts) and 2 * len(levels) * 2 ** a.ndim * _FFT_COST <= len(shifts):
         deficit = _inside_by_levels(a, mag, shifts, p, levels)
+    else:
+        deficit = _inside_by_overlaps(a, mag, shifts, p)
     return np.maximum(2.0 * mag.sum() - deficit, 0.0)
+
+
+def _coarea_deficit(a, shape):
+    """D_k = 2 sum_i (v_i - v_(i-1)) R_i(k) for every k on the real-FFT
+    lengths ``shape``, read at index k mod shape: the deficit of
+    S_k = sum_x |a(x+k) - a(x)| = 2 ||a||_1 - D_k by the coarea formula.
+
+    With v_0 < ... < v_T the distinct values of ``a`` with 0 added, every
+    s in the gap (v_(i-1), v_i) cuts the same threshold set U_i, taken
+    compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when v_i <= 0.
+    |a(x+k) - a(x)| is the length of the s that separate the two values,
+    so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)), R_i the
+    autocorrelation of 1_(U_i): one real FFT per set, the weighted |F_i|^2
+    summed before one inverse transform.  R_i vanishes for |k_j| >= n_j,
+    so a length L_j >= n_j + m on each axis keeps every k with |k_j| <= m
+    free of wrap."""
+    axes = tuple(range(a.ndim))
+    # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms)
+    levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
+    spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
+    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
+        part = np.fft.rfftn(a >= hi if hi > 0.0 else a <= lo, shape, axes)
+        spec += (hi - lo) * (part.real ** 2 + part.imag ** 2)
+    return 2.0 * np.fft.irfftn(spec, shape, axes)
 
 
 def l1_modulus(f: GridFunction, t: float) -> float:
@@ -467,13 +457,11 @@ def l1_modulus(f: GridFunction, t: float) -> float:
     - saturation: ||Delta_k f||_1 <= 2 ||f||_1 for every k (triangle
       inequality), with equality once |k_i| >= n_i on some axis, because
       the two copies no longer overlap.  Once t/h reaches min(n_i) the
-      shift set holds such a k, the sup is 2 ||f||_1 and no shift is
-      enumerated.
-    - otherwise each shift's ||Delta_k f||_1 is the p = 1 sum of
-      ``_shift_sums`` on the box, times the cell volume: by the coarea
-      formula, one FFT per threshold set of the box, where its T sets
-      times 2^d times ``_FFT_COST`` are at most the shift count, else by
-      direct sums over the overlap of the box and its translate.
+      shift set holds such a k and the sup is 2 ||f||_1.
+    - otherwise, with m = floor(t/h) and D_k the coarea deficit on the
+      lengths ``_fft_len(n_i + m)`` (``_coarea_deficit``), the sup is
+      (2 ||f||_1 - min D_k) times the cell volume, the min taken over the
+      window 0 < |k| <= t/h, |k_i| <= m, read from the deficit by index.
     """
     if t <= 0:
         raise DomainError("modulus needs t > 0")
@@ -481,8 +469,13 @@ def l1_modulus(f: GridFunction, t: float) -> float:
     t_eval, scale = max(t, h), min(t / h, 1.0)
     _shift_count(f.dim, t_eval / h)
     a = f.support_box()
-    if t_eval / h + 1e-12 >= min(a.shape):
+    lim = t_eval / h + 1e-12
+    if lim >= min(a.shape):
         return float(2.0 * np.abs(a).sum() * f.cell_volume) * scale
-    shifts = lattice_shifts(f.dim, t_eval / h)
-    return float((_shift_sums(a, shifts, 1.0) * f.cell_volume).max()) * scale
-
+    m = int(math.floor(lim))
+    shape = tuple(_fft_len(n + m) for n in a.shape)
+    ks = np.arange(-m, m + 1)
+    window = _coarea_deficit(a, shape)[np.ix_(*(ks % n for n in shape))]
+    length = np.sqrt(sum(np.ix_(*[ks ** 2] * a.ndim)))
+    deficit = window[(length > 0) & (length <= lim)].min()
+    return float(max(2.0 * np.abs(a).sum() - deficit, 0.0) * f.cell_volume) * scale

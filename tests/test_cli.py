@@ -409,6 +409,7 @@ def test_necessity_with_a_table_paired_weight_diverges_at_its_tail(tmp_path, cap
     # r^d overflows, or r is not finite
     ({}, ["lemma6", "--dim", "2", "--r", "1e200", "--offsets", "1e199"]),
     ({}, ["lemma6", "--r", "inf", "--offsets", "1"]),
+    ({}, ["check-condition", "--head-lower-limit", "0"]),
 ])
 def test_bad_parameters_exit_3(env, argv, monkeypatch, capsys):
     for key, val in env.items():
@@ -450,6 +451,10 @@ BAD_GRID_INPUTS = {
     "header_not_json.grid": ("{shape: [2]}\n1.0\n2.0\n", []),
     "header_without_spacing.grid": ('{"dim": 1, "origin": [0.0], "shape": [2]}\n1.0\n2.0\n', []),
     "header_wrong_types.grid": ('{"origin": [0.0], "shape": ["a"], "spacing": "x"}\n1.0\n', []),
+    "two_values_on_a_line.grid": ('{"dim": 1, "origin": [0.0], "shape": [2], "spacing": 1.0}\n'
+                                  "1.0 2.0\n", []),
+    "value_not_number.grid": ('{"dim": 1, "origin": [0.0], "shape": [2], "spacing": 1.0}\n'
+                              "1.0\nabc\n", []),
     "cell_volume_past_float_range.csv": ("1,2,3\n4,5,6\n7,8,9\n",
                                          ["--dim", "2", "--shape", "3,3", "--spacing", "1e200",
                                           "--phi", "power:p=1.3"]),

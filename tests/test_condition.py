@@ -417,6 +417,17 @@ def test_divergence_and_overflow_errors_keep_their_order():
     assert cv.head_diverged and cv.tail_diverged
 
 
+@pytest.mark.parametrize("lower", [0.0, -1.0, math.nan])
+def test_a_non_positive_head_lower_limit_is_named(lower):
+    # the sweep and the single scale reject it with the same message, which
+    # names the lower limit and no function the caller did not call
+    phi, psi = make_power_young(1.3), make_power_weight(0.5385)
+    with pytest.raises(DomainError, match="^the head lower limit must be positive"):
+        condition_sup(phi, psi, 2, head_lower_limit=lower)
+    with pytest.raises(DomainError, match="^the head lower limit must be positive"):
+        condition_value(1.0, phi, psi, 2, head_lower_limit=lower)
+
+
 def test_sweep_names_the_first_overflowing_scale():
     phi, psi = make_power_young(3.0), make_power_weight(critical_theta(3.0, 5))
     s_grid = np.geomspace(1e100, 1e200, 21).tolist()

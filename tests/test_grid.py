@@ -14,8 +14,8 @@ from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_funct
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.corpus import random_piecewise_constant
-from bol.orlicz import (ShiftNormCache, _inside_by_coarea, _inside_by_levels, _inside_by_overlaps,
-                        l1_modulus, lattice_shifts, luxemburg_norm)
+from bol.orlicz import (ShiftNormCache, _coarea_deficit, _fft_shape, _inside_by_levels,
+                        _inside_by_overlaps, l1_modulus, lattice_shifts, luxemburg_norm)
 from bol.young import YoungFunction, make_power_young
 from conftest import ball_indicator
 
@@ -128,6 +128,12 @@ def bordered_grids(draw):
     return np.pad(core, border), h, draw(st.floats(0.05, t_cap))
 
 
+def _edge_box(*shape):
+    """Positive values, so the support box is the grid and the far corners
+    of the box overlap in every threshold set."""
+    return np.random.default_rng(21).uniform(0.5, 2.0, shape)
+
+
 def _box_extents(values):
     nz = np.nonzero(values)
     return [int(idx.max() - idx.min() + 1) for idx in nz] if nz[0].size else None
@@ -141,6 +147,12 @@ def _box_extents(values):
 @example(case=(np.full((1, 1, 1), 2.0), 0.1, 0.4))     # single cell, t < h
 @example(case=(np.pad(np.ones((2, 5)), 1), 0.5, 2.0))  # clears the support on axis 0
 @example(case=(np.pad(np.arange(64.0).reshape(4, 4, 4) % 7 - 3, 1), 0.5, 2.1))  # 3-D overlap split
+# the largest radius that does not saturate, m = min(n_i) - 1 plus a
+# fraction, on boxes where every n_i + m - 1 is 5-smooth: a correlation
+# padded one cell short of n_i + m wraps onto the window's edge
+@example(case=(_edge_box(9), 1.0, 8.5))
+@example(case=(_edge_box(7, 5), 0.5, 4.5))
+@example(case=(_edge_box(6, 4, 7), 0.1, 3.5))
 def test_l1_modulus_matches_cell_loop_max(case):
     values, h, t_cells = case
     f = GridFunction(h, (0.0,) * values.ndim, values)
@@ -226,7 +238,9 @@ def _by_levels(a, mag, shifts, p):
 
 
 def _by_coarea(a, mag, shifts, p):
-    return _inside_by_coarea(a, shifts, np.unique(np.append(a, 0.0)))
+    # on the 2 n_i - 1 padding every |k_i| < n_i is free of wrap
+    shape, _ = _fft_shape(a)
+    return _coarea_deficit(a, shape)[tuple((shifts % shape).T)]
 
 
 EVALUATORS = ([(p, inside) for p in (1.0, 1.3, 2.5) for inside in (_inside_by_overlaps, _by_levels)]
@@ -264,20 +278,20 @@ def test_shift_sum_evaluators_on_a_plateau(p, inside):
 
 def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
     # a signed 8 x 8 box with zero cells inside and T = 5 gaps between its
-    # values with 0 added: at 6h (56 shifts >= T 2^d _FFT_COST) and in the
-    # p = 1 cache the sums come from T forward FFTs
+    # values with 0 added: at 6h l1_modulus takes T forward FFTs on the
+    # tight lengths _fft_len(8 + 6) = 15, and the p = 1 cache takes the
+    # level route, two FFTs per nonzero value, on the 2 n_i - 1 = 15 lengths
     f = random_piecewise_constant(np.random.default_rng(11), dim=2, n=10, n_pieces=3)
     box = f.support_box()
     sets = np.unique(np.append(box, 0.0)).size - 1
     assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and sets == 5
-    assert sets * 4 * bol.orlicz._FFT_COST <= len(lattice_shifts(2, 6.0))
 
     spy = mock.Mock(wraps=np.fft.rfftn)
     monkeypatch.setattr(np.fft, "rfftn", spy)
     h = f.spacing
     expect = max(_shift_l1_by_cells(box, k, h) for k in lattice_shifts(2, 6.0))
     assert l1_modulus(f, 6.0 * h) == pytest.approx(expect, rel=1e-13)
-    assert spy.call_count == sets
+    assert [call.args[1] for call in spy.call_args_list] == [(15, 15)] * sets
 
     # the power preset takes p > 1, so Phi(t) = t is built directly
     spy.reset_mock()
@@ -287,9 +301,11 @@ def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
 
     cache = ShiftNormCache(f, YoungFunction("power", {"p": 1.0}, identity, identity))
     cache.sup_up_to(h)
-    assert spy.call_count == sets
+    nonzero = np.unique(box[box != 0.0]).size
     shifts = lattice_shifts(2, math.hypot(7.0, 7.0))
     shifts = shifts[(np.abs(shifts) < 8).all(axis=1)]
+    assert 2 * nonzero * 4 * bol.orlicz._FFT_COST <= len(shifts)
+    assert spy.call_count == 2 * nonzero
     assert cache.evaluated == len(shifts)
     for k, norm in zip(shifts, cache._norms):
         assert norm == pytest.approx(_shift_l1_by_cells(box, k, h), rel=1e-13)
@@ -440,3 +456,9 @@ def test_serialization_roundtrip(tmp_path):
     g = load_grid_function(str(path))
     assert g.spacing == f.spacing and g.origin == f.origin
     assert np.array_equal(g.values, f.values)  # repr round-trips exactly
+    # blank lines are skipped and CRLF line ends read as LF
+    header, *lines = path.read_text().splitlines()
+    path.write_bytes("\r\n".join([header, ""] + lines[:5] + [" ", ""] + lines[5:] + [""]).encode())
+    g = load_grid_function(str(path))
+    assert g.spacing == f.spacing and g.origin == f.origin
+    assert np.array_equal(g.values, f.values)

@@ -42,8 +42,8 @@ powerweight:theta=...`` of a power Phi on grids whose every cell is a
 distinct value (40 cells in d = 1, 32x32 and 6x5x7 cells), whose shift
 sums all take the direct evaluator, and ``l1_modulus`` of an
 all-negative grid and of a signed grid with zero cells inside, in d = 1
-(40 cells, 20h) and d = 3 (8x7x6 cells, 4h), whose shift sums take the
-coarea route.  Last come commands that
+(40 cells, 20h) and d = 3 (8x7x6 cells, 4h), and of a signed 9x13 grid
+at 8.5h, the largest radius short of saturation.  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
@@ -244,9 +244,18 @@ def distinct_outputs(tmp):
 
 def coarea_outputs(tmp):
     """``l1_modulus`` of piecewise-constant grids in d = 1 and 3, one
-    all-negative and one signed with zero cells inside, at radii whose
-    shift sums take the coarea route."""
+    all-negative and one signed with zero cells inside, and of a signed
+    9x13 grid at 8.5h, the largest radius that does not saturate, where
+    the correlation window reaches the edge of its padding."""
     from bol.grid import GridFunction
+
+    def emit_modulus(label, vals, radius):
+        f = GridFunction(1.0 / vals.shape[0], (0.0,) * vals.ndim, vals)
+        try:
+            text = repr(bol.orlicz.l1_modulus(f, radius * f.spacing))
+        except Exception as exc:
+            text = f"raised {exc!r}"
+        emit(f"l1_modulus {label} {'x'.join(map(str, vals.shape))} {radius}h", text, tmp)
 
     rng = np.random.default_rng(9)
     for shape, m in (((40,), 20), ((8, 7, 6), 4)):
@@ -255,13 +264,11 @@ def coarea_outputs(tmp):
         signed = rng.choice([-levels[0], 0.0, levels[1], levels[2]], shape)
         # nonzero corners keep the support box the whole grid, zeros inside
         signed[(0,) * len(shape)] = signed[(-1,) * len(shape)] = levels[2]
-        for label, vals in (("negative", negative), ("signed", signed)):
-            f = GridFunction(1.0 / shape[0], (0.0,) * len(shape), vals)
-            try:
-                text = repr(bol.orlicz.l1_modulus(f, m * f.spacing))
-            except Exception as exc:
-                text = f"raised {exc!r}"
-            emit(f"l1_modulus {label} {'x'.join(map(str, shape))} {m}h", text, tmp)
+        emit_modulus("negative", negative, m)
+        emit_modulus("signed", signed, m)
+    edge = np.random.default_rng(10).choice([-1.5, 0.0, 0.7, 2.0], (9, 13))
+    edge[0, 0] = edge[-1, -1] = 2.0
+    emit_modulus("signed", edge, 8.5)
 
 
 def override_outputs(tmp):
