@@ -4,6 +4,7 @@ Cell-centered sampling: cell index i holds the value at
 origin + (i + 1/2) * h.  The function is zero outside the box.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -137,13 +138,29 @@ def save_grid_function(f: GridFunction, path: str) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
+def _line_blocks(fh, size=1 << 12):
+    """Lists of the lines of text file ``fh``, split where iterating it
+    splits them and without their line ends, read ``size`` characters at a
+    time: faster than iterating the file, and holding one block, not the
+    whole body.  A line longer than a block is joined once, from its
+    pieces."""
+    pieces = []
+    for block in iter(lambda: fh.read(size), ""):
+        *lines, last = block.split("\n")
+        if lines:
+            lines[0] = "".join(pieces + [lines[0]])
+            pieces = []
+        pieces.append(last)
+        yield lines
+    yield ["".join(pieces)]
+
+
 def load_grid_function(path: str) -> GridFunction:
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
-            # the lines a text file iterates over, blank ones dropped: not
-            # str.split() or splitlines, which also split inside a line
-            vals = np.fromiter(map(float, filter(str.strip, fh.read().split("\n"))), np.float64)
+            lines = itertools.chain.from_iterable(_line_blocks(fh))
+            vals = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
         shape = tuple(operator.index(n) for n in header["shape"])
         spacing, origin = float(header["spacing"]), tuple(map(float, header["origin"]))
     except (OSError, ValueError, KeyError, TypeError) as exc:  # incl. json.JSONDecodeError

@@ -177,17 +177,24 @@ def _shift_count(dim: int, max_len_cells: float) -> int:
     return count
 
 
+def _ball(dim: int, max_len_cells: float):
+    """The lattice ball of ``lattice_shifts`` on the mesh [-m, m]^d, m =
+    floor(max_len_cells + 1e-12): (m, |k| at mesh index k + m, the mask of
+    the k with 0 < |k| <= max_len_cells + 1e-12)."""
+    m = int(math.floor(max_len_cells + 1e-12))
+    ks = np.arange(-m, m + 1)
+    length = np.sqrt(sum(np.ix_(*[ks ** 2] * dim)))
+    return m, length, (length > 0) & (length <= max_len_cells + 1e-12)
+
+
 def lattice_shifts(dim: int, max_len_cells: float):
     """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k} pair,
     sorted by Euclidean length; at most ``SHIFT_BUDGET`` of them."""
     if _shift_count(dim, max_len_cells) == 0:
         return np.zeros((0, dim), dtype=np.int64)
-    m = int(math.floor(max_len_cells + 1e-12))
-    axes = [np.arange(-m, m + 1)] * dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    norms = np.sqrt((mesh ** 2).sum(axis=1))
-    keep = (norms > 0) & (norms <= max_len_cells + 1e-12)
-    mesh, norms = mesh[keep], norms[keep]
+    m, length, inside = _ball(dim, max_len_cells)
+    mesh = np.stack(np.meshgrid(*[np.arange(-m, m + 1)] * dim, indexing="ij"), axis=-1)
+    mesh, norms = mesh[inside], length[inside]
     # one representative per antipodal pair: first nonzero component positive
     first = mesh[np.arange(len(mesh)), np.argmax(mesh != 0, axis=1)]
     mesh, norms = mesh[first > 0], norms[first > 0]
@@ -296,6 +303,8 @@ def _inside_by_overlaps(a, mag, shifts, p):
         return out
     lead_ext, n = a.shape[:-1], a.shape[-1]
     axes = tuple(range(a.ndim - 1))
+    # d ** 1.0 would copy every slice of the L1 case
+    power = (lambda d: d) if p == 1.0 else (lambda d: d ** p)
     order = np.lexsort(shifts.T[::-1])
     ks = shifts[order]
     starts = (np.flatnonzero((ks[1:, :-1] != ks[:-1, :-1]).any(axis=1)) + 1).tolist()
@@ -323,7 +332,7 @@ def _inside_by_overlaps(a, mag, shifts, p):
             for row, j in zip(order[lo:hi].tolist(), js.tolist()):
                 sk = rows_k + (slice(max(j, 0), n - max(-j, 0)),)
                 sx = rows_x + (slice(max(-j, 0), n - max(j, 0)),)
-                out[row] = mag[sk].sum() + mag[sx].sum() - (np.abs(a[sk] - a[sx]) ** p).sum()
+                out[row] = mag[sk].sum() + mag[sx].sum() - power(np.abs(a[sk] - a[sx])).sum()
             continue
         if win_a is None:
             win_a, win_mag = windows(a), windows(mag)
@@ -334,7 +343,8 @@ def _inside_by_overlaps(a, mag, shifts, p):
             w = rows_k + (slice(j0 + reach + w0, j0 + reach + min(w0 + step, width)),)
             d = win_a[w] - base[..., None, :]
             np.abs(d, out=d)
-            np.power(d, p, out=d)
+            if p != 1.0:
+                np.power(d, p, out=d)
             np.subtract(win_mag[w], d, out=d)
             d += base_mag
             band[w0:w0 + step] = d.sum(axis=axes).sum(axis=-1)
@@ -377,14 +387,20 @@ def _inside_by_levels(a, mag, shifts, p, levels):
     return corr[tuple((shifts % shape).T)]
 
 
-# the level route costs its 2K' forward transforms, each on 2^d times the
-# box, at _FFT_COST shifts of the direct route apiece, and is taken where
-# that is at most the shift count.  On the 42 p != 1 calls the besov_pc and
-# rough_grids workloads make at seeds 101-103, the shifts per transform per
-# 2^d are 4.3-35 on the besov_pc boxes (p = 1.3), where the level route is
-# faster (break-even 2.1-6.0), and at most 0.23 on the rough ones, where the
-# direct route is: any value in 0.5-4 picks the faster route on all 42
-# (BENCH_shift_deficit.json)
+# an FFT route costs its forward transforms (2K' for the level route, T for
+# the coarea window of l1_modulus), each counted on 2^d times the box, at
+# _FFT_COST shifts of the direct route apiece, and is taken where that is at
+# most the shift count.  On the 42 p != 1 calls the besov_pc and rough_grids
+# workloads make at seeds 101-103, the shifts per transform per 2^d are
+# 4.3-35 on the besov_pc boxes (p = 1.3), where the level route is faster
+# (break-even 2.1-6.0), and at most 0.23 on the rough ones, where the direct
+# route is: any value in 0.5-4 picks the faster route on all 42
+# (BENCH_shift_deficit.json).  On the 69 non-saturated l1_modulus calls of
+# corpus_bv at the same seeds they are 6.6-268 at 16h and 64h, where the
+# window is faster (break-even 1.1-4.6), and 0.4-1.0 at 4h, where the two
+# routes are within 0.5 ms (break-even 0.5-1.1): 2 takes the direct sums on
+# every 4h call, 1.9 ms over the 68.9 ms of the faster route on each call
+# (BENCH_l1_window.json)
 _FFT_COST = 2
 
 
@@ -421,14 +437,15 @@ def _shift_sums(a, shifts, p):
     return np.maximum(2.0 * mag.sum() - deficit, 0.0)
 
 
-def _coarea_deficit(a, shape):
+def _coarea_deficit(a, levels, shape):
     """D_k = 2 sum_i (v_i - v_(i-1)) R_i(k) for every k on the real-FFT
     lengths ``shape``, read at index k mod shape: the deficit of
     S_k = sum_x |a(x+k) - a(x)| = 2 ||a||_1 - D_k by the coarea formula.
 
-    With v_0 < ... < v_T the distinct values of ``a`` with 0 added, every
-    s in the gap (v_(i-1), v_i) cuts the same threshold set U_i, taken
-    compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when v_i <= 0.
+    With ``levels`` v_0 < ... < v_T the distinct values of ``a`` with 0
+    added, every s in the gap (v_(i-1), v_i) cuts the same threshold set
+    U_i, taken compact: {a >= v_i} when v_i > 0, {a <= v_(i-1)} when
+    v_i <= 0.
     |a(x+k) - a(x)| is the length of the s that separate the two values,
     so S_k = sum_i (v_i - v_(i-1)) (2 |U_i| - 2 R_i(k)), R_i the
     autocorrelation of 1_(U_i): one real FFT per set, the weighted |F_i|^2
@@ -436,8 +453,6 @@ def _coarea_deficit(a, shape):
     so a length L_j >= n_j + m on each axis keeps every k with |k_j| <= m
     free of wrap."""
     axes = tuple(range(a.ndim))
-    # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms)
-    levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
     spec = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
     for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
         part = np.fft.rfftn(a >= hi if hi > 0.0 else a <= lo, shape, axes)
@@ -458,24 +473,32 @@ def l1_modulus(f: GridFunction, t: float) -> float:
       inequality), with equality once |k_i| >= n_i on some axis, because
       the two copies no longer overlap.  Once t/h reaches min(n_i) the
       shift set holds such a k and the sup is 2 ||f||_1.
-    - otherwise, with m = floor(t/h) and D_k the coarea deficit on the
-      lengths ``_fft_len(n_i + m)`` (``_coarea_deficit``), the sup is
-      (2 ||f||_1 - min D_k) times the cell volume, the min taken over the
-      window 0 < |k| <= t/h, |k_i| <= m, read from the deficit by index.
+    - otherwise the sup is (2 ||f||_1 - min D_k) times the cell volume,
+      the min taken over 0 < |k| <= t/h, with D_k the deficit
+      of ``_shift_sums`` at p = 1.  Where the T gaps between the distinct
+      values of the box with 0 added, times 2^d times ``_FFT_COST``, are
+      at most the shift count, D_k is the coarea correlation
+      (``_coarea_deficit``) on the lengths ``_fft_len(n_i + m)``,
+      m = floor(t/h), read by index over the whole window |k| <= t/h;
+      else it is summed directly over each shift's overlap
+      (``_inside_by_overlaps``).
     """
     if t <= 0:
         raise DomainError("modulus needs t > 0")
     h = f.spacing
     t_eval, scale = max(t, h), min(t / h, 1.0)
-    _shift_count(f.dim, t_eval / h)
+    count = _shift_count(f.dim, t_eval / h)
     a = f.support_box()
-    lim = t_eval / h + 1e-12
-    if lim >= min(a.shape):
-        return float(2.0 * np.abs(a).sum() * f.cell_volume) * scale
-    m = int(math.floor(lim))
-    shape = tuple(_fft_len(n + m) for n in a.shape)
-    ks = np.arange(-m, m + 1)
-    window = _coarea_deficit(a, shape)[np.ix_(*(ks % n for n in shape))]
-    length = np.sqrt(sum(np.ix_(*[ks ** 2] * a.ndim)))
-    deficit = window[(length > 0) & (length <= lim)].min()
-    return float(max(2.0 * np.abs(a).sum() - deficit, 0.0) * f.cell_volume) * scale
+    mag = np.abs(a)
+    if t_eval / h + 1e-12 >= min(a.shape):
+        return float(2.0 * mag.sum() * f.cell_volume) * scale
+    # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms)
+    levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
+    if (len(levels) - 1) * 2 ** a.ndim * _FFT_COST <= count:
+        m, _, inside = _ball(f.dim, t_eval / h)
+        shape = tuple(_fft_len(n + m) for n in a.shape)
+        ks = np.arange(-m, m + 1)
+        deficit = _coarea_deficit(a, levels, shape)[np.ix_(*(ks % n for n in shape))][inside].min()
+    else:
+        deficit = _inside_by_overlaps(a, mag, lattice_shifts(f.dim, t_eval / h), 1.0).min()
+    return float(max(2.0 * mag.sum() - deficit, 0.0) * f.cell_volume) * scale

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
-from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
+from bol.grid import (GridFunction, _line_blocks, load_grid_function, lp_norm, save_grid_function,
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.corpus import random_piecewise_constant
@@ -128,12 +129,6 @@ def bordered_grids(draw):
     return np.pad(core, border), h, draw(st.floats(0.05, t_cap))
 
 
-def _edge_box(*shape):
-    """Positive values, so the support box is the grid and the far corners
-    of the box overlap in every threshold set."""
-    return np.random.default_rng(21).uniform(0.5, 2.0, shape)
-
-
 def _box_extents(values):
     nz = np.nonzero(values)
     return [int(idx.max() - idx.min() + 1) for idx in nz] if nz[0].size else None
@@ -147,12 +142,6 @@ def _box_extents(values):
 @example(case=(np.full((1, 1, 1), 2.0), 0.1, 0.4))     # single cell, t < h
 @example(case=(np.pad(np.ones((2, 5)), 1), 0.5, 2.0))  # clears the support on axis 0
 @example(case=(np.pad(np.arange(64.0).reshape(4, 4, 4) % 7 - 3, 1), 0.5, 2.1))  # 3-D overlap split
-# the largest radius that does not saturate, m = min(n_i) - 1 plus a
-# fraction, on boxes where every n_i + m - 1 is 5-smooth: a correlation
-# padded one cell short of n_i + m wraps onto the window's edge
-@example(case=(_edge_box(9), 1.0, 8.5))
-@example(case=(_edge_box(7, 5), 0.5, 4.5))
-@example(case=(_edge_box(6, 4, 7), 0.1, 3.5))
 def test_l1_modulus_matches_cell_loop_max(case):
     values, h, t_cells = case
     f = GridFunction(h, (0.0,) * values.ndim, values)
@@ -168,6 +157,35 @@ def test_l1_modulus_matches_cell_loop_max(case):
     ext = _box_extents(values)
     if ext is not None and (np.abs(shifts) >= ext).any():
         assert got == pytest.approx(saturated, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, radius", [((9,), 8.5), ((7, 5), 4.5), ((6, 4, 7), 3.5)])
+def test_l1_modulus_window_reaches_the_edge_of_its_padding(shape, radius, monkeypatch):
+    # the largest radius that does not saturate, m = min(n_i) - 1 plus a
+    # fraction, on boxes where every n_i + m - 1 is 5-smooth: a correlation
+    # padded one cell short of n_i + m wraps onto the window's edge.  Two
+    # positive levels keep the support box the grid and T = 2 threshold
+    # sets few enough for the coarea window
+    values = np.random.default_rng(21).choice([0.5, 2.0], shape)
+    assert np.unique(values).size == 2
+    spy = mock.Mock(wraps=bol.orlicz._coarea_deficit)
+    monkeypatch.setattr(bol.orlicz, "_coarea_deficit", spy)
+    f = GridFunction(0.5, (0.0,) * len(shape), values)
+    expect = max(_shift_l1_by_cells(values, k, 0.5) for k in lattice_shifts(len(shape), radius))
+    assert l1_modulus(f, radius * 0.5) == pytest.approx(expect, rel=1e-12)
+    assert spy.call_count == 1
+
+
+def test_l1_modulus_of_an_all_distinct_grid_takes_the_direct_sums(monkeypatch):
+    # one threshold set per distinct value would cost 144 transforms for
+    # 14 shifts, so the shifts are summed directly
+    values = np.random.default_rng(22).uniform(-1.0, 1.0, (12, 12))
+    spy = mock.Mock(wraps=bol.orlicz._coarea_deficit)
+    monkeypatch.setattr(bol.orlicz, "_coarea_deficit", spy)
+    f = GridFunction(0.25, (0.0, 0.0), values)
+    expect = max(_shift_l1_by_cells(values, k, 0.25) for k in lattice_shifts(2, 3.0))
+    assert l1_modulus(f, 0.75) == pytest.approx(expect, rel=1e-12)
+    assert spy.call_count == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,7 +258,7 @@ def _by_levels(a, mag, shifts, p):
 def _by_coarea(a, mag, shifts, p):
     # on the 2 n_i - 1 padding every |k_i| < n_i is free of wrap
     shape, _ = _fft_shape(a)
-    return _coarea_deficit(a, shape)[tuple((shifts % shape).T)]
+    return _coarea_deficit(a, np.unique(np.append(a, 0.0)), shape)[tuple((shifts % shape).T)]
 
 
 EVALUATORS = ([(p, inside) for p in (1.0, 1.3, 2.5) for inside in (_inside_by_overlaps, _by_levels)]
@@ -285,6 +303,7 @@ def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
     box = f.support_box()
     sets = np.unique(np.append(box, 0.0)).size - 1
     assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and sets == 5
+    assert sets * 4 * bol.orlicz._FFT_COST <= len(lattice_shifts(2, 6.0))
 
     spy = mock.Mock(wraps=np.fft.rfftn)
     monkeypatch.setattr(np.fft, "rfftn", spy)
@@ -462,3 +481,19 @@ def test_serialization_roundtrip(tmp_path):
     g = load_grid_function(str(path))
     assert g.spacing == f.spacing and g.origin == f.origin
     assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 4096])
+def test_line_blocks_split_where_file_iteration_does(size):
+    # CR, CRLF and LF line ends, blank and whitespace lines, a line longer
+    # than a block, CRLF pairs that block boundaries cut, and separators
+    # that str.splitlines would split on but a text file does not
+    text = "1.5\r\n\r\n 2\r3\n\n" + "4" * 11 + "\r\n \x0b5\x1c6\n\u20287\r\n8"
+
+    def opened():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+    want = [line.rstrip("\n") for line in opened()]
+    got = list(itertools.chain.from_iterable(_line_blocks(opened(), size)))
+    assert list(filter(str.strip, got)) == list(filter(str.strip, want))
+    assert len(want) == 9
