@@ -15,8 +15,9 @@ from bol.grid import (GridFunction, _line_blocks, load_grid_function, lp_norm, s
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.corpus import random_piecewise_constant
-from bol.orlicz import (ShiftNormCache, _coarea_deficit, _fft_shape, _inside_by_levels,
-                        _inside_by_overlaps, l1_modulus, lattice_shifts, luxemburg_norm)
+from bol.orlicz import (ShiftNormCache, _coarea_deficit, _fft_len, _inside_by_levels,
+                        _inside_by_overlaps, _shift_sums, l1_modulus, lattice_shifts,
+                        luxemburg_norm)
 from bol.young import YoungFunction, make_power_young
 from conftest import ball_indicator
 
@@ -163,9 +164,9 @@ def test_l1_modulus_matches_cell_loop_max(case):
 def test_l1_modulus_window_reaches_the_edge_of_its_padding(shape, radius, monkeypatch):
     # the largest radius that does not saturate, m = min(n_i) - 1 plus a
     # fraction, on boxes where every n_i + m - 1 is 5-smooth: a correlation
-    # padded one cell short of n_i + m wraps onto the window's edge.  Two
+    # padded one cell short of n_i + m wraps onto the ball's edge.  Two
     # positive levels keep the support box the grid and T = 2 threshold
-    # sets few enough for the coarea window
+    # sets few enough for the coarea route
     values = np.random.default_rng(21).choice([0.5, 2.0], shape)
     assert np.unique(values).size == 2
     spy = mock.Mock(wraps=bol.orlicz._coarea_deficit)
@@ -202,11 +203,12 @@ def test_sup_up_to_matches_every_lattice_shift(case, p):
     f = GridFunction(h, (0.0,) * values.ndim, values)
     phi = make_power_young(p)
     n_min = min(_box_extents(values) or [0])
-    shifts = lattice_shifts(values.ndim, n_min + 0.5)
+    shifts = _by_length(lattice_shifts(values.ndim, n_min + 0.5))
     norms = [luxemburg_norm(shift_difference(f, k), phi).norm for k in shifts]
     cache = ShiftNormCache(f, phi)
     for t_cells in (max(n_min - 0.5, 0.3), max(n_min, 0.7), n_min + 0.5):
-        # the shifts of length <= max(t, h) are a prefix of the sorted enumeration
+        # the shifts of length <= max(t, h) are a prefix of the enumeration
+        # sorted by length
         count = len(lattice_shifts(values.ndim, max(t_cells, 1.0)))
         expect = max(norms[:count], default=0.0) * min(t_cells, 1.0)
         assert cache.sup_up_to(t_cells * h) == pytest.approx(expect, rel=1e-13, abs=0.0)
@@ -221,7 +223,7 @@ def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget
     f = GridFunction(0.5, (0.0,) * dim, values)
     t = t_cells * 0.5
     with mock.patch.object(bol.orlicz, "SHIFT_BUDGET", budget):
-        for bad in (0.0, -t):
+        for bad in (0.0, -t, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 l1_modulus(f, bad)
         try:
@@ -250,15 +252,23 @@ EVALUATOR_GRIDS = {
 }
 
 
+def _by_length(shifts):
+    """``shifts`` in the order of ``ShiftNormCache``: stably by length."""
+    return shifts[np.argsort(np.sqrt((shifts ** 2).sum(axis=1)), kind="stable")]
+
+
+def _whole_padding(evaluate, a, mag, shifts, p):
+    # on the 2 n_i - 1 padding every |k_i| < n_i is free of wrap
+    shape = tuple(_fft_len(2 * n - 1) for n in a.shape)
+    return evaluate(a, mag, p, np.unique(np.append(a, 0.0)), shape)[tuple(shifts.T)]
+
+
 def _by_levels(a, mag, shifts, p):
-    levels = np.unique(a)
-    return _inside_by_levels(a, mag, shifts, p, levels[levels != 0.0])
+    return _whole_padding(_inside_by_levels, a, mag, shifts, p)
 
 
 def _by_coarea(a, mag, shifts, p):
-    # on the 2 n_i - 1 padding every |k_i| < n_i is free of wrap
-    shape, _ = _fft_shape(a)
-    return _coarea_deficit(a, np.unique(np.append(a, 0.0)), shape)[tuple((shifts % shape).T)]
+    return _whole_padding(_coarea_deficit, a, mag, shifts, p)
 
 
 EVALUATORS = ([(p, inside) for p in (1.0, 1.3, 2.5) for inside in (_inside_by_overlaps, _by_levels)]
@@ -298,7 +308,7 @@ def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
     # a signed 8 x 8 box with zero cells inside and T = 5 gaps between its
     # values with 0 added: at 6h l1_modulus takes T forward FFTs on the
     # tight lengths _fft_len(8 + 6) = 15, and the p = 1 cache takes the
-    # level route, two FFTs per nonzero value, on the 2 n_i - 1 = 15 lengths
+    # same coarea route on the 2 n_i - 1 = 15 lengths
     f = random_piecewise_constant(np.random.default_rng(11), dim=2, n=10, n_pieces=3)
     box = f.support_box()
     sets = np.unique(np.append(box, 0.0)).size - 1
@@ -320,14 +330,38 @@ def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
 
     cache = ShiftNormCache(f, YoungFunction("power", {"p": 1.0}, identity, identity))
     cache.sup_up_to(h)
-    nonzero = np.unique(box[box != 0.0]).size
     shifts = lattice_shifts(2, math.hypot(7.0, 7.0))
-    shifts = shifts[(np.abs(shifts) < 8).all(axis=1)]
-    assert 2 * nonzero * 4 * bol.orlicz._FFT_COST <= len(shifts)
-    assert spy.call_count == 2 * nonzero
+    shifts = _by_length(shifts[(np.abs(shifts) < 8).all(axis=1)])
+    assert sets * 4 * bol.orlicz._FFT_COST <= len(shifts)
+    assert [call.args[1] for call in spy.call_args_list] == [(15, 15)] * sets
     assert cache.evaluated == len(shifts)
     for k, norm in zip(shifts, cache._norms):
         assert norm == pytest.approx(_shift_l1_by_cells(box, k, h), rel=1e-13)
+
+
+@pytest.mark.parametrize("route", ["fft", "direct"])
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.5])
+@pytest.mark.parametrize("shape, radius", [((12,), 4.5), ((6, 10), 3.2), ((4, 5, 7), 2.3)])
+def test_shift_sums_on_a_ball_tighter_than_the_box(monkeypatch, shape, radius, p, route):
+    # reach = floor(radius) < n_i - 1 on every axis, and every n_i + reach - 1
+    # is 5-smooth: a correlation padded one cell short of n_i + reach wraps
+    # a lag of the box onto the ball.  In d = 1 that lag pairs the two end
+    # cells, which this draw makes nonzero and of one sign, so that the
+    # p = 1 wrap does not vanish.  _FFT_COST = 0 forces an FFT route, a
+    # huge one the direct sums
+    a = np.random.default_rng(26).choice([-1.0, 0.0, 0.5, 2.0], shape)
+    reach = int(radius)
+    assert all(n - 1 > reach and _fft_len(n + reach - 1) == n + reach - 1 for n in shape)
+    monkeypatch.setattr(bol.orlicz, "_FFT_COST", 0 if route == "fft" else 10 ** 9)
+    spy = mock.Mock(wraps=bol.orlicz._inside_by_overlaps)
+    monkeypatch.setattr(bol.orlicz, "_inside_by_overlaps", spy)
+    shifts = lattice_shifts(a.ndim, radius)
+    got = _shift_sums(a, shifts, p)
+    assert spy.called == (route == "direct")
+    total = math.fsum(np.abs(a).ravel() ** p)
+    for k, s in zip(shifts, got):
+        want = _shift_l1_by_cells(a, k, 1.0) if p == 1.0 else _shift_power_sum_by_cells(a, k, p)
+        assert s == pytest.approx(want, rel=1e-12, abs=1e-14 * total)
 
 
 def _half_ball(a, radius):

@@ -54,8 +54,9 @@ def test_luxemburg_zero_and_homogeneity():
 
 def test_lattice_shifts_antipodal_and_sorted():
     ks = lattice_shifts(2, 2.0)
-    lens = np.sqrt((ks ** 2).sum(axis=1))
-    assert np.all(np.diff(lens) >= 0)
+    # lexicographic order, and each k's first nonzero component positive
+    assert [tuple(k) for k in ks] == sorted(tuple(k) for k in ks)
+    assert all(k[np.flatnonzero(k)[0]] > 0 for k in ks)
     seen = {tuple(k) for k in ks}
     assert all(tuple(-k) not in seen for k in ks)
     # |k| <= 2 in 2d: 12 vectors, 6 after antipodal dedupe
@@ -96,7 +97,9 @@ def test_modulus_subgrid_linear_model():
         cache.sup_up_to(0.0)
 
 
-@pytest.mark.parametrize("t", [0.0, -0.1, np.array([0.5, -0.1, 1.0]), np.array([0.0])])
+@pytest.mark.parametrize("t", [0.0, -0.1, np.array([0.5, -0.1, 1.0]), np.array([0.0]),
+                               math.nan, math.inf, np.array([0.5, math.nan]),
+                               np.array([math.inf, 1.0])])
 def test_sup_up_to_rejects_nonpositive_t(t):
     f = GridFunction(0.25, (0.0, 0.0), np.ones((4, 4)))
     with pytest.raises(DomainError):
@@ -427,7 +430,8 @@ def test_luxemburg_rows_zero_rows_and_guard():
 
 
 def old_lattice_shifts(dim, max_len_cells):
-    """lattice_shifts with its former per-vector antipodal loop."""
+    """lattice_shifts with its former per-vector antipodal loop, in
+    lexicographic order."""
     m = int(math.floor(max_len_cells + 1e-12))
     if m < 1:
         return np.zeros((0, dim), dtype=np.int64)
@@ -435,15 +439,14 @@ def old_lattice_shifts(dim, max_len_cells):
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     norms = np.sqrt((mesh ** 2).sum(axis=1))
     keep = (norms > 0) & (norms <= max_len_cells + 1e-12)
-    mesh, norms = mesh[keep], norms[keep]
+    mesh = mesh[keep]
     rep = np.zeros(len(mesh), dtype=bool)
     for i, k in enumerate(mesh):
         for c in k:
             if c != 0:
                 rep[i] = c > 0
                 break
-    mesh, norms = mesh[rep], norms[rep]
-    return mesh[np.argsort(norms, kind="stable")]
+    return mesh[rep]
 
 
 @pytest.mark.parametrize("dim, radii", [(1, (0.5, 1.0, 7.3, 40.0)),

@@ -44,7 +44,7 @@ sums all take the direct evaluator, and ``l1_modulus`` of an
 all-negative grid and of a signed grid with zero cells inside, in d = 1
 (40 cells, 20h) and d = 3 (8x7x6 cells, 4h), and of a signed 9x13 grid
 at 8.5h, the largest radius short of saturation, all of which take the
-coarea window.  Last come commands that
+coarea route.  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
@@ -247,8 +247,8 @@ def coarea_outputs(tmp):
     """``l1_modulus`` of piecewise-constant grids in d = 1 and 3, one
     all-negative and one signed with zero cells inside, and of a signed
     9x13 grid at 8.5h, the largest radius that does not saturate, where
-    the correlation window reaches the edge of its padding: few threshold
-    sets for their shifts, so all take the coarea window."""
+    the lattice ball reaches the edge of the correlation's padding: few
+    threshold sets for their shifts, so all take the coarea route."""
     from bol.grid import GridFunction
 
     def emit_modulus(label, vals, radius):

@@ -38,8 +38,15 @@ def texts(roots):
 
 
 def kind(key):
-    """The job kind of a workload output; else the command, tagged for a table Phi."""
+    """The function of a call-style output, the job kind of a workload
+    output, else the command, tagged for a table Phi.  Leading ``BOL_*=``
+    settings and a ``--config FILE`` pair are not the command."""
     words = key.split()
+    while words[0].startswith("BOL_") or words[0] == "--config":
+        words = words[2 if words[0] == "--config" else 1:]
+    call = next((word for word in words if "(" in word), None)
+    if call is not None:
+        return call.split("(")[0]
     if words[0] in WORKLOADS:
         return words[-1]
     return words[0] + (" (table)" if "table:" in key else "")
