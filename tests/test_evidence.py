@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -164,10 +165,45 @@ def test_lemma6_monte_carlo_d3_small():
 
 def test_mc_volume_does_not_depend_on_the_chunk(monkeypatch):
     # the generator fills a draw row by row, so 25-point chunks of a d = 4
-    # draw give the same hit counts as one chunk, 3001 = 120 * 25 + 1
+    # draw give the same hit counts as one chunk, 3001 = 120 * 25 + 1, and
+    # so do the default chunks of a d = 3 draw, 100,003 = 6 * 16,384 + 1,699
+    parts = _mc_symdiff_volumes(3, 1.0, [0.3, 1.1], 100_003, 5)
     whole = _mc_symdiff_volumes(4, 1.0, [0.0, 0.7, 1.9], 3001, 11)
     monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", 100)
     assert _mc_symdiff_volumes(4, 1.0, [0.0, 0.7, 1.9], 3001, 11) == whole
+    monkeypatch.setattr(bol.evidence, "_MC_CHUNK_FLOATS", 3 * 100_003)
+    assert _mc_symdiff_volumes(3, 1.0, [0.3, 1.1], 100_003, 5) == parts
+
+
+# the corpus_bv seed-2 job of DECISIONS.md D1: 2,000,000 points in d = 3,
+# many chunks, the last of them short
+SEED2_DRAW = (3, 1.0, [0.2175, 0.5671, 0.6078], 2_000_000, 1107383674)
+
+
+def test_lemma6_seed2_draw_is_pinned():
+    # every estimate and standard error bit for bit as the draw first gave them
+    assert lemma6_check(*SEED2_DRAW).measured == {"rows": [
+        {"offset": 0.2175, "bound": 0.91106186954104, "exact": 2.690086688057144,
+         "pass_exact": True, "mc": 2.6965482200000004, "mc_stderr": 0.003081639771291806,
+         "pass_mc": True, "mc_matches_exact": True},
+        {"offset": 0.5671, "bound": 2.375462925134362, "exact": 6.3624341738142265,
+         "pass_exact": True, "mc": 6.3782662468, "mc_stderr": 0.0044317472833981676,
+         "pass_mc": True, "mc_matches_exact": False},
+        {"offset": 0.6078, "bound": 2.545946686469168, "exact": 6.697314295896849,
+         "pass_exact": True, "mc": 6.713774065600001, "mc_stderr": 0.004543153383799093,
+         "pass_mc": True, "mc_matches_exact": False}]}
+
+
+def test_lemma6_draw_allocates_under_2_mb():
+    # the chunk buffers are allocated once, not per chunk or per offset
+    lemma6_check(3, 1.0, [0.5], 1000, 1)  # first-call set-up is not the draw's
+    tracemalloc.start()
+    try:
+        lemma6_check(*SEED2_DRAW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _mc_volume_own_draw(dim, radius, center_dist, n_samples, seed):
@@ -218,6 +254,16 @@ def test_lemma6_offset_domain(monkeypatch):
         lemma6_check(2, 1.0, [1.5])
     with pytest.raises(DomainError, match="offsets must satisfy 0 <= offset < r"):
         lemma6_check(3, 1.0, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("n_samples", [2.5, 1e3, True, 0])
+def test_lemma6_rejects_a_sample_count_that_is_not_a_positive_integer(monkeypatch, n_samples):
+    def draw(*args):
+        raise AssertionError("drew before checking the sample count")
+
+    monkeypatch.setattr(bol.evidence, "_mc_symdiff_volumes", draw)
+    with pytest.raises(DomainError, match="n_samples must be an integer of at least 1"):
+        lemma6_check(3, 1.0, [0.5], n_samples)
 
 
 def test_lemma6_radius_domain(monkeypatch):

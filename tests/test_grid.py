@@ -218,6 +218,9 @@ def test_sup_up_to_matches_every_lattice_shift(case, p):
 @given(dim=st.integers(1, 3), t_cells=st.floats(0.05, 40.0), budget=st.integers(1, 200),
        support=st.sampled_from(["zero", "cell", "full"]))
 def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget, support):
+    # saturation comes first: once max(t, h)/h reaches the shortest side of
+    # the support box the modulus is 2 ||f||_1, no shift is enumerated and
+    # no guard runs; below that the guard raises where lattice_shifts does
     values = {"zero": np.zeros((3,) * dim), "cell": np.pad(np.ones((1,) * dim), 1),
               "full": np.ones((3,) * dim)}[support]
     f = GridFunction(0.5, (0.0,) * dim, values)
@@ -226,6 +229,10 @@ def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget
         for bad in (0.0, -t, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 l1_modulus(f, bad)
+        if max(t_cells, 1.0) + 1e-12 >= min(f.support_box().shape):
+            want = 2.0 * np.abs(values).sum() * f.cell_volume * min(t_cells, 1.0)
+            assert l1_modulus(f, t) == pytest.approx(want, rel=1e-15, abs=0.0)
+            return
         try:
             lattice_shifts(dim, max(t, 0.5) / 0.5)
         except ResourceGuardError:
@@ -234,6 +241,14 @@ def test_l1_modulus_guards_raise_where_the_enumeration_does(dim, t_cells, budget
             assert exc.value.guard == "shift_budget"
         else:
             assert l1_modulus(f, t) >= 0.0
+
+
+@pytest.mark.parametrize("t", [1e3, 1e300])
+def test_l1_modulus_saturates_before_the_shift_guard(t):
+    # t/h is past the shift budget at 1e3 and infinite at 1e300, but t is
+    # finite and reaches the box, so the modulus is 2 ||f||_1 and no guard runs
+    f = GridFunction(1e-10, (0.0,), np.array([1.0, -2.0, 0.5, 3.0]))
+    assert l1_modulus(f, t) == pytest.approx(2.0 * 6.5 * 1e-10, rel=1e-15, abs=0.0)
 
 
 _rng = np.random.default_rng(12)

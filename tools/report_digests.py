@@ -18,14 +18,16 @@ the ``besov_pc``, ``rough_grids`` and ``corpus_bv`` workloads at seeds
 1-3, every ``condition_scan`` job at seed 1, the Monte Carlo record of
 ``lemma6_check`` (d = 3, 20,000 samples) at the offsets and seed of
 each ``corpus_bv`` ``lemma6 --dim 3`` job and, in d = 3 and 4, at
-offsets 0.1, 0.5, 0.9 with the default seed (the command crashes before
-it prints its report in d >= 3, so these records are what pins its
-numbers), a set of default and variant commands (among them
-``necessity`` and ``lemma6`` at radii outside the seminorm window or
-float range, ``check-condition`` with a flat weight, whose first
-integral diverges at every scale, and with a lower limit on the first
-integral of the power and the section5 pair, so that every branch of
-``condition_value`` is covered, and with 17 and 50 scales, whose sweep
+offsets 0.1, 0.5, 0.9 with the default seed, and once more in d = 3 at
+100,003 samples, which span several Monte Carlo chunks and divide none
+(the command crashes before it prints its report in d >= 3, so these
+records are what pins its numbers), a set of default and variant
+commands (among them ``necessity`` and ``lemma6`` at radii outside the
+seminorm window or float range, ``check-condition`` with a flat weight,
+whose first integral diverges at every scale, and with a lower limit
+on the first integral of the power and the section5 pair, so that
+every branch of ``condition_value`` is covered, and with 17 and 50
+scales, whose sweep
 ends in a part-filled block, the section5 pair also with a lower limit,
 and ``example5`` at scale multiples 1, 1.5 and 1e6, the first bound at
 s = r and one whose lower-limit integral spans more than one chunk of
@@ -161,14 +163,14 @@ def workload_outputs(tmp):
                                   mc_seed, tmp)
 
 
-def lemma6_output(key, offsets, seed, tmp, dim=3):
-    """The record of ``lemma6_check`` in ``dim`` >= 3 at 20,000 samples,
-    called directly: the command crashes there before it prints its report."""
+def lemma6_output(key, offsets, seed, tmp, dim=3, n_samples=20_000):
+    """The record of ``lemma6_check`` in ``dim`` >= 3, called directly: the
+    command crashes there before it prints its report."""
     try:
-        text = repr(bol.evidence.lemma6_check(dim, 1.0, offsets, 20_000, seed).measured)
+        text = repr(bol.evidence.lemma6_check(dim, 1.0, offsets, n_samples, seed).measured)
     except Exception as exc:
         text = f"raised {exc!r}"
-    emit(f"{key} lemma6_check({dim}, 1.0, {offsets!r}, 20000, {seed})", text, tmp)
+    emit(f"{key} lemma6_check({dim}, 1.0, {offsets!r}, {n_samples}, {seed})", text, tmp)
 
 
 def sufficiency_outputs(tmp):
@@ -307,6 +309,8 @@ def main():
             emit(" ".join(argv), run_cli(argv), tmp)
         lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp)
         lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp, dim=4)
+        lemma6_output("default", [0.1, 0.5, 0.9], bol.evidence.DEFAULT_MC_SEED, tmp,
+                      n_samples=100_003)
         workload_outputs(tmp)
         sufficiency_outputs(tmp)
         table_outputs(tmp)
