@@ -5,7 +5,8 @@ The seminorm integral runs over a finite window of scales.  Below the
 grid spacing the modulus is taken linear in the shift length and above
 the support diameter it saturates, so each end is a factor of the
 modulus times an improper integral of the weight, taken from its
-log-domain form on the rule of the condition integrals.
+log-domain form on the rule of the condition integrals: exact on the
+kinks of a piecewise log-linear weight.
 """
 
 import math
@@ -35,10 +36,12 @@ class BesovNorm:
         return self.orlicz_part + self.seminorm_part
 
 
-def _weight_end(log_f, end: str, reason: str) -> float:
+def _weight_end(log_f, kinks, end: str, reason: str) -> float:
     """The integral of exp(log_f(u)) over u in [0, inf), or DivergenceError at ``end``:
-    one row of the condition integrals' kernel."""
-    (value,), _, (diverged,) = _condition_integral(log_f)
+    one row of the condition integrals' kernel, exact on the kinks of log_f
+    in u (an array, or None for a smooth weight)."""
+    (value,), _, (diverged,) = _condition_integral(
+        log_f, None if kinks is None else kinks[None, :])
     if diverged:
         raise DivergenceError(f"seminorm {end} integral diverges ({reason})", end=end)
     return value
@@ -51,7 +54,8 @@ def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
     omega_sat times the integral of Psi(t) dt/t, taken in u = ln t - ln t_hi.
     """
     lt = math.log(t_hi)
-    return omega_sat * _weight_end(lambda u: psi.log_eval(lt + u), "tail",
+    kinks = None if psi.log_kinks is None else psi.log_kinks - lt
+    return omega_sat * _weight_end(lambda u: psi.log_eval(lt + u), kinks, "tail",
                                    "weight is not integrable against a bounded modulus")
 
 
@@ -88,8 +92,9 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
     # head: omega(t) <= (omega(t_lo)/t_lo) * t below the window, so the
     # integrand is Psi(t) times a constant; int_0^t_lo Psi dt in u = ln t_lo - ln t
     lo = math.log(t_lo)
-    head = omega[0] / t_lo * _weight_end(lambda u: psi.log_eval(lo - u) + lo - u, "head",
-                                         "weight is not integrable at 0")
+    kinks = None if psi.log_kinks is None else lo - psi.log_kinks
+    head = omega[0] / t_lo * _weight_end(lambda u: psi.log_eval(lo - u) + lo - u, kinks,
+                                         "head", "weight is not integrable at 0")
     tail = saturated_tail(psi, cache.saturated(), t_hi)
     return BesovNorm(orlicz, mid + head + tail, head, tail, ModulusCurve(ts, omega))
 

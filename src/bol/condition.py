@@ -3,6 +3,11 @@
 Both improper integrals are evaluated on log-substituted grids entirely
 in the log domain, so presets whose natural arguments overflow float
 range (the piecewise-exponential example) still integrate cleanly.
+Where every form in an integrand is piecewise linear in the log domain
+(power, ``powerweight``, a table and its paired weight) the row's nodes
+are its kinks, and the integral and its divergence verdict are exact;
+a smooth form (section5) puts the row on the shared ``_QUAD`` layout
+and its truncation rules.
 """
 
 import math
@@ -50,7 +55,9 @@ _QUAD_U = _QUAD.nodes()  # built once and shared, like its spacings: read-only
 _QUAD_DU = np.diff(_QUAD_U)
 _QUAD_U.flags.writeable = _QUAD_DU.flags.writeable = False
 _QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # first node > u_mid
-_BLOCK = 3  # scales per block of condition_sup (BENCH_condition_blocks.json)
+_BLOCK = 3  # scales per block of condition_sup on _QUAD_U (BENCH_condition_blocks.json)
+_BLOCK_VALUES = _BLOCK * _QUAD_U.size  # node values per integral in one block of condition_sup
+_PROBE = 1024.0  # distance in u from a kinked row's last node to the node that reads its slope
 _LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
 _LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
 
@@ -168,17 +175,75 @@ def _integrate_rows(lv, u, du, past_mid, diverged_nodes=None):
     return _row_integrals(lv, du, cuts, peaks), remainders, slopes, diverged
 
 
-def _condition_integral(log_f):
+def _kinked_rows(log_f, kinks):
     """(values, remainders, diverged) of the integral of exp(log_f(u)) over
-    [0, inf) on the _QUAD layout, one per row of log_f(u): each condition
-    integral at a block of scales, and each end of a Besov seminorm (one
-    row).  A row diverges as ``_integrate_rows`` says with its
-    [0, u_mid] nodes as the value.
+    [0, inf), one per row of kinks: the breakpoints in u of that row's
+    log-integrand, which is linear between them and past the last.
+
+    A row's nodes are 0, u_mid and its kinks, clipped to [0, inf) and
+    sorted, then a probe _PROBE past the last of them.  ``_interval_terms``
+    is exact on every interval.  The last piece, past the last kink, has
+    the slope b of the interval up to the probe, and past the probe's
+    value a it adds e^a / -b.  A row diverges when b is not negative or
+    one of its values is NaN; its value is then its integral over
+    [0, u_mid], as on the _QUAD layout, and its remainder inf.  Every
+    other remainder is 0.  Each row is scaled by its peak over the nodes
+    it sums, so its value depends on its own kinks alone.
     """
+    rows, k = kinks.shape
+    u = np.empty((rows, k + 3))
+    u[:, 0], u[:, 1] = 0.0, _QUAD.u_mid
+    np.maximum(kinks, 0.0, out=u[:, 2:-1])
+    u[:, :-1].sort(axis=1)
+    u[:, -1] = u[:, -2] + _PROBE
+    du = np.diff(u, axis=1)
+    lv = np.asarray(log_f(u), dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        slopes = (lv[:, -1] - lv[:, -2]) / du[:, -1]
+        peaks = np.max(lv, axis=1)
+        diverged = ~(slopes < 0.0) | np.isnan(peaks)
+        # a diverged row sums the intervals up to u_mid alone, scaled by its peak there
+        past_mid = diverged[:, None] & (u > _QUAD.u_mid)
+        if diverged.any():
+            peaks[diverged] = np.max(np.where(past_mid, -np.inf, lv), axis=1)[diverged]
+        terms = _interval_terms(lv[:, :-1], lv[:, 1:], du, peaks[:, None])
+        terms[past_mid[:, 1:]] = 0.0
+        last = np.exp(lv[:, -1] - peaks) / -slopes
+        last[diverged] = 0.0
+        values = np.exp(peaks) * (np.sum(terms, axis=1) + last)
+    values[peaks == -np.inf] = 0.0
+    values[~(peaks < np.inf)] = np.inf  # a +inf or NaN peak
+    return values.tolist(), np.where(diverged, np.inf, 0.0).tolist(), diverged.tolist()
+
+
+def _condition_integral(log_f, kinks=None):
+    """(values, remainders, diverged) of the integral of exp(log_f(u)) over
+    [0, inf), one per row of log_f(u): each condition integral at a block
+    of scales, and each end of a Besov seminorm (one row).  Rows with
+    kinks, their breakpoints in u (one row of kinks per row), are exact
+    (``_kinked_rows``); without them, the rows of a smooth log-integrand
+    take the _QUAD layout and diverge as ``_integrate_rows`` says, with
+    their [0, u_mid] nodes as the value.
+    """
+    if kinks is not None:
+        return _kinked_rows(log_f, kinks)
     lv = np.atleast_2d(np.asarray(log_f(_QUAD_U), dtype=np.float64))
     values, remainders, _, diverged = _integrate_rows(lv, _QUAD_U, _QUAD_DU, _QUAD_PAST_MID,
                                                       _QUAD.n_mid)
     return values, remainders, diverged
+
+
+def _kinks(phi: YoungFunction, psi: WeightFunction, d: int, ls):
+    """The kinks in u of the first and of the second condition integral's
+    integrands at the column ls of ln s, one row per scale, or None for an
+    integral with a smooth form: Psi's kinks k sit at u = k + ln s in the
+    first and at u = -k - ln s in the second, Phi's at u = k - d ln s."""
+    if psi.log_kinks is None:
+        return None, None
+    first = psi.log_kinks + ls
+    if phi.log_kinks is None:
+        return first, None
+    return first, np.hstack([-ls - psi.log_kinks, phi.log_kinks - d * ls])
 
 
 def _first_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
@@ -270,18 +335,20 @@ def _condition_block(s_block, phi: YoungFunction, psi: WeightFunction, d: int, h
 
     The integrands of both integrals, the first's only without a lower
     limit, are built as one row per scale and integrated by
-    ``_condition_integral`` together.  The scales are then checked in order
-    and, within one, the head's divergence before its prefactor overflow
-    before the tail's divergence.
+    ``_condition_integral`` together, each on its kinks (``_kinks``) where
+    it has them.  The scales are then checked in order and, within one,
+    the head's divergence before its prefactor overflow before the tail's
+    divergence.
     """
     ls = np.array([[math.log(s)] for s in s_block])
     log_pref1, head_log = _first_log(phi, psi, d, ls)
     log_pref1 = log_pref1[:, 0].tolist()
+    head_kinks, tail_kinks = _kinks(phi, psi, d, ls)
     if heads is None:
-        head_val, head_rem, head_div = _condition_integral(head_log)
+        head_val, head_rem, head_div = _condition_integral(head_log, head_kinks)
     else:
         head_val, head_rem, head_div = heads, [0.0] * len(s_block), [False] * len(s_block)
-    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls))
+    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls), tail_kinks)
 
     out = []
     for i, s in enumerate(s_block):
@@ -337,9 +404,12 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
 
     The heads with a lower limit come from one ``_anchored_heads`` call
     for the whole sweep.  The scales go through ``_condition_block`` in
-    blocks of _BLOCK, the last one part-filled, so each value and the
-    first diverged scale are those of ``condition_value`` at that scale,
-    and a prefactor overflow names the first scale at which it happens.
+    blocks of as many scales as keep each integral's rows within
+    _BLOCK_VALUES node values, the last one part-filled: _BLOCK scales on
+    the _QUAD layout, the whole sweep of a power pair (3 nodes per row)
+    and a few blocks of a table pair.  Each value and the first
+    diverged scale are those of ``condition_value`` at that scale, and a
+    prefactor overflow names the first scale at which it happens.
 
     bounded: both end slopes at or below 0.02; unbounded: a per-scale
     divergence or a terminal slope of at least 0.05 sustained over the
@@ -354,11 +424,16 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
         raise DomainError("s_range must be finite, positive and increasing")
     s_grid = np.geomspace(lo, hi, n_points)
     heads = _anchored_heads(psi, head_lower_limit, s_grid.tolist())
+    first, second = _kinks(phi, psi, d, np.zeros((1, 1)))
+    integrated = (second,) if heads is not None else (first, second)
+    # nodes per row of the widest integral: _QUAD_U, or the kinks, 0, u_mid and the probe
+    width = max(_QUAD_U.size if k is None else k.shape[1] + 3 for k in integrated)
+    per_block = max(1, _BLOCK_VALUES // width)
     values = np.zeros(n_points)
     diverged_s = math.nan
-    for start in range(0, n_points, _BLOCK):
-        block = s_grid[start:start + _BLOCK].tolist()
-        block_heads = None if heads is None else heads[start:start + _BLOCK]
+    for start in range(0, n_points, per_block):
+        block = s_grid[start:start + per_block].tolist()
+        block_heads = None if heads is None else heads[start:start + per_block]
         for i, cv in enumerate(_condition_block(block, phi, psi, d, block_heads, False), start):
             values[i] = cv.value
             if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):

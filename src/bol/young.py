@@ -26,6 +26,10 @@ def _as_array(t):
     return np.asarray(t, dtype=np.float64)
 
 
+_NO_KINKS = np.zeros(0)  # the breakpoints of a log form linear on the whole line
+_NO_KINKS.flags.writeable = False
+
+
 def _exp_of(log_form, floor_at_zero):
     """x -> exp(log_form(ln x)); with ``floor_at_zero`` x <= 0 maps to 0."""
     def linear(x):
@@ -42,7 +46,9 @@ class YoungFunction:
 
     ``eval`` and ``inv`` accept scalars or numpy arrays.  ``log_inv``
     maps ln(x) to ln(inv(x)); unless given, ``inv`` is exp(log_inv(ln x))
-    for x > 0 and 0 for x <= 0.
+    for x > 0 and 0 for x <= 0.  ``log_kinks`` holds the sorted
+    breakpoints in ln x of a ``log_inv`` linear between them and past the
+    last, or None for a smooth one.
     """
 
     kind: str
@@ -50,6 +56,7 @@ class YoungFunction:
     eval: Callable
     log_inv: Callable
     inv: Callable = None
+    log_kinks: np.ndarray = None
 
     def __post_init__(self):
         if self.inv is None:
@@ -62,12 +69,15 @@ class WeightFunction:
 
     ``log_eval`` maps ln(t) to ln(eval(t)); ``eval`` (unless given), every
     improper integral of a weight and its divergence verdict derive from it.
+    ``log_kinks`` holds the sorted breakpoints in ln t of a ``log_eval``
+    linear between them and past the last, or None for a smooth one.
     """
 
     kind: str
     params: dict
     log_eval: Callable
     eval: Callable = None
+    log_kinks: np.ndarray = None
 
     def __post_init__(self):
         if self.eval is None:
@@ -87,6 +97,7 @@ def make_power_young(p: float) -> YoungFunction:
         params={"p": p},
         eval=ev,
         log_inv=lambda lx: _as_array(lx) / p,
+        log_kinks=_NO_KINKS,
     )
 
 
@@ -209,11 +220,13 @@ def make_table_young(path: str) -> YoungFunction:
     if np.any(ts <= 0) or np.any(vs <= 0):
         raise DomainError("table knots must be strictly positive")
     lt, lv = np.log(ts), np.log(vs)
+    lv.flags.writeable = False
     return YoungFunction(
         kind="table",
         params={"file": path},
         eval=_exp_of(lambda ly: np.interp(ly, lt, lv), True),
         log_inv=lambda lx: np.interp(lx, lv, lt),
+        log_kinks=lv,
     )
 
 
@@ -223,6 +236,7 @@ def make_power_weight(theta: float) -> WeightFunction:
         kind="powerweight",
         params={"theta": theta},
         log_eval=lambda lt: -theta * _as_array(lt),
+        log_kinks=_NO_KINKS,
     )
 
 
@@ -230,7 +244,8 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
     """Psi(t) = t / inv(t^2), the weight paired with a Young function.
 
     For the power preset with exponent p this collapses to
-    t^(1 - 2/p), i.e. the critical power weight in dimension 2.
+    t^(1 - 2/p), i.e. the critical power weight in dimension 2.  Its
+    kinks are those of ``phi.log_inv``, halved.
     """
     def log_ev(lt):
         lt = _as_array(lt)
@@ -240,6 +255,7 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
         kind="section5weight" if phi.kind == "section5" else "pairedweight",
         params=dict(phi.params),
         log_eval=log_ev,
+        log_kinks=None if phi.log_kinks is None else phi.log_kinks / 2.0,
     )
 
 

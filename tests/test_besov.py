@@ -88,6 +88,22 @@ def test_power_weight_ends_match_their_closed_forms(theta):
     assert bn.tail_bound == pytest.approx(omega_sat * t_hi ** -theta / theta, rel=1e-14)
 
 
+def test_power_weight_ends_near_their_edges_match_their_closed_forms():
+    # the head log-slope is theta - 1 and the tail log-slope -theta: both
+    # ends converge for every 0 < theta < 1, however slowly
+    f = small_ball()
+    t_lo, t_hi = f.spacing, f.support_diameter() + 2.0 * f.spacing
+    omega_sat = ShiftNormCache(f, PHI).saturated()
+    head = besov_orlicz_norm(f, PHI, make_power_weight(0.9995), nodes=32)
+    # its log form -theta (ln t_lo - u) + ln t_lo - u carries a rounding of
+    # about theta |u| 1.1e-16, so over a slope of 5e-4 the value is good to
+    # about 2e-13 (measured 2.1e-13)
+    assert head.head_bound == pytest.approx(
+        head.curve.values[0] * t_lo ** -0.9995 / (1.0 - 0.9995), rel=1e-12)
+    tail = besov_orlicz_norm(f, PHI, make_power_weight(0.0005), nodes=32)
+    assert tail.tail_bound == pytest.approx(omega_sat * t_hi ** -0.0005 / 0.0005, rel=1e-14)
+
+
 def mp_section5_weight(alpha):
     """Psi(t) = t / inv(t^2) of the section5 pair at the working precision."""
     alpha, r = mpmath.mpf(alpha), mpmath.exp(2 * mpmath.e ** 2)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import bol.condition
 from bol.condition import (NEGLIGIBLE_LOG_DROP, TAIL_SLOPE_LIMIT, ConditionQuad,
-                           _anchored_heads, _integrate_rows, condition_sup, condition_value,
+                           _anchored_heads, _condition_integral, _first_log, _integrate_rows,
+                           _kinks, condition_sup, condition_value,
                            log_domain_integral, section5_first_bound,
                            section5_second_bound)
 from bol.errors import DivergenceError, DomainError
@@ -368,6 +369,101 @@ def table_pair(tmp_path):
     return make_table_young(str(path)), psi
 
 
+# knots of a table Phi whose log-log slope changes at each knot
+KINKED_T = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]
+KINKED_SLOPES = [1.2, 2.0, 1.5, 3.0, 1.1, 2.5]
+
+
+def kinked_table_pair(tmp_path):
+    """A table Phi with knots of varying log-slope, its paired weight and
+    its knots (t, Phi(t)) as written."""
+    ts, vs = KINKED_T, [1e-3]
+    for slope, t0, t1 in zip(KINKED_SLOPES, KINKED_T, KINKED_T[1:]):
+        vs.append(vs[-1] * (t1 / t0) ** slope)
+    path = tmp_path / "kinked.csv"
+    path.write_text("".join(f"{t!r},{v!r}\n" for t, v in zip(ts, vs)))
+    return (make_table_young(str(path)), parse_weight_spec(f"paired:phi=table:file={path}"),
+            ts, vs)
+
+
+def mp_interp(xs, ys):
+    """The piecewise-linear interpolant through (xs, ys), clamped outside."""
+    def at(x):
+        if x <= xs[0]:
+            return ys[0]
+        if x >= xs[-1]:
+            return ys[-1]
+        i = max(j for j in range(len(xs) - 1) if xs[j] <= x)
+        return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+    return at
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kinked_table_pair_matches_mpmath_quadrature(tmp_path, d):
+    # the second integral in x = ln t from ln s, with lnPsi(y) = y - L(2y)
+    # and L the log inverse of Phi; Phi is clamped above its last knot, so
+    # lnPsi rises with slope 1 at large y and the head of the first
+    # integral diverges at every scale, while the second converges
+    phi, psi, ts, vs = kinked_table_pair(tmp_path)
+    with mpmath.workdps(30):
+        lt, lv = [mpmath.log(t) for t in ts], [mpmath.log(v) for v in vs]
+        log_inv = mp_interp(lv, lt)
+        for s in (1e-4, 1.0, 1e6):
+            ls = mpmath.log(s)
+            c = (d - 1) * ls
+            cuts = sorted([-k / 2 for k in lv] + [k - c for k in lv])
+            want = mpmath.quad(lambda x: mpmath.exp(-x - log_inv(-2 * x) + c - log_inv(x + c)),
+                               [ls] + [x for x in cuts if x > ls] + [mpmath.inf])
+            cv = condition_value(s, phi, psi, d, raise_on_divergence=False)
+            assert cv.head_diverged and not cv.tail_diverged, s
+            assert cv.value == pytest.approx(float(want), rel=1e-12), s
+            # the diverged head keeps its integral over [0, u_mid] in u = ln s - ln t
+            ls_col = np.array([[math.log(s)]])
+            (head,), (rem,), (div,) = _condition_integral(_first_log(phi, psi, d, ls_col)[1],
+                                                          _kinks(phi, psi, d, ls_col)[0])
+            u_mid = ConditionQuad().u_mid
+            cuts = sorted(k / 2 + ls for k in lv)
+            want = mpmath.quad(lambda u: mpmath.exp(u - ls - log_inv(2 * (u - ls))),
+                               [0] + [u for u in cuts if 0 < u < u_mid] + [u_mid])
+            assert div and rem == math.inf
+            assert head == pytest.approx(float(want), rel=1e-12), s
+
+
+@pytest.mark.parametrize("slope", [1e-9, 0.0, -1e-4, -0.5])
+def test_a_kinked_row_diverges_exactly_when_its_last_slope_is_not_negative(slope):
+    # e^-u up to the kink at u = 5, then e^(-5 + slope (u - 5)) to infinity
+    log_f = lambda u: np.maximum(-u, -5.0 + slope * (u - 5.0))
+    (value,), (remainder,), (diverged,) = _condition_integral(log_f, np.array([[5.0]]))
+    head = -math.expm1(-5.0)
+    if slope < 0.0:
+        assert not diverged and remainder == 0.0
+        assert value == pytest.approx(head + math.exp(-5.0) / -slope, rel=1e-12)
+    else:
+        # a last piece flat or rising: the value is the integral over [0, u_mid]
+        assert diverged and remainder == math.inf
+        span = ConditionQuad().u_mid - 5.0
+        grow = math.expm1(slope * span) / slope if slope else span
+        assert value == pytest.approx(head + grow * math.exp(-5.0), rel=1e-12)
+
+
+def test_a_section5_phi_with_a_power_weight_has_an_exact_first_row():
+    # the first integrand has the kinks of Psi alone, none for a power
+    # weight, and is exact; the second has a smooth Phi and takes _QUAD_U
+    phi, psi = make_section5_young(0.1), make_power_weight(0.5)
+    ls = np.array([[math.log(1e3)]])
+    first, second = _kinks(phi, psi, 2, ls)
+    assert first.shape == (1, 0) and second is None
+    (head,), (remainder,), (diverged,) = _condition_integral(_first_log(phi, psi, 2, ls)[1],
+                                                             first)
+    # int_0^inf Psi(1/t) dt/t at s in u = ln s - ln t: int e^(-theta (u - ln s)) du
+    assert head == pytest.approx(1e3 ** 0.5 / 0.5, rel=1e-14)
+    assert remainder == 0.0 and not diverged
+    rep = condition_sup(phi, psi, 2, n_points=17)
+    cvs = [condition_value(s, phi, psi, 2, raise_on_divergence=False)
+           for s in rep.s_grid.tolist()]
+    assert rep.values.tobytes() == np.array([cv.value for cv in cvs]).tobytes()
+
+
 def sweep_pairs(tmp_path):
     s5 = make_section5_young(0.1)
     pairs = [(f"power p={p} d={d}", make_power_young(p),
@@ -398,10 +494,9 @@ def test_sweep_equals_the_scale_by_scale_values(tmp_path, n_points):
             assert diverged
 
 
-def test_divergence_and_overflow_errors_keep_their_order():
+def test_divergence_and_overflow_errors_keep_their_order(tmp_path):
     # in d = 3 with p = 1000 the first prefactor s^(2 - 3/p) overflows at
-    # s = 1e160; a flat weight makes the head diverge at 0, and the tail
-    # integrand falls like t^(-1/p), too slowly for its window
+    # s = 1e160, and a flat weight makes the head diverge at 0
     phi, psi = make_power_young(1000.0), make_power_weight(0.0)
     with pytest.raises(DivergenceError) as exc:
         condition_value(1e160, phi, psi, 3)
@@ -410,6 +505,14 @@ def test_divergence_and_overflow_errors_keep_their_order():
         condition_value(1e160, phi, psi, 3, head_lower_limit=1e-3)
     with pytest.raises(DomainError, match="prefactor overflows"):
         condition_value(1e160, phi, psi, 3, raise_on_divergence=False)
+    # its tail integrand falls like t^(-1/p): slowly, but it converges, to
+    # p, and the head from 1e-3 to s = 1 is ln 1000
+    cv = condition_value(1.0, phi, psi, 3, head_lower_limit=1e-3)
+    assert not cv.tail_diverged
+    assert cv.value == pytest.approx(1000.0 + math.log(1000.0), rel=1e-12)
+    # a table Phi is clamped above its last knot, so with a flat weight
+    # the tail's last piece has slope 0 and diverges
+    phi = kinked_table_pair(tmp_path)[0]
     with pytest.raises(DivergenceError) as exc:
         condition_value(1.0, phi, psi, 3, head_lower_limit=1e-3)
     assert exc.value.end == "tail"

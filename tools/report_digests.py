@@ -24,16 +24,22 @@ offsets 0.1, 0.5, 0.9 with the default seed, and once more in d = 3 at
 records are what pins its numbers), a set of default and variant
 commands (among them ``necessity`` and ``lemma6`` at radii outside the
 seminorm window or float range, ``check-condition`` with a flat weight,
-whose first integral diverges at every scale, and with a lower limit
+whose first integral diverges at every scale, with theta = 1/1.3 - 0.0007,
+whose second integral converges with a tail log-slope of only -0.0007,
+and with a lower limit
 on the first integral of the power and the section5 pair, so that
 every branch of ``condition_value`` is covered, and with 17 and 50
 scales, whose sweep
 ends in a part-filled block, the section5 pair also with a lower limit,
 and ``example5`` at scale multiples 1, 1.5 and 1e6, the first bound at
 s = r and one whose lower-limit integral spans more than one chunk of
-its running sum), ``sufficiency_molecule_estimates`` in d = 1, 2, 3,
-the commands run with a ``table:`` Young function sampled from t^1.3
-(``necessity`` and ``norms`` also with the weight paired with it),
+its running sum), ``norms`` of the staircase with theta = 0.9995, whose
+seminorm head has log-slope -0.0005, ``sufficiency_molecule_estimates``
+in d = 1, 2, 3, ``check-condition`` in d = 2 and 3 with a ``table:``
+Young function whose log-log slope changes at each knot and the weight
+paired with it, the commands run with a ``table:`` Young function
+sampled from t^1.3 (``necessity`` and ``norms`` also with the weight
+paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
 above 1 (no finite norm) or at most 1 (norm 0), and ``norms`` with the
@@ -77,6 +83,9 @@ import workloads  # noqa: E402
 
 TOKEN = "<tmp>"
 CRIT = {2: "powerweight:theta=0.5384615384615385", 3: "powerweight:theta=0.3076923076923077"}
+# a table Phi whose log-log slope changes at each of its knots
+KINKED_T = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]
+KINKED_SLOPES = [1.2, 2.0, 1.5, 3.0, 1.1, 2.5]
 
 VARIANTS = [
     ["check-condition"],
@@ -85,6 +94,7 @@ VARIANTS = [
     ["check-condition", "--phi", "power:p=1.4", "--psi", "powerweight:theta=0.4285714285714286"],
     ["check-condition", "--psi", "powerweight:theta=0.8"],
     ["check-condition", "--psi", "powerweight:theta=0"],
+    ["check-condition", "--psi", "powerweight:theta=0.7685307692307691"],
     ["check-condition", "--head-lower-limit", "1e-3"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
@@ -116,6 +126,8 @@ VARIANTS = [
     ["norms", "--fixture", "staircase", "--phi", "power:p=1.3", "--psi", CRIT[2]],
     ["norms", "--fixture", "staircase", "--phi", "section5:alpha=0.1",
      "--psi", "section5:alpha=0.1"],
+    ["norms", "--fixture", "staircase", "--phi", "power:p=1.3", "--psi",
+     "powerweight:theta=0.9995"],
 ]
 
 
@@ -197,8 +209,17 @@ def table_outputs(tmp):
             fh.write(f"{float(t)!r},{float(t) ** 1.3!r}\n")
     grid = os.path.join(tmp, "pc.grid")
     save_grid_function(workloads._piecewise_constant(np.random.default_rng(5), 12), grid)
-    phi = f"table:file={path}"
-    for argv in (["check-condition", "--phi", phi, "--psi", CRIT[2]],
+    kinked = os.path.join(tmp, "kinked.csv")
+    vs = [1e-3]
+    for slope, t0, t1 in zip(KINKED_SLOPES, KINKED_T, KINKED_T[1:]):
+        vs.append(vs[-1] * (t1 / t0) ** slope)
+    with open(kinked, "w") as fh:
+        fh.writelines(f"{t!r},{v!r}\n" for t, v in zip(KINKED_T, vs))
+    phi, kinked = f"table:file={path}", f"table:file={kinked}"
+    for argv in (["check-condition", "--phi", kinked, "--psi", f"paired:phi={kinked}"],
+                 ["check-condition", "--phi", kinked, "--psi", f"paired:phi={kinked}",
+                  "--dim", "3"],
+                 ["check-condition", "--phi", phi, "--psi", CRIT[2]],
                  ["check-condition", "--phi", phi, "--psi", CRIT[3], "--dim", "3"],
                  ["necessity", "--phi", phi, "--psi", CRIT[2]],
                  ["necessity", "--phi", phi, "--psi", f"paired:phi={phi}"],
