@@ -44,7 +44,7 @@ def _weight_end(log_f, kinks, end: str, reason: str) -> float:
         log_f, None if kinks is None else kinks[None, :])
     if diverged:
         raise DivergenceError(f"seminorm {end} integral diverges ({reason})", end=end)
-    return value
+    return float(value)
 
 
 def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:

@@ -1,13 +1,13 @@
 """The two-integral embedding condition and its sup-over-scales verdict.
 
-Both improper integrals are evaluated on log-substituted grids entirely
-in the log domain, so presets whose natural arguments overflow float
-range (the piecewise-exponential example) still integrate cleanly.
-Where every form in an integrand is piecewise linear in the log domain
-(power, ``powerweight``, a table and its paired weight) the row's nodes
-are its kinks, and the integral and its divergence verdict are exact;
-a smooth form (section5) puts the row on the shared ``_QUAD`` layout
-and its truncation rules.
+One curve, ``_condition_curve``, gives the expression over a list of
+scales; ``condition_value`` reads it at one scale, ``condition_sup`` on
+a log grid.  Both integrals are taken in the log domain, so section5,
+whose arguments overflow float range, still integrates cleanly.  Where
+every form of an integrand is piecewise linear in the log domain (power,
+``powerweight``, a table and its paired weight) a row's nodes are its
+kinks and its value and verdict are exact; a smooth form (section5)
+takes the shared ``_QUAD`` layout.
 """
 
 import math
@@ -55,8 +55,8 @@ _QUAD_U = _QUAD.nodes()  # built once and shared, like its spacings: read-only
 _QUAD_DU = np.diff(_QUAD_U)
 _QUAD_U.flags.writeable = _QUAD_DU.flags.writeable = False
 _QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # first node > u_mid
-_BLOCK = 3  # scales per block of condition_sup on _QUAD_U (BENCH_condition_blocks.json)
-_BLOCK_VALUES = _BLOCK * _QUAD_U.size  # node values per integral in one block of condition_sup
+_BLOCK = 3  # scales per block of _condition_curve on _QUAD_U (BENCH_condition_blocks.json)
+_BLOCK_VALUES = _BLOCK * _QUAD_U.size  # node values per integral in one block of _condition_curve
 _PROBE = 1024.0  # distance in u from a kinked row's last node to the node that reads its slope
 _LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
 _LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
@@ -213,12 +213,12 @@ def _kinked_rows(log_f, kinks):
         values = np.exp(peaks) * (np.sum(terms, axis=1) + last)
     values[peaks == -np.inf] = 0.0
     values[~(peaks < np.inf)] = np.inf  # a +inf or NaN peak
-    return values.tolist(), np.where(diverged, np.inf, 0.0).tolist(), diverged.tolist()
+    return values, np.where(diverged, np.inf, 0.0), diverged
 
 
 def _condition_integral(log_f, kinks=None):
-    """(values, remainders, diverged) of the integral of exp(log_f(u)) over
-    [0, inf), one per row of log_f(u): each condition integral at a block
+    """Arrays (values, remainders, diverged) of the integral of exp(log_f(u))
+    over [0, inf), one per row of log_f(u): each condition integral at a block
     of scales, and each end of a Besov seminorm (one row).  Rows with
     kinks, their breakpoints in u (one row of kinks per row), are exact
     (``_kinked_rows``); without them, the rows of a smooth log-integrand
@@ -230,7 +230,7 @@ def _condition_integral(log_f, kinks=None):
     lv = np.atleast_2d(np.asarray(log_f(_QUAD_U), dtype=np.float64))
     values, remainders, _, diverged = _integrate_rows(lv, _QUAD_U, _QUAD_DU, _QUAD_PAST_MID,
                                                       _QUAD.n_mid)
-    return values, remainders, diverged
+    return np.array(values), np.array(remainders), np.array(diverged)
 
 
 def _kinks(phi: YoungFunction, psi: WeightFunction, d: int, ls):
@@ -273,8 +273,6 @@ def _anchored_heads(psi: WeightFunction, lower, s_list):
     """The integral of e^psi(w), psi = ``psi.log_eval``, from w = -ln s up
     to the anchor w = -ln lower at each scale s of s_list: the head of the
     first condition integral with lower limit ``lower``, 0 where s <= lower.
-    None when ``lower`` is None: heads from 0 are rows of
-    ``_condition_block``.
 
     The nodes are -ln lower - k * _LATTICE_STEP, so they depend on lower
     alone; a scale adds the interval from its last node down to -ln s.
@@ -285,8 +283,6 @@ def _anchored_heads(psi: WeightFunction, lower, s_list):
     other scales of the call.  A head is 0 when every value it meets is
     -inf, and inf when one is +inf or NaN.
     """
-    if lower is None:
-        return None
     if not lower > 0.0:
         raise DomainError(f"the head lower limit must be positive, got {lower!r}")
     top = -math.log(lower)
@@ -294,7 +290,7 @@ def _anchored_heads(psi: WeightFunction, lower, s_list):
     heads = np.zeros(ws.size)
     inside = np.flatnonzero(ws < top)  # the scales s > lower
     if not inside.size:
-        return heads.tolist()
+        return heads
     ws = ws[inside]
     whole = np.floor((top - ws) / _LATTICE_STEP)  # whole intervals below the anchor
     chunk_of = (whole // _LATTICE_CHUNK).astype(np.intp)
@@ -324,64 +320,81 @@ def _anchored_heads(psi: WeightFunction, lower, s_list):
         if new_ref > -math.inf:
             total = total * math.exp(ref - new_ref) + float(run[-1]) * math.exp(m - new_ref)
             ref = new_ref
-    return heads.tolist()
+    return heads
 
 
-def _condition_block(s_block, phi: YoungFunction, psi: WeightFunction, d: int, heads,
-                     raise_on_divergence: bool):
-    """The ConditionValue of each scale in s_block (a list of floats), given
-    the heads of the first integral with a lower limit (``_anchored_heads``)
-    or None for the lower limit 0.
+def _exp(x):
+    """math.exp(x), inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    The integrands of both integrals, the first's only without a lower
-    limit, are built as one row per scale and integrated by
-    ``_condition_integral`` together, each on its kinks (``_kinks``) where
-    it has them.  The scales are then checked in order and, within one,
-    the head's divergence before its prefactor overflow before the tail's
-    divergence.
+
+def _condition_curve(s_list, phi: YoungFunction, psi: WeightFunction, d: int, lower):
+    """Arrays (values, remainders, head_diverged, tail_diverged, prefactors)
+    over the scales of s_list (floats): the two-integral expression, its
+    first integral from ``lower`` (None for 0), and the first prefactor,
+    inf where it overflows.  A diverged head adds 0 to a value.
+
+    The heads from ``lower`` are one ``_anchored_heads`` call.  Each other
+    integral is a row per scale, on its kinks (``_kinks``) if it has them,
+    through ``_condition_integral`` in blocks of as many scales as keep
+    its rows within _BLOCK_VALUES node values (_BLOCK scales on the _QUAD
+    layout); a row depends on its own scale alone.  The prefactor is
+    math.exp per scale, as np.exp differs from it in the last bit on
+    about one argument in twenty.
     """
-    ls = np.array([[math.log(s)] for s in s_block])
-    log_pref1, head_log = _first_log(phi, psi, d, ls)
-    log_pref1 = log_pref1[:, 0].tolist()
+    n = len(s_list)
+    heads = None if lower is None else _anchored_heads(psi, lower, s_list)
+    ls = np.array([[math.log(s)] for s in s_list])
     head_kinks, tail_kinks = _kinks(phi, psi, d, ls)
-    if heads is None:
-        head_val, head_rem, head_div = _condition_integral(head_log, head_kinks)
-    else:
-        head_val, head_rem, head_div = heads, [0.0] * len(s_block), [False] * len(s_block)
-    tail_val, tail_rem, tail_div = _condition_integral(_second_log(phi, psi, d, ls), tail_kinks)
+    integrated = (tail_kinks,) if heads is not None else (head_kinks, tail_kinks)
+    # nodes per row of the widest integral: _QUAD_U, or the kinks, 0, u_mid and the probe
+    width = max(_QUAD_U.size if k is None else k.shape[1] + 3 for k in integrated)
+    step = max(1, _BLOCK_VALUES // width)
 
-    out = []
-    for i, s in enumerate(s_block):
-        if head_div[i] and raise_on_divergence:
-            raise DivergenceError("first integral diverges at its head (integrand "
-                                  f"log-slope above {TAIL_SLOPE_LIMIT})", end="head")
-        try:
-            pref1 = math.exp(log_pref1[i])
-        except OverflowError as exc:
-            raise DomainError(f"the first integral's prefactor overflows at s = {s!r}") from exc
-        first = pref1 * (math.nan if head_div[i] else head_val[i])
-        first_rem = pref1 * head_rem[i] if math.isfinite(head_rem[i]) else math.inf
-        if tail_div[i] and raise_on_divergence:
-            raise DivergenceError("second integral diverges at its tail (integrand log-slope "
-                                  f"above {TAIL_SLOPE_LIMIT})", end="tail")
-        value = (first if not math.isnan(first) else 0.0) + tail_val[i]
-        out.append(ConditionValue(s, value, first_rem + tail_rem[i], head_div[i], tail_div[i]))
-    return out
+    def rows(log_f, kinks):
+        blocks = [_condition_integral(log_f(ls[i:i + step]),
+                                      None if kinks is None else kinks[i:i + step])
+                  for i in range(0, n, step)]
+        return [np.concatenate(part) for part in zip(*blocks)]
+
+    if heads is None:
+        head_val, head_rem, head_div = rows(lambda b: _first_log(phi, psi, d, b)[1], head_kinks)
+    else:
+        head_val, head_rem, head_div = heads, np.zeros(n), np.zeros(n, dtype=bool)
+    tail_val, tail_rem, tail_div = rows(lambda b: _second_log(phi, psi, d, b), tail_kinks)
+    pref = np.array([_exp(x) for x in _first_log(phi, psi, d, ls)[0][:, 0].tolist()])
+    with np.errstate(invalid="ignore", over="ignore"):
+        first = pref * head_val
+        values = np.where(head_div | np.isnan(first), 0.0, first) + tail_val
+        remainders = np.where(np.isfinite(head_rem), pref * head_rem, np.inf) + tail_rem
+    return values, remainders, head_div, tail_div, pref
 
 
 def condition_value(s: float, phi: YoungFunction, psi: WeightFunction, d: int,
                     head_lower_limit: float = None,
                     raise_on_divergence: bool = True) -> ConditionValue:
-    """One evaluation of the two-integral expression at scale s: a block of
-    one scale.
-
-    ``head_lower_limit`` replaces 0 as the lower limit of the first
-    integral (the compact-domain reading of the condition).
+    """The two-integral expression at scale s: ``_condition_curve`` at one
+    scale.  ``head_lower_limit`` replaces 0 as the lower limit of the first
+    integral (the compact-domain reading of the condition).  A diverged
+    head raises before an overflowing prefactor, which raises before a
+    diverged tail, and raises even without ``raise_on_divergence``.
     """
     if not 0.0 < s < math.inf:
         raise DomainError("condition_value needs a finite s > 0")
-    return _condition_block([s], phi, psi, d, _anchored_heads(psi, head_lower_limit, [s]),
-                            raise_on_divergence)[0]
+    (value,), (remainder,), (head_div,), (tail_div,), (pref,) = _condition_curve(
+        [s], phi, psi, d, head_lower_limit)
+    if head_div and raise_on_divergence:
+        raise DivergenceError("first integral diverges at its head (integrand "
+                              f"log-slope above {TAIL_SLOPE_LIMIT})", end="head")
+    if pref == math.inf:
+        raise DomainError(f"the first integral's prefactor overflows at s = {s!r}")
+    if tail_div and raise_on_divergence:
+        raise DivergenceError("second integral diverges at its tail (integrand log-slope "
+                              f"above {TAIL_SLOPE_LIMIT})", end="tail")
+    return ConditionValue(s, float(value), float(remainder), bool(head_div), bool(tail_div))
 
 
 def _decade_slope(s_grid, values, which):
@@ -402,14 +415,9 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
                   head_lower_limit: float = None) -> ConditionReport:
     """Evaluate the condition on a log grid of scales and classify it.
 
-    The heads with a lower limit come from one ``_anchored_heads`` call
-    for the whole sweep.  The scales go through ``_condition_block`` in
-    blocks of as many scales as keep each integral's rows within
-    _BLOCK_VALUES node values, the last one part-filled: _BLOCK scales on
-    the _QUAD layout, the whole sweep of a power pair (3 nodes per row)
-    and a few blocks of a table pair.  Each value and the first
-    diverged scale are those of ``condition_value`` at that scale, and a
-    prefactor overflow names the first scale at which it happens.
+    The values are ``_condition_curve`` over the grid: each value and the
+    first diverged scale are those of ``condition_value`` at that scale,
+    and a prefactor overflow names the first scale at which it happens.
 
     bounded: both end slopes at or below 0.02; unbounded: a per-scale
     divergence or a terminal slope of at least 0.05 sustained over the
@@ -423,21 +431,13 @@ def condition_sup(phi: YoungFunction, psi: WeightFunction, d: int,
     if not 0 < lo < hi < math.inf:
         raise DomainError("s_range must be finite, positive and increasing")
     s_grid = np.geomspace(lo, hi, n_points)
-    heads = _anchored_heads(psi, head_lower_limit, s_grid.tolist())
-    first, second = _kinks(phi, psi, d, np.zeros((1, 1)))
-    integrated = (second,) if heads is not None else (first, second)
-    # nodes per row of the widest integral: _QUAD_U, or the kinks, 0, u_mid and the probe
-    width = max(_QUAD_U.size if k is None else k.shape[1] + 3 for k in integrated)
-    per_block = max(1, _BLOCK_VALUES // width)
-    values = np.zeros(n_points)
-    diverged_s = math.nan
-    for start in range(0, n_points, per_block):
-        block = s_grid[start:start + per_block].tolist()
-        block_heads = None if heads is None else heads[start:start + per_block]
-        for i, cv in enumerate(_condition_block(block, phi, psi, d, block_heads, False), start):
-            values[i] = cv.value
-            if (cv.head_diverged or cv.tail_diverged) and math.isnan(diverged_s):
-                diverged_s = cv.s
+    values, _, head_div, tail_div, pref = _condition_curve(s_grid.tolist(), phi, psi, d,
+                                                           head_lower_limit)
+    overflow, diverged = pref == math.inf, head_div | tail_div
+    if overflow.any():
+        s = float(s_grid[np.argmax(overflow)])
+        raise DomainError(f"the first integral's prefactor overflows at s = {s!r}")
+    diverged_s = float(s_grid[np.argmax(diverged)]) if diverged.any() else math.nan
     finite = np.isfinite(values) & (values > 0)
     d_hat = float(values[finite].max()) if finite.any() else math.inf
     # the smallest s within 1e-12 of the max, so rounding cannot pick it on a flat curve
@@ -470,7 +470,7 @@ def section5_first_bound(alpha: float, s_list):
     if not all(r * (1 - 1e-12) <= s < math.inf for s in s_list):
         raise DomainError("first-bound scales must be finite and satisfy s >= r")
     rows = []
-    for s, head in zip(s_list, _anchored_heads(psi, r, s_list)):
+    for s, head in zip(s_list, _anchored_heads(psi, r, s_list).tolist()):
         ls = math.log(s)
         log_pref, _ = _first_log(phi, psi, 2, ls)
         value = math.exp(log_pref) * head

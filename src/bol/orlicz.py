@@ -148,50 +148,29 @@ def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> Luxembu
     return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
-def _shift_count(dim: int, max_len_cells: float) -> int:
-    """Number of shifts ``lattice_shifts(dim, max_len_cells)`` returns, found
-    without enumerating them; raises the ``shift_budget`` guard where the
-    enumeration would.  The first test is the closed-form size (2m+1)^d of
-    the mesh, the second the exact half-ball count: one row per point of
-    the first d-1 axes, each holding 2j+1 points, j the largest integer
-    with sqrt(s + j^2) <= r for the row's squared length s, floored from a
-    sqrt and settled by the same test as the enumeration.  A radius that
-    is not finite raises ``DomainError``."""
+def lattice_shifts(dim: int, max_len_cells: float):
+    """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k}
+    pair, in lexicographic order.  The points past the centre of the
+    C-order mesh [-m, m]^d are those whose first nonzero component is
+    positive, in that order.  The ``shift_budget`` guard raises on a mesh
+    of more than 4 ``SHIFT_BUDGET`` points before it is built, and on more
+    than ``SHIFT_BUDGET`` shifts; a radius that is not finite raises
+    ``DomainError``."""
     if not math.isfinite(max_len_cells):
         raise DomainError(f"the shift radius must be finite, got {max_len_cells}")
     m = int(math.floor(max_len_cells + 1e-12))
     if m < 1:
-        return 0
+        return np.zeros((0, dim), dtype=np.int64)
     if (2 * m + 1) ** dim > 4 * SHIFT_BUDGET:
         raise ResourceGuardError("shift enumeration too large; coarsen the grid",
                                  guard="shift_budget")
-    lim = max_len_cells + 1e-12
-    sq = np.arange(-m, m + 1, dtype=np.int64) ** 2
-    s = np.zeros(1, dtype=np.int64)
-    for _ in range(dim - 1):
-        s = (s[:, None] + sq).ravel()
-    j = np.minimum(np.floor(np.sqrt(np.maximum(lim * lim - s, 0.0))), m).astype(np.int64)
-    j += (j < m) & (np.sqrt(s + (j + 1) ** 2) <= lim)
-    j -= np.sqrt(s + j ** 2) > lim
-    count = (int(np.maximum(2 * j + 1, 0).sum()) - 1) // 2
-    if count > SHIFT_BUDGET:
-        raise ResourceGuardError("shift budget exceeded; coarsen the grid",
-                                 guard="shift_budget")
-    return count
-
-
-def lattice_shifts(dim: int, max_len_cells: float):
-    """Nonzero integer vectors k with |k| <= max_len_cells, one per {k,-k}
-    pair, in lexicographic order; at most ``SHIFT_BUDGET`` of them.  The
-    points past the centre of the C-order mesh [-m, m]^d are those whose
-    first nonzero component is positive, in that order."""
-    if _shift_count(dim, max_len_cells) == 0:
-        return np.zeros((0, dim), dtype=np.int64)
-    m = int(math.floor(max_len_cells + 1e-12))
     ks = np.arange(-m, m + 1)
     past = (2 * m + 1) ** dim // 2 + 1
     length = np.sqrt(sum(np.ix_(*[ks ** 2] * dim)).ravel()[past:])
     flat = np.flatnonzero(length <= max_len_cells + 1e-12) + past
+    if flat.size > SHIFT_BUDGET:
+        raise ResourceGuardError("shift budget exceeded; coarsen the grid",
+                                 guard="shift_budget")
     return np.stack(np.unravel_index(flat, (2 * m + 1,) * dim), axis=1) - m
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import bol.condition
 from bol.condition import (NEGLIGIBLE_LOG_DROP, TAIL_SLOPE_LIMIT, ConditionQuad,
-                           _anchored_heads, _condition_integral, _first_log, _integrate_rows,
+                           _anchored_heads, _condition_curve, _condition_integral, _first_log,
+                           _integrate_rows,
                            _kinks, condition_sup, condition_value,
                            log_domain_integral, section5_first_bound,
                            section5_second_bound)
@@ -479,14 +480,19 @@ def sweep_pairs(tmp_path):
     return pairs
 
 
-@pytest.mark.parametrize("n_points", [17, 19])
+@pytest.mark.parametrize("n_points", [17, 19, 97])
 def test_sweep_equals_the_scale_by_scale_values(tmp_path, n_points):
     assert n_points % bol.condition._BLOCK  # a ragged last block
+    # the 61-knot table pair's second-integral rows hold 2 * 61 + 3 nodes,
+    # so its sweep of 97 scales spans two blocks, the last part-filled
+    assert 97 * (2 * 61 + 3) > bol.condition._BLOCK_VALUES
     for name, phi, psi, d, lower in sweep_pairs(tmp_path):
         rep = condition_sup(phi, psi, d, n_points=n_points, head_lower_limit=lower)
         cvs = [condition_value(s, phi, psi, d, head_lower_limit=lower,
                                raise_on_divergence=False) for s in rep.s_grid.tolist()]
         assert rep.values.tobytes() == np.array([cv.value for cv in cvs]).tobytes(), name
+        remainders = _condition_curve(rep.s_grid.tolist(), phi, psi, d, lower)[1]
+        assert remainders.tobytes() == np.array([cv.remainder for cv in cvs]).tobytes(), name
         diverged = [cv.s for cv in cvs if cv.head_diverged or cv.tail_diverged]
         assert np.array(rep.diverged_s).tobytes() == \
             np.array(diverged[0] if diverged else math.nan).tobytes(), name

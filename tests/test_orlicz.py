@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
 from bol.grid import GridFunction, lp_norm, shift_difference, total_variation
-from bol.orlicz import (ShiftNormCache, _luxemburg_rows, _shift_count, l1_modulus,
-                        lattice_shifts, luxemburg_norm)
+from bol.orlicz import (ShiftNormCache, _luxemburg_rows, l1_modulus, lattice_shifts,
+                        luxemburg_norm)
 from bol.young import (illinois_log_root, make_power_young, make_section5_young,
                        make_table_young)
 from conftest import ball_indicator
@@ -66,17 +66,6 @@ def test_lattice_shifts_antipodal_and_sorted():
 def test_lattice_shift_budget_guard():
     with mock.patch.object(bol.orlicz, "SHIFT_BUDGET", 100), pytest.raises(ResourceGuardError):
         lattice_shifts(2, 5000.0)
-
-
-radii = (st.integers(0, 12).map(float) | st.integers(0, 144).map(math.sqrt)
-         | st.floats(0.0, 12.0))
-
-
-@settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, 3), radius=radii)
-def test_shift_count_is_the_enumerated_count(dim, radius):
-    # integer and sqrt-integer radii put lattice points on the sphere
-    assert _shift_count(dim, radius) == len(lattice_shifts(dim, radius))
 
 
 def test_modulus_monotone_and_saturates():

@@ -31,6 +31,8 @@ on the first integral of the power and the section5 pair, so that
 every branch of ``condition_value`` is covered, and with 17 and 50
 scales, whose sweep
 ends in a part-filled block, the section5 pair also with a lower limit,
+a power pair in d = 5 on scales 1e100 to 1e200 whose first prefactor
+overflows at the 8th of its 21 scales, inside one kinked block (exit 3),
 and ``example5`` at scale multiples 1, 1.5 and 1e6, the first bound at
 s = r and one whose lower-limit integral spans more than one chunk of
 its running sum), ``norms`` of the staircase with theta = 0.9995, whose
@@ -104,6 +106,8 @@ VARIANTS = [
      "--points", "50"],
     ["check-condition", "--phi", "section5:alpha=0.1", "--psi", "section5:alpha=0.1",
      "--head-lower-limit", "1e-3", "--points", "50"],
+    ["check-condition", "--phi", "power:p=3", "--psi", "powerweight:theta=-2.3333333333333335",
+     "--dim", "5", "--smin", "1e100", "--smax", "1e200", "--points", "21"],
     ["example5", "--alpha", "0.1"],
     ["example5", "--s-multiples", "1,1.5,1000000"],
     ["example5", "--alpha", "0.05"],
