@@ -62,6 +62,13 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
+    # the scalars a report is mostly made of, by exact type: a numpy float
+    # is a float subclass and keeps its own branch below
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind in (int, str, bool) or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

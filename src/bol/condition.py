@@ -246,14 +246,18 @@ def _kinks(phi: YoungFunction, psi: WeightFunction, d: int, ls):
     return first, np.hstack([-ls - psi.log_kinks, phi.log_kinks - d * ls])
 
 
-def _first_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
-    """The first condition integral, s^(d-1) / inv(s^d) * int_a^s Psi(1/t) dt/t
-    at ln s = ls, as its log prefactor and the log of its integrand in
-    u = ln s - ln t, which runs from 0 to ln s - ln a (to infinity for the
-    lower limit a = 0).  A column of ln s gives a column of prefactors and
-    one integrand row per scale."""
-    return ((d - 1) * ls - np.asarray(phi.log_inv(d * ls)),
-            lambda u: np.asarray(psi.log_eval(u - ls)))
+def _first_prefactor(phi: YoungFunction, d: int, ls):
+    """The log of the prefactor s^(d-1) / inv(s^d) of the first condition
+    integral at ln s = ls; a column of ln s gives a column of them."""
+    return (d - 1) * ls - np.asarray(phi.log_inv(d * ls))
+
+
+def _first_log(psi: WeightFunction, ls):
+    """The log of the integrand of the first condition integral,
+    int_a^s Psi(1/t) dt/t at ln s = ls, in u = ln s - ln t, which runs
+    from 0 to ln s - ln a (to infinity for the lower limit a = 0); one
+    row per scale for a column of ln s."""
+    return lambda u: np.asarray(psi.log_eval(u - ls))
 
 
 def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
@@ -361,11 +365,11 @@ def _condition_curve(s_list, phi: YoungFunction, psi: WeightFunction, d: int, lo
         return [np.concatenate(part) for part in zip(*blocks)]
 
     if heads is None:
-        head_val, head_rem, head_div = rows(lambda b: _first_log(phi, psi, d, b)[1], head_kinks)
+        head_val, head_rem, head_div = rows(lambda b: _first_log(psi, b), head_kinks)
     else:
         head_val, head_rem, head_div = heads, np.zeros(n), np.zeros(n, dtype=bool)
     tail_val, tail_rem, tail_div = rows(lambda b: _second_log(phi, psi, d, b), tail_kinks)
-    pref = np.array([_exp(x) for x in _first_log(phi, psi, d, ls)[0][:, 0].tolist()])
+    pref = np.array([_exp(x) for x in _first_prefactor(phi, d, ls)[:, 0].tolist()])
     with np.errstate(invalid="ignore", over="ignore"):
         first = pref * head_val
         values = np.where(head_div | np.isnan(first), 0.0, first) + tail_val
@@ -472,8 +476,7 @@ def section5_first_bound(alpha: float, s_list):
     rows = []
     for s, head in zip(s_list, _anchored_heads(psi, r, s_list).tolist()):
         ls = math.log(s)
-        log_pref, _ = _first_log(phi, psi, 2, ls)
-        value = math.exp(log_pref) * head
+        value = math.exp(_first_prefactor(phi, 2, ls)) * head
         beta = alpha / math.log(ls) if ls > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
         rows.append((s, value, inter, value < 2.0))

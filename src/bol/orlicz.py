@@ -130,21 +130,64 @@ def _solve_histograms(hists, cell_volume, phi: YoungFunction):
     return tuple(map(np.concatenate, zip(*parts))) if parts else (np.zeros(0),) * 3
 
 
+def _unit_scale(x):
+    """(e, x / 2^e) with the largest |x| / 2^e in [1/2, 1) (e = 0 where x
+    is all zero): the p-th powers of the scaled entries can neither
+    overflow nor underflow on the scale of the largest one."""
+    e = math.frexp(np.abs(x).max(initial=0.0))[1]
+    return e, np.ldexp(x, -e)
+
+
+def _lp_root(sums, e, ew, p):
+    """Lp norms 2^e (sums 2^ew)^(1/p), where ``sums`` holds the p-th powers
+    of values scaled by 2^-e, weighted by weights scaled by 2^-ew
+    (``_unit_scale``): the one root of ``luxemburg_norm`` and
+    ``ShiftNormCache`` for a power Phi.  The weights' factor 2^(ew/p) is
+    2^q 2^f with ew/p = q + f, q an integer and f in [0, 1), split exactly
+    in integers (p = num / den), so a weight far from 1, a subnormal cell
+    volume among them, costs no precision: a root of sums 2^ew taken in
+    one pow would carry the rounding of 1/p times |ln(sums 2^ew)|.  A
+    norm that is not finite raises ``DomainError``."""
+    num, den = float(p).as_integer_ratio()
+    q, r = divmod(ew * den, num)
+    with np.errstate(over="ignore"):
+        # 2.0 ** f for the fraction f alone; every whole power of 2 is an ldexp
+        norms = np.ldexp(sums ** (1.0 / p) * 2.0 ** (r / num), e + q)
+    if not np.isfinite(norms).all():
+        raise DomainError("the modular stays above 1 as lambda grows; no finite norm")
+    return norms
+
+
 def luxemburg_norm(f_or_values, phi: YoungFunction, cell_volume=None) -> LuxemburgResult:
     """Smallest lambda with integral of Phi(|f|/lambda) at most 1.
 
-    Accepts a GridFunction or a raw value array plus its cell volume.
-    The modular is decreasing in lambda, so a walk by factors of 2 from
-    the bound V / inv(1/W) plus a bracketed log-domain root solve
-    (``_luxemburg_rows``) is total.  It runs on the histogram of distinct
-    |values|; ``iterations`` counts the modular passes of the walk and the
-    solve.
+    Accepts a GridFunction or a raw value array plus its cell volume, and
+    works on the histogram of distinct |values| x_i with weights
+    w_i = count_i * cell volume.  For a power Phi, Phi(t) = t^p, the norm
+    is the Lp norm (sum_i w_i x_i^p)^(1/p), in closed form: with x_i and
+    w_i scaled by powers of two (``_unit_scale``), the terms are summed
+    left to right and ``_lp_root`` takes the root; ``iterations`` is 0
+    and ``residual`` 0.0, as no modular is evaluated.  f on cells of
+    volume 2v and two disjoint copies of f on cells of volume v have the
+    same weights, so the same norm to the bit.  Any other Phi has
+    a decreasing modular, so a walk by factors of 2 from the bound
+    V / inv(1/W) plus a bracketed log-domain root solve
+    (``_luxemburg_rows``) is total; ``iterations`` counts the modular
+    passes of the walk and the solve, ``residual`` is |m(norm) - 1|.
+    Either raises ``DomainError`` where no finite norm exists.
     """
     if isinstance(f_or_values, GridFunction):
         vals, vol = f_or_values.values, f_or_values.cell_volume
     else:
         vals, vol = np.asarray(f_or_values, dtype=np.float64), float(cell_volume)
-    norms, iters, resid = _solve_histograms([_histogram(vals)], vol, phi)
+    hist = _histogram(vals)
+    if phi.kind == "power":
+        p = phi.params["p"]
+        (e, x), (ew, w) = _unit_scale(hist[0]), _unit_scale(hist[1] * vol)
+        terms = w * x ** p
+        sums = np.add.accumulate(terms)[-1] if terms.size else 0.0
+        return LuxemburgResult(float(_lp_root(sums, e, ew, p)), 0, 0.0)
+    norms, iters, resid = _solve_histograms([hist], vol, phi)
     return LuxemburgResult(float(norms[0]), int(iters[0]), float(resid[0]))
 
 
@@ -183,9 +226,11 @@ class ShiftNormCache:
     The first query evaluates every other shift on the box and sorts them
     by length, so the shifts of length <= t are a prefix.  For a power Phi,
     Phi(t) = t^p, the Luxemburg norm is the Lp norm, so each shift's norm
-    is (S_k h^d)^(1/p) with S_k = sum |Delta_k f|^p from ``_shift_sums``:
-    no histogram and no root solve.  Any other Phi solves the shift
-    differences as (distinct |value|, count) histograms
+    is (S_k h^d)^(1/p) with S_k = sum |Delta_k f|^p from ``_shift_sums``,
+    f and h^d scaled by powers of two (``_unit_scale``) and the root taken
+    by ``_lp_root``, as in ``luxemburg_norm``: no histogram and no root
+    solve, and a norm that is not finite raises.  Any other Phi solves
+    the shift differences as (distinct |value|, count) histograms
     (``_solve_histograms``).  Below one cell the modulus is the
     unit-shift sup scaled by t/h (the same rule as ``l1_modulus``).
     """
@@ -228,12 +273,9 @@ class ShiftNormCache:
             order = np.argsort(lens, kind="stable")
             shifts, lens = shifts[order], lens[order]
             if self.phi.kind == "power":
-                # on f / 2^e with max |f| / 2^e in [1/2, 1), |Delta_k f|^p
-                # neither overflows nor underflows with f's own scale
                 p = self.phi.params["p"]
-                unit = 2.0 ** np.frexp(np.abs(self._box).max(initial=0.0))[1]
-                sums = _shift_sums(self._box / unit, shifts, p)
-                self._norms = unit * (sums * self.f.cell_volume) ** (1.0 / p)
+                (e, a), (ew, w) = _unit_scale(self._box), _unit_scale(self.f.cell_volume)
+                self._norms = _lp_root(_shift_sums(a, shifts, p) * w, e, ew, p)
             else:
                 hists = (_histogram(shift_difference_values(self._box, k)) for k in shifts)
                 self._norms = _solve_histograms(hists, self.f.cell_volume, self.phi)[0]

@@ -297,6 +297,15 @@ def test_norms_at_extreme_spacing(tmp_path, spacing, orlicz):
     assert read_json(out)["report"]["orlicz"] == pytest.approx(orlicz, rel=1e-13, abs=0.0)
 
 
+def test_norms_whose_lp_norm_overflows_exit_3(tmp_path, capsys):
+    # four cells of 1e308 at spacing 1: the L^1.3 norm is 4^(1/1.3) 1e308
+    path = tmp_path / "g.csv"
+    path.write_text("1e308,1e308,1e308,1e308\n")
+    assert run_cli(["norms", "--input", str(path), "--dim", "1", "--spacing", "1",
+                    "--phi", "power:p=1.3"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_norms_with_the_paired_weight_where_t_squared_underflows(tmp_path):
     # at spacing 1e-170 the window's t^2 underflows to 0; the paired weight is
     # its log form, so it still equals the critical power weight it collapses to

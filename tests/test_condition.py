@@ -420,7 +420,7 @@ def test_kinked_table_pair_matches_mpmath_quadrature(tmp_path, d):
             assert cv.value == pytest.approx(float(want), rel=1e-12), s
             # the diverged head keeps its integral over [0, u_mid] in u = ln s - ln t
             ls_col = np.array([[math.log(s)]])
-            (head,), (rem,), (div,) = _condition_integral(_first_log(phi, psi, d, ls_col)[1],
+            (head,), (rem,), (div,) = _condition_integral(_first_log(psi, ls_col),
                                                           _kinks(phi, psi, d, ls_col)[0])
             u_mid = ConditionQuad().u_mid
             cuts = sorted(k / 2 + ls for k in lv)
@@ -454,7 +454,7 @@ def test_a_section5_phi_with_a_power_weight_has_an_exact_first_row():
     ls = np.array([[math.log(1e3)]])
     first, second = _kinks(phi, psi, 2, ls)
     assert first.shape == (1, 0) and second is None
-    (head,), (remainder,), (diverged,) = _condition_integral(_first_log(phi, psi, 2, ls)[1],
+    (head,), (remainder,), (diverged,) = _condition_integral(_first_log(psi, ls),
                                                              first)
     # int_0^inf Psi(1/t) dt/t at s in u = ln s - ln t: int e^(-theta (u - ln s)) du
     assert head == pytest.approx(1e3 ** 0.5 / 0.5, rel=1e-14)

@@ -3,6 +3,7 @@ import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -196,22 +197,32 @@ def test_l1_modulus_of_an_all_distinct_grid_takes_the_direct_sums(monkeypatch):
 @example(case=(np.pad(np.full((1, 1, 1), -2.0), 2), 0.1, 0.4), p=2.5)  # single cell
 @example(case=(np.full(2, 2.2250738585072014e-308), 1.0, 1.0), p=1.3)  # |Delta|^p underflows
 @example(case=(np.array([1e300, -1e300, 0.0, 3e299]), 0.5, 2.0), p=2.5)  # |Delta|^p overflows
+@example(case=(np.array([2.0 ** 1023, 0.0, 2.0 ** 1022, 2.0 ** 1021]), 0.01, 1.0),
+         p=1.3)  # 2^e of max |f| overflows
 def test_sup_up_to_matches_every_lattice_shift(case, p):
     # on both sides of the shortest separating shift, min(n_i) cells, the
-    # cache's sup equals a brute-force max over every lattice shift
+    # cache's sup equals a brute-force max over every lattice shift, of
+    # luxemburg_norm and of the Lp norms summed cell by cell on f / 2^e,
+    # max |f| / 2^e in [1/2, 1), with the root and the 2^e taken in mpmath
     values, h, _ = case
     f = GridFunction(h, (0.0,) * values.ndim, values)
     phi = make_power_young(p)
     n_min = min(_box_extents(values) or [0])
     shifts = _by_length(lattice_shifts(values.ndim, n_min + 0.5))
     norms = [luxemburg_norm(shift_difference(f, k), phi).norm for k in shifts]
+    e = math.frexp(float(np.abs(values).max(initial=0.0)))[1]
+    by_cells = [float((mpmath.mpf(_shift_power_sum_by_cells(np.ldexp(values, -e), k, p))
+                       * f.cell_volume) ** (1 / mpmath.mpf(p)) * mpmath.mpf(2) ** e)
+                for k in shifts]
     cache = ShiftNormCache(f, phi)
     for t_cells in (max(n_min - 0.5, 0.3), max(n_min, 0.7), n_min + 0.5):
         # the shifts of length <= max(t, h) are a prefix of the enumeration
         # sorted by length
         count = len(lattice_shifts(values.ndim, max(t_cells, 1.0)))
-        expect = max(norms[:count], default=0.0) * min(t_cells, 1.0)
-        assert cache.sup_up_to(t_cells * h) == pytest.approx(expect, rel=1e-13, abs=0.0)
+        got = cache.sup_up_to(t_cells * h)
+        for reference in (norms, by_cells):
+            expect = max(reference[:count], default=0.0) * min(t_cells, 1.0)
+            assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)

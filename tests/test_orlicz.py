@@ -5,7 +5,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bol.orlicz
@@ -402,12 +402,44 @@ def test_luxemburg_norm_is_homogeneous(values, vol, c, sign, k, phi):
                                                                                       rel=rel)
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=signed_values, vol=st.floats(1e-4, 1.0), p=st.floats(1.05, 4.0))
+@settings(max_examples=200, deadline=None)
+@given(values=signed_values, p=st.floats(1.05, 4.0),
+       vol=st.floats(1e-4, 1.0) | st.floats(1e-300, 1e300)
+       | st.floats(5e-324, 2.2250738585072014e-308, allow_subnormal=True))
 def test_luxemburg_norm_is_the_lp_norm_for_power_phi(values, vol, p):
-    closed = (math.fsum(abs(v) ** p for v in values) * vol) ** (1.0 / p)
+    # the cell volume reaches the subnormals, whose weights carry fewer bits
+    with mpmath.workdps(40):
+        exact = (mpmath.fsum(abs(mpmath.mpf(v)) ** p for v in values)
+                 * mpmath.mpf(vol)) ** (1 / mpmath.mpf(p))
+    # a subnormal norm itself carries fewer than 53 bits
+    assume(exact >= np.finfo(np.float64).tiny)
     norm = luxemburg_norm(np.array(values), make_power_young(p), cell_volume=vol).norm
-    assert norm == pytest.approx(closed, rel=1e-13)
+    assert norm == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=signed_values, vol=st.floats(1e-4, 1.0), k=st.integers(-900, 900),
+       p=st.floats(1.05, 4.0))
+def test_power_luxemburg_norm_is_exactly_homogeneous(values, vol, k, p):
+    # 2^k f keeps every value and the norm normal; its values scaled by
+    # their largest power of two are f's, so the norm scales exactly
+    vals, phi = np.array(values), make_power_young(p)
+    one = luxemburg_norm(vals, phi, cell_volume=vol).norm
+    assert luxemburg_norm(np.ldexp(vals, k), phi, cell_volume=vol).norm == math.ldexp(one, k)
+
+
+@pytest.mark.parametrize("values, vol", [([1e308] * 4, 1.0), ([1e308], 1e300),
+                                         ([1.0, 2.0], math.inf)])
+def test_power_luxemburg_norm_past_float_max_raises(values, vol):
+    with pytest.raises(DomainError):
+        luxemburg_norm(np.array(values), make_power_young(1.3), cell_volume=vol)
+
+
+def test_power_shift_norms_past_float_max_raise():
+    # |Delta_1 f| reaches 2e308 in the middle cell, and so does the shift's norm
+    f = GridFunction(1.0, (0.0,), np.array([1e308, -1e308]))
+    with pytest.raises(DomainError):
+        ShiftNormCache(f, make_power_young(1.3)).sup_up_to(1.0)
 
 
 def test_luxemburg_rows_zero_rows_and_guard():

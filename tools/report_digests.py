@@ -9,7 +9,8 @@ script); ``bol`` is imported from ROOT/src and the workload generators
 from ROOT/perfbench.  Run it on two checkouts and ``diff`` the outputs.
 Each line is ``sha256  key``.  The digest covers a command's exit code,
 stdout and stderr (or the text of what it raised), with the temporary
-directory of the grid and table files replaced by a fixed token.  With
+directory of the grid and table files, ROOT and numpy's own directory
+(the paths in numpy's warnings) replaced by fixed tokens.  With
 ``--text`` each line is instead the JSON list ``[key, text]`` of the
 digested text itself (``tools/report_drift.py`` compares two of them).
 
@@ -47,7 +48,10 @@ and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 above 1 (no finite norm) or at most 1 (norm 0), and ``norms`` with the
 weight paired with t^1.3 on a 1-D grid at spacing 1e-170, where t^2
 underflows (``norms --input g.csv --dim 1 --spacing 1e-170 --phi
-power:p=1.3 --psi paired:phi=power:p=1.3``), and ``norms --psi
+power:p=1.3 --psi paired:phi=power:p=1.3``), ``norms --phi power:p=1.3``
+of four cells of 1e308 at spacing 1, whose norm is past float max (exit
+3), and ``norms --psi`` of the same Phi on [2^1023, 0, 2^1022, 2^1021]
+at spacing 0.01, whose largest value is 2^1023, and ``norms --psi
 powerweight:theta=...`` of a power Phi on grids whose every cell is a
 distinct value (40 cells in d = 1, 32x32 and 6x5x7 cells), whose shift
 sums all take the direct evaluator, and ``l1_modulus`` of an
@@ -137,6 +141,8 @@ VARIANTS = [
 
 def emit(key, text, tmp):
     key, text = key.replace(tmp, TOKEN), text.replace(tmp, TOKEN)
+    for path, token in ((ROOT, "<root>"), (os.path.dirname(np.__file__), "<numpy>")):
+        text = text.replace(path, token)
     if TEXT:
         print(json.dumps([key, text]))
     else:
@@ -251,6 +257,17 @@ def solve_edge_outputs(tmp):
     argv = ["norms", "--input", grid, "--dim", "1", "--spacing", "1e-170",
             "--phi", "power:p=1.3", "--psi", "paired:phi=power:p=1.3"]
     emit(" ".join(argv), run_cli(argv), tmp)
+    # an L^1.3 norm past float max (exit 3), and a grid whose largest value
+    # is 2^1023, so that 2^e of it overflows
+    big, top = (os.path.join(tmp, name) for name in ("big.csv", "top.csv"))
+    with open(big, "w") as fh:
+        fh.write("1e308,1e308,1e308,1e308\n")
+    with open(top, "w") as fh:
+        fh.write(",".join(repr(v) for v in (2.0 ** 1023, 0.0, 2.0 ** 1022, 2.0 ** 1021)) + "\n")
+    for argv in (["norms", "--input", big, "--dim", "1", "--spacing", "1", "--phi", "power:p=1.3"],
+                 ["norms", "--input", top, "--dim", "1", "--spacing", "0.01",
+                  "--phi", "power:p=1.3", "--psi", "powerweight:theta=0.5"]):
+        emit(" ".join(argv), run_cli(argv), tmp)
 
 
 def distinct_outputs(tmp):
