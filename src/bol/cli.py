@@ -10,10 +10,13 @@ timestamps) with the resolved config embedded.
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
+import operator
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -61,29 +64,87 @@ class _CommandParser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _jsonable(obj):
+def _json(obj, pad):
+    """``obj`` as the JSON text ``json.dumps(indent=2, sort_keys=True)``
+    writes, at the indent ``pad`` ("\\n" and two spaces a level).  Keys
+    become str, a tuple or an ndarray a list, a dataclass the dict of its
+    fields, a numpy integer an int, and a float that is not finite
+    (numpy's too) the string of its repr, "inf" or "nan".  Any other
+    type raises ``TypeError`` as ``json`` does, np.bool_ among them."""
     # the scalars a report is mostly made of, by exact type: a numpy float
-    # is a float subclass and keeps its own branch below
+    # is a float subclass and takes the float branch further down
     kind = type(obj)
     if kind is float:
-        return obj if math.isfinite(obj) else repr(obj)
-    if kind in (int, str, bool) or obj is None:
-        return obj
+        return repr(obj) if math.isfinite(obj) else _string(repr(obj))
+    if kind is str:
+        return _string(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return _json_object(obj, pad)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return _json_array(obj, pad)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        return _json_object({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, pad)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+        return _json_array(obj.tolist(), pad)
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _json(float(obj), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_object(obj, pad):
+    if not obj:
+        return "{}"
+    if not all(type(k) is str for k in obj):
+        obj = {str(k): v for k, v in obj.items()}
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(
+        [_string(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]) + pad + "}"
+
+
+def _json_array(items, pad):
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    body = _float_rows(items, inner)
+    if body is None:
+        body = ("," + inner).join([_json(v, inner) for v in items])
+    return "[" + inner + body + pad + "]"
+
+
+def _finite_floats(values):
+    return set(map(type, values)) == {float} and math.isfinite(sum(values))
+
+
+def _float_rows(items, inner):
+    """The body of a list of finite floats in one join, and of a list of
+    dicts that share one key set of str and hold only finite floats (the
+    ``check-condition`` curve) in one template per row; None for any
+    other list.  A sum that overflows merely sends a list the long way."""
+    first = items[0]
+    if type(first) is float:
+        return ("," + inner).join(map(float.__repr__, items)) if _finite_floats(items) else None
+    if type(first) is not dict or not first:
+        return None
+    keys = first.keys()
+    if not all(type(row) is dict and row.keys() == keys for row in items) \
+            or not all(type(k) is str for k in keys):
+        return None
+    names = sorted(keys)
+    rows = list(map(operator.itemgetter(*names), items))
+    if not _finite_floats(rows if len(names) == 1 else list(itertools.chain.from_iterable(rows))):
+        return None
+    deeper = inner + "  "
+    template = "{" + deeper + ("," + deeper).join(
+        [_string(k).replace("%", "%%") + ": %r" for k in names]) + inner + "}"
+    return ("," + inner).join(map(template.__mod__, rows))
 
 
 @contextlib.contextmanager
@@ -96,9 +157,8 @@ def _writable(path):
 
 
 def _emit(report, config, output=None):
-    payload = {"schema": "bol/1", "config": _jsonable(config),
-               "report": _jsonable(report)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # built whole before anything is written: a value JSON lacks raises first
+    text = _json({"schema": "bol/1", "config": config, "report": report}, "\n") + "\n"
     if output:
         with _writable(output), open(output, "w") as fh:
             fh.write(text)

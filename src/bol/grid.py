@@ -4,10 +4,10 @@ Cell-centered sampling: cell index i holds the value at
 origin + (i + 1/2) * h.  The function is zero outside the box.
 """
 
-import itertools
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,16 @@ def lp_norm(f: GridFunction, p) -> float:
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise DomainError("lp_norm needs p >= 1")
-    return float((np.abs(f.values) ** p).sum() * f.cell_volume) ** (1.0 / p)
+    norm = float((np.abs(f.values) ** p).sum() * f.cell_volume) ** (1.0 / p)
+    if math.isfinite(norm) and (norm > 0.0 or not f.values.any()):
+        return norm
+    # |f|^p overflows or underflows on f's own scale: sum it on the scale
+    # 2^e of the largest |f|, and put 2^e back after the root
+    a = np.abs(f.values)
+    e = math.frexp(a.max())[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(float((np.ldexp(a, -e) ** p).sum()) ** (1.0 / p)
+                              * f.cell_volume ** (1.0 / p), e))
 
 
 def total_variation(f: GridFunction) -> float:
@@ -138,29 +147,17 @@ def save_grid_function(f: GridFunction, path: str) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
-def _line_blocks(fh, size=1 << 12):
-    """Lists of the lines of text file ``fh``, split where iterating it
-    splits them and without their line ends, read ``size`` characters at a
-    time: faster than iterating the file, and holding one block, not the
-    whole body.  A line longer than a block is joined once, from its
-    pieces."""
-    pieces = []
-    for block in iter(lambda: fh.read(size), ""):
-        *lines, last = block.split("\n")
-        if lines:
-            lines[0] = "".join(pieces + [lines[0]])
-            pieces = []
-        pieces.append(last)
-        yield lines
-    yield ["".join(pieces)]
-
-
 def load_grid_function(path: str) -> GridFunction:
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
-            lines = itertools.chain.from_iterable(_line_blocks(fh))
-            vals = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+            with warnings.catch_warnings():
+                # an empty body is a count mismatch below, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                vals = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        if vals.shape[1] > 1:
+            raise ValueError(f"{vals.shape[1]} values on one line")
         shape = tuple(operator.index(n) for n in header["shape"])
         spacing, origin = float(header["spacing"]), tuple(map(float, header["origin"]))
     except (OSError, ValueError, KeyError, TypeError) as exc:  # incl. json.JSONDecodeError

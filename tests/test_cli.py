@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import bol
 from bol.cli import _COMMANDS, _OVERRIDABLE, main
@@ -203,6 +205,89 @@ def test_reports_are_byte_stable(tmp_path):
     assert run_cli(args + ["--output", str(a)]) == 0
     assert run_cli(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _jsonable(obj):
+    """The report values as ``bol.cli`` prepared them for ``json.dumps``
+    before its one-walk writer: the reference the writer must match."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind in (int, str, bool) or obj is None:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+@dataclasses.dataclass
+class _Record:
+    name: str
+    rows: list
+    extra: dict
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text()
+            | _FINITE.map(np.float64)
+            | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+            | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8))
+# lists the writer takes in bulk (finite floats, rows of finite floats under
+# one key set) and lists next to them that it must not
+_BULK = (st.lists(_FINITE) | st.lists(st.floats())
+         | st.lists(st.fixed_dictionaries({"s": _FINITE, "value": _FINITE}), min_size=1)
+         | st.lists(st.fixed_dictionaries({"100%": _FINITE}), min_size=1)
+         | st.lists(st.fixed_dictionaries({"s": st.floats(), "ok": st.booleans()}), min_size=1)
+         | st.lists(st.fixed_dictionaries({"s": _FINITE}) | st.fixed_dictionaries({"t": _FINITE}),
+                    min_size=1)
+         | st.lists(st.dictionaries(st.integers(0, 3), _FINITE), min_size=1))
+_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=4)) \
+    | arrays(np.int64, array_shapes(min_dims=1, max_dims=2, max_side=4))
+_VALUES = st.recursive(
+    _SCALARS | _BULK | _ARRAYS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | st.integers(-3, 3), inner, max_size=4)
+                   | st.builds(_Record, st.text(), st.lists(inner, max_size=3),
+                               st.dictionaries(st.text(), inner, max_size=3))),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_VALUES)
+def test_report_writer_matches_indented_json_dumps(obj):
+    want = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+    assert bol.cli._json(obj, "\n") == want
+
+
+def test_report_writer_spells_a_non_finite_numpy_float_as_a_string():
+    # json.dumps wrote these bare, as Infinity and NaN, which JSON lacks
+    for value, text in ((np.float64("inf"), '"inf"'), (np.float32("-inf"), '"-inf"'),
+                        (np.float64("nan"), '"nan"'), (float("inf"), '"inf"')):
+        assert bol.cli._json([value], "\n") == "[\n  " + text + "\n]"
+
+
+def test_report_writer_rejects_a_numpy_bool_before_writing(tmp_path, capsys):
+    report = {"curve": [{"s": 1.0, "value": 2.0}], "passed": np.bool_(True)}
+    with pytest.raises(TypeError, match="^Object of type bool is not JSON serializable$"):
+        bol.cli._emit(report, {"command": "lemma6"}, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
+    with pytest.raises(TypeError, match="^Object of type bool is not JSON serializable$"):
+        bol.cli._emit(report, {"command": "lemma6"})
+    assert capsys.readouterr().out == ""
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        bol.cli._json({"x": object()}, "\n")
 
 
 def test_env_and_config_precedence(tmp_path, monkeypatch):
@@ -464,6 +549,9 @@ BAD_GRID_INPUTS = {
                                   "1.0 2.0\n", []),
     "value_not_number.grid": ('{"dim": 1, "origin": [0.0], "shape": [2], "spacing": 1.0}\n'
                               "1.0\nabc\n", []),
+    # float() reads 1_0 as 10.0; a grid file holds plain numbers only
+    "value_with_underscore.grid": ('{"dim": 1, "origin": [0.0], "shape": [2], "spacing": 1.0}\n'
+                                   "1_0\n2.0\n", []),
     "cell_volume_past_float_range.csv": ("1,2,3\n4,5,6\n7,8,9\n",
                                          ["--dim", "2", "--shape", "3,3", "--spacing", "1e200",
                                           "--phi", "power:p=1.3"]),

@@ -1,6 +1,6 @@
-import io
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import mpmath
@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import bol.orlicz
 from bol.errors import DomainError, ResourceGuardError
-from bol.grid import (GridFunction, _line_blocks, load_grid_function, lp_norm, save_grid_function,
+from bol.grid import (GridFunction, load_grid_function, lp_norm, save_grid_function,
                       shift_difference, shift_difference_values, total_variation,
                       unit_ball_volume)
 from bol.corpus import random_piecewise_constant
@@ -486,6 +486,33 @@ def test_lp_norms():
         lp_norm(f, 0.5)
 
 
+@pytest.mark.parametrize("values, h, p", [
+    ([2.0 ** 1023, 0.0, 2.0 ** 1022, 2.0 ** 1021], 0.01, 2.0),  # |f|^2 overflows
+    ([2.0 ** 1023, 0.0, 2.0 ** 1022, 2.0 ** 1021], 0.01, 1.3),
+    ([1e308, 1e308, 0.0], 0.5, 1),                               # the sum overflows
+    ([1e-200, 3e-201, 0.0, 7e-202], 1e-100, 2.0),                # |f|^2 h underflows
+    ([1e-10, 2e-10], 1e-320, 2.0),                               # a subnormal cell
+])
+def test_lp_norm_past_the_float_range_of_its_powers(values, h, p):
+    f = GridFunction(h, (0.0,), np.array(values))
+    mpmath.mp.dps = 40
+    exact = mpmath.fsum(mpmath.mpf(abs(v)) ** p for v in values) * mpmath.mpf(h)
+    exact = exact ** (1 / mpmath.mpf(p))
+    with np.errstate(over="ignore", under="ignore"):
+        got = lp_norm(f, p)
+    assert got == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_lp_norm_within_float_range_keeps_its_plain_sum():
+    rng = np.random.default_rng(11)
+    f = GridFunction(0.25, (0.0, 0.0), rng.uniform(-3, 3, (9, 7)))
+    for p in (1, 2.0, 1.5):
+        assert lp_norm(f, p) == float((np.abs(f.values) ** p).sum() * 0.0625) ** (1.0 / p)
+    assert lp_norm(GridFunction(1e-200, (0.0,), np.zeros(3)), 2.0) == 0.0
+    with np.errstate(over="ignore"):
+        assert lp_norm(GridFunction(1.0, (0.0,), np.full(4, 1e308)), 1) == math.inf
+
+
 def test_ball_indicator_volume_converges():
     d = 2
     exact = unit_ball_volume(d)
@@ -541,19 +568,19 @@ def test_serialization_roundtrip(tmp_path):
     g = load_grid_function(str(path))
     assert g.spacing == f.spacing and g.origin == f.origin
     assert np.array_equal(g.values, f.values)
+    # CR line ends too
+    path.write_bytes("\r".join([header] + lines).encode())
+    assert np.array_equal(load_grid_function(str(path)).values, f.values)
 
 
-@pytest.mark.parametrize("size", [1, 2, 5, 4096])
-def test_line_blocks_split_where_file_iteration_does(size):
-    # CR, CRLF and LF line ends, blank and whitespace lines, a line longer
-    # than a block, CRLF pairs that block boundaries cut, and separators
-    # that str.splitlines would split on but a text file does not
-    text = "1.5\r\n\r\n 2\r3\n\n" + "4" * 11 + "\r\n \x0b5\x1c6\n\u20287\r\n8"
+# `1_0` and two values on the first line are cases of test_cli's BAD_GRID_INPUTS
+@pytest.mark.parametrize("body", ["1.0\n2.0 3.0\n", "1,0\n2\n", "#1\n2\n", ""])
+def test_grid_body_holds_one_plain_number_a_line(tmp_path, body):
+    path = tmp_path / "f.grid"
+    path.write_text('{"dim": 1, "origin": [0.0], "shape": [2], "spacing": 1.0}\n' + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body raises, with no warning
+        with pytest.raises(DomainError):
+            load_grid_function(str(path))
 
-    def opened():
-        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
 
-    want = [line.rstrip("\n") for line in opened()]
-    got = list(itertools.chain.from_iterable(_line_blocks(opened(), size)))
-    assert list(filter(str.strip, got)) == list(filter(str.strip, want))
-    assert len(want) == 9

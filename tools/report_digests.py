@@ -58,16 +58,20 @@ sums all take the direct evaluator, and ``l1_modulus`` of an
 all-negative grid and of a signed grid with zero cells inside, in d = 1
 (40 cells, 20h) and d = 3 (8x7x6 cells, 4h), and of a signed 9x13 grid
 at 8.5h, the largest radius short of saturation, all of which take the
-coarea route.  Last come commands that
+coarea route, and ``norms`` of three ``.grid`` files: one with CRLF line
+ends and blank lines, which reads, and one holding ``1_0`` and one with
+two values on a line, which exit 3.  Last come commands that
 take options from ``BOL_*`` variables and from a ``--config`` file: a
 dimension for raw csv and ``.grid`` input, int, float and list keys of
 five commands, and the environment beating the config file.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -195,6 +199,18 @@ def lemma6_output(key, offsets, seed, tmp, dim=3, n_samples=20_000):
     emit(f"{key} lemma6_check({dim}, 1.0, {offsets!r}, {n_samples}, {seed})", text, tmp)
 
 
+def _plain(obj):
+    """``obj`` with str keys, lists for tuples and the repr of each float
+    that is not finite, as in a report; ``default=repr`` takes the rest."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    return obj
+
+
 def sufficiency_outputs(tmp):
     from bol.corpus import random_piecewise_constant
     from bol.young import make_power_weight, make_power_young
@@ -204,7 +220,7 @@ def sufficiency_outputs(tmp):
         f = random_piecewise_constant(np.random.default_rng(d), dim=d, n=n, n_pieces=4)
         try:
             rec = bol.evidence.sufficiency_molecule_estimates(f, phi, make_power_weight(theta), d)
-            text = json.dumps(bol.cli._jsonable(rec), sort_keys=True, default=repr)
+            text = json.dumps(_plain(dataclasses.asdict(rec)), sort_keys=True, default=repr)
         except Exception as exc:
             text = f"raised {exc!r}"
         emit(f"sufficiency_molecule_estimates d={d}", text, tmp)
@@ -317,6 +333,22 @@ def coarea_outputs(tmp):
     emit_modulus("signed", edge, 8.5)
 
 
+def grid_file_outputs(tmp):
+    """``norms`` of ``.grid`` files whose body numpy's reader must take or
+    refuse as the contract says: CRLF line ends with blank lines (read),
+    ``1_0``, which ``float`` reads as 10.0, and two values on one line
+    (both exit 3)."""
+    header = '{"dim": 1, "origin": [0.0], "shape": [3], "spacing": 0.5}'
+    for name, body in (("crlf.grid", "\r\n".join([header, "", "1.5", " ", "-2.0", "0.25", ""])),
+                       ("underscore.grid", "\n".join([header, "1_0", "2.0", "3.0", ""])),
+                       ("two_on_a_line.grid", "\n".join([header, "1.0 2.0", "3.0", ""]))):
+        path = os.path.join(tmp, name)
+        with open(path, "w", newline="") as fh:
+            fh.write(body)
+        argv = ["norms", "--input", path, "--phi", "power:p=1.3"]
+        emit(" ".join(argv), run_cli(argv), tmp)
+
+
 def override_outputs(tmp):
     from bol.grid import save_grid_function
 
@@ -359,6 +391,7 @@ def main():
         solve_edge_outputs(tmp)
         distinct_outputs(tmp)
         coarea_outputs(tmp)
+        grid_file_outputs(tmp)
         override_outputs(tmp)
     finally:
         shutil.rmtree(tmp)
