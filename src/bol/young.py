@@ -167,21 +167,26 @@ def make_section5_young(alpha: float) -> YoungFunction:
     # in its cancellation-free form
     p_lin = (r * math.exp(-g) - math.exp(g) / r) / (r - 1.0 / r)
     q_lin = (math.exp(g) - math.exp(-g)) / (r - 1.0 / r)
+    half_alpha = alpha / 2.0
 
     def outer(v):
-        """v - sign(v) alpha B / ln B with B = |v| / 2, for |v| >= ln r."""
-        big = np.abs(v) / 2.0
-        return v - np.copysign(alpha * big / np.log(big), v)
+        """v - sign(v) alpha B / ln B with B = |v| / 2, for |v| >= ln r:
+        taken as v - (alpha/2 v) / ln B, which rounds the same there, in
+        one new array; a smaller |v| gets a finite or infinite number."""
+        out = np.abs(v)
+        out *= 0.5
+        with np.errstate(divide="ignore"):  # B = 0 or 1, only below ln r
+            np.log(out, out=out)
+            np.divide(half_alpha * v, out, out=out)
+        return np.subtract(v, out, out=out)
 
     def log_inv(lx):
         lx = _as_array(lx)
         scalar = lx.ndim == 0
         lx = np.atleast_1d(lx)
-        out = np.full_like(lx, np.nan)
-        far = (lx < -lr) | (lx >= lr)
-        mid = (lx >= -lr) & (lx < lr)
-        out[far] = outer(lx[far])
-        out[mid] = np.log(p_lin * np.exp(lx[mid]) + q_lin)
+        out = outer(lx)
+        mid = np.flatnonzero((lx >= -lr) & (lx < lr))
+        out.put(mid, np.log(p_lin * np.exp(lx.take(mid)) + q_lin))
         return out[0] if scalar else out
 
     def ev(t):

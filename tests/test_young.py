@@ -177,6 +177,26 @@ def test_section5_maps_nan_to_nan():
         assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
 
 
+@pytest.mark.parametrize("alpha", [0.02, 0.1, 0.13])
+def test_section5_log_inverse_is_the_copysign_form_bit_for_bit(alpha):
+    phi = make_section5_young(alpha)
+    lr = math.log(SECTION5_R)
+    rng = np.random.default_rng(11)
+    lx = np.concatenate([rng.uniform(-60.0, 60.0, 4000), np.geomspace(lr, 1e300, 500),
+                         -np.geomspace(lr, 1e300, 500), [-lr, lr, np.nextafter(lr, 0.0), 0.0]])
+    lx = lx.reshape(2, -1)  # the condition integrals pass one row per scale
+    before = lx.copy()
+    big = np.abs(lx) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where((lx < -lr) | (lx >= lr),
+                            lx - np.copysign(alpha * big / np.log(big), lx),
+                            np.log(phi.params["p_lin"] * np.exp(lx) + phi.params["q_lin"]))
+    got = phi.log_inv(lx)
+    np.testing.assert_array_equal(lx, before)
+    assert got.shape == lx.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_section5_monotone_and_convex_for_large_arguments():
     phi = make_section5_young(0.1)
     assert monotone_and_midpoint_convex(phi, np.geomspace(1.0, 1e6, 48))
