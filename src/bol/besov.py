@@ -6,7 +6,8 @@ grid spacing the modulus is taken linear in the shift length and above
 the support diameter it saturates, so each end is a factor of the
 modulus times an improper integral of the weight, taken from its
 log-domain form on the rule of the condition integrals: exact on the
-kinks of a piecewise log-linear weight.
+kinks of a piecewise log-linear weight, Gauss-Legendre panels on the
+breakpoints of a smooth one.
 """
 
 import math
@@ -36,15 +37,26 @@ class BesovNorm:
         return self.orlicz_part + self.seminorm_part
 
 
-def _weight_end(log_f, kinks, end: str, reason: str) -> float:
+def _weight_end(log_f, kinks, linear: bool, end: str, reason: str) -> float:
     """The integral of exp(log_f(u)) over u in [0, inf), or DivergenceError at ``end``:
-    one row of the condition integrals' kernel, exact on the kinks of log_f
-    in u (an array, or None for a smooth weight)."""
-    (value,), _, (diverged,) = _condition_integral(
-        log_f, None if kinks is None else kinks[None, :])
+    one row of the condition integrals' kernel on the breakpoints of log_f
+    in u (an array), exact where log_f is ``linear`` between them."""
+    (value,), _, (diverged,) = _condition_integral(log_f, kinks[None, :], linear)
     if diverged:
         raise DivergenceError(f"seminorm {end} integral diverges ({reason})", end=end)
     return float(value)
+
+
+def _on_scale(omega, integral):
+    """integral(omega), or where that is not finite 2^e integral(omega / 2^e),
+    2^e the scale of the largest omega, as ``lp_norm`` does: a modulus near
+    float max can have a finite weighted integral."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integral(omega)
+        if not math.isfinite(value):
+            e = math.frexp(float(np.max(omega)))[1]
+            value = np.ldexp(integral(np.ldexp(omega, -e)), e)
+    return value
 
 
 def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
@@ -54,8 +66,8 @@ def saturated_tail(psi: WeightFunction, omega_sat: float, t_hi: float) -> float:
     omega_sat times the integral of Psi(t) dt/t, taken in u = ln t - ln t_hi.
     """
     lt = math.log(t_hi)
-    kinks = None if psi.log_kinks is None else psi.log_kinks - lt
-    return omega_sat * _weight_end(lambda u: psi.log_eval(lt + u), kinks, "tail",
+    return omega_sat * _weight_end(lambda u: psi.log_eval(lt + u), psi.log_kinks - lt,
+                                   psi.log_linear, "tail",
                                    "weight is not integrable against a bounded modulus")
 
 
@@ -87,14 +99,16 @@ def besov_orlicz_norm(f: GridFunction, phi: YoungFunction, psi: WeightFunction,
     cache = ShiftNormCache(f, phi)
     omega = cache.sup_up_to(ts)
     weights = np.asarray(psi.eval(ts), dtype=np.float64)
-    mid = float(np.trapezoid(weights * omega / ts, ts))
+    mid = _on_scale(omega, lambda om: np.trapezoid(weights * om / ts, ts))
 
     # head: omega(t) <= (omega(t_lo)/t_lo) * t below the window, so the
     # integrand is Psi(t) times a constant; int_0^t_lo Psi dt in u = ln t_lo - ln t
     lo = math.log(t_lo)
-    kinks = None if psi.log_kinks is None else lo - psi.log_kinks
-    head = omega[0] / t_lo * _weight_end(lambda u: psi.log_eval(lo - u) + lo - u, kinks,
-                                         "head", "weight is not integrable at 0")
+    head_int = _weight_end(lambda u: psi.log_eval(lo - u) + lo - u, lo - psi.log_kinks,
+                           psi.log_linear, "head", "weight is not integrable at 0")
+    head = _on_scale(omega, lambda om: om[0] / t_lo * head_int)
     tail = saturated_tail(psi, cache.saturated(), t_hi)
-    return BesovNorm(orlicz, mid + head + tail, head, tail, ModulusCurve(ts, omega))
+    with np.errstate(over="ignore"):  # a seminorm past float max is inf
+        seminorm = mid + head + tail
+    return BesovNorm(orlicz, seminorm, head, tail, ModulusCurve(ts, omega))
 

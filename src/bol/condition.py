@@ -3,11 +3,13 @@
 One curve, ``_condition_curve``, gives the expression over a list of
 scales; ``condition_value`` reads it at one scale, ``condition_sup`` on
 a log grid.  Both integrals are taken in the log domain, so section5,
-whose arguments overflow float range, still integrates cleanly.  Where
-every form of an integrand is piecewise linear in the log domain (power,
-``powerweight``, a table and its paired weight) a row's nodes are its
-kinks and its value and verdict are exact; a smooth form (section5)
-takes the shared ``_QUAD`` layout.
+whose arguments overflow float range, still integrates cleanly.  Every
+form carries its breakpoints in the log domain.  Where every form of an
+integrand is linear between them (power, ``powerweight``, a table and
+its paired weight) a row's nodes are its kinks and its value and
+verdict are exact; a form smooth between them (section5) takes 16-point
+Gauss-Legendre panels whose edges are a fixed set plus the row's own
+breakpoints.
 """
 
 import math
@@ -26,7 +28,8 @@ MAX_SCALES = 100_000  # scales per condition_sup sweep
 
 @dataclass(frozen=True)
 class ConditionQuad:
-    """Node layout for the log-substituted integrals.
+    """Node layout of the second example bound, whose default u_mid and
+    u_far also bound the panels of the condition integrals.
 
     The near grid is uniform on [0, u_mid]; beyond it nodes grow by a
     fixed multiplicative step up to u_far, so enlarging u_far only
@@ -50,13 +53,35 @@ class ConditionQuad:
         return np.concatenate([near, np.minimum(x, self.u_far)])
 
 
-_QUAD = ConditionQuad()  # the layout of every integral on [0, inf) but example5's
-_QUAD_U = _QUAD.nodes()  # built once and shared, like its spacings: read-only
-_QUAD_DU = np.diff(_QUAD_U)
-_QUAD_U.flags.writeable = _QUAD_DU.flags.writeable = False
-_QUAD_PAST_MID = int(np.searchsorted(_QUAD_U, _QUAD.u_mid, side="right"))  # first node > u_mid
-_BLOCK = 3  # scales per block of _condition_curve on _QUAD_U (BENCH_condition_blocks.json)
-_BLOCK_VALUES = _BLOCK * _QUAD_U.size  # node values per integral in one block of _condition_curve
+def _gauss_legendre(n):
+    """Nodes, ascending, and weights of the n-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on the three-term recurrence of P_n from the
+    Chebyshev guesses cos(pi (k - 1/4) / (n + 1/2)), k = n, ..., 1, which
+    at n = 16 reaches rounding in four steps; a fifth sets the weights.
+    In Python floats: a numpy kernel run at import grows the heap."""
+    nodes, weights = [], []
+    for k in range(n, 0, -1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(5):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+            x = x - p1 / dp
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return np.array(nodes), np.array(weights)
+
+
+_QUAD = ConditionQuad()  # u_mid and u_far of the condition integrals
+_GL_X, _GL_W = _gauss_legendre(16)
+# panel edges of a row smooth between its breakpoints: every 7.5 up to u_mid,
+# its doublings up to 30,720, then u_far; the row's breakpoints are added
+_EDGES = np.array([_QUAD.u_mid * k / 8 for k in range(9)]
+                  + [_QUAD.u_mid * 2.0 ** k for k in range(1, 10)] + [_QUAD.u_far])
+# node values per integral in one block of _condition_curve: 16 rows of the
+# section5 pair's 22 panels (BENCH_smooth_panels.json)
+_BLOCK_VALUES = 5_632
 _PROBE = 1024.0  # distance in u from a kinked row's last node to the node that reads its slope
 _LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
 _LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
@@ -135,20 +160,16 @@ def log_domain_integral(log_vals, u):
     return _row_integrals(lv[None, :], np.diff(u), [lv.size], [float(np.max(lv))])[0]
 
 
-def _integrate_rows(lv, u, du, past_mid, diverged_nodes=None):
+def _integrate_rows(lv, u, du, past_mid):
     """Integrate exp over [0, inf) of each row of lv, given on the nodes u
-    with spacings du: the condition integrals' kernel.
+    with spacings du: the kernel of ``section5_second_bound``.
 
     A row stops after the first node past u_mid (index ``past_mid`` on)
     from which it stays NEGLIGIBLE_LOG_DROP below its peak, or at the
     last node when there is none; a NaN peak never counts as that drop.
-    Returns lists (values, remainders, slopes, diverged): the log-slope
-    over the last five nodes kept and the exponential tail past them.
-    With ``diverged_nodes`` a row diverges when it neither drops that far
-    nor ends with a log-slope at or below TAIL_SLOPE_LIMIT, and its value
-    is then the integral over its first ``diverged_nodes`` nodes and its
-    remainder infinite; without it no row diverges and the caller judges
-    from the slope and remainder.
+    Returns lists (values, remainders, slopes): the log-slope over the
+    last five nodes kept and the exponential tail past them, from which
+    the caller judges divergence.
     """
     n = lv.shape[1]
     peaks = np.max(lv, axis=1)
@@ -156,23 +177,17 @@ def _integrate_rows(lv, u, du, past_mid, diverged_nodes=None):
         high = lv >= (peaks - NEGLIGIBLE_LOG_DROP)[:, None]
     # one past each row's last node at or above the drop level (n when none is)
     starts = np.maximum(n - np.argmax(high[:, ::-1], axis=1), past_mid).tolist()
-    peaks = peaks.tolist()  # every node at or above the drop level is kept, the peak too
-    cuts, remainders, slopes, diverged = [], [], [], []
+    cuts, remainders, slopes = [], [], []
     with np.errstate(invalid="ignore", over="ignore"):
-        for i, (row, start) in enumerate(zip(lv, starts)):
+        for row, start in zip(lv, starts):
             cut = start + 1 if start < n else n
             span = u[cut - 1] - u[cut - 5]
             slope = float(row[cut - 1] - row[cut - 5]) / span if span > 0 else 0.0
-            remainder = float(np.exp(row[cut - 1])) / -slope if slope < 0 else math.inf
-            div = diverged_nodes is not None and start >= n and not slope <= TAIL_SLOPE_LIMIT
-            if div:
-                cut, remainder = diverged_nodes, math.inf
-                peaks[i] = float(np.max(row[:cut]))  # this prefix may miss the peak
             cuts.append(cut)
-            remainders.append(remainder)
+            remainders.append(float(np.exp(row[cut - 1])) / -slope if slope < 0 else math.inf)
             slopes.append(slope)
-            diverged.append(div)
-    return _row_integrals(lv, du, cuts, peaks), remainders, slopes, diverged
+    # every node at or above the drop level is kept, the peak too
+    return _row_integrals(lv, du, cuts, peaks.tolist()), remainders, slopes
 
 
 def _kinked_rows(log_f, kinks):
@@ -186,7 +201,7 @@ def _kinked_rows(log_f, kinks):
     the slope b of the interval up to the probe, and past the probe's
     value a it adds e^a / -b.  A row diverges when b is not negative or
     one of its values is NaN; its value is then its integral over
-    [0, u_mid], as on the _QUAD layout, and its remainder inf.  Every
+    [0, u_mid], as on the panels, and its remainder inf.  Every
     other remainder is 0.  Each row is scaled by its peak over the nodes
     it sums, so its value depends on its own kinks alone.
     """
@@ -216,34 +231,74 @@ def _kinked_rows(log_f, kinks):
     return values, np.where(diverged, np.inf, 0.0), diverged
 
 
-def _condition_integral(log_f, kinks=None):
-    """Arrays (values, remainders, diverged) of the integral of exp(log_f(u))
-    over [0, inf), one per row of log_f(u): each condition integral at a block
-    of scales, and each end of a Besov seminorm (one row).  Rows with
-    kinks, their breakpoints in u (one row of kinks per row), are exact
-    (``_kinked_rows``); without them, the rows of a smooth log-integrand
-    take the _QUAD layout and diverge as ``_integrate_rows`` says, with
-    their [0, u_mid] nodes as the value.
+def _panel_rows(log_f, kinks):
+    """(values, remainders, diverged) of the integral of exp(log_f(u)) over
+    [0, inf), one per row of kinks: the breakpoints in u of that row's
+    log-integrand, which is smooth between them.
+
+    A row's panels have the edges _EDGES and its breakpoints inside
+    (0, u_far); a breakpoint outside makes an empty panel at 0, so every
+    row of a block has as many.  Each panel takes the 16-point
+    Gauss-Legendre rule, scaled by the row's peak over its nodes, so a
+    row's value depends on its own breakpoints alone.  The log-slope b
+    between the last two nodes extends the row past u_far, adding
+    e^a / -b for its value a there.  A row diverges when its last node
+    is not NEGLIGIBLE_LOG_DROP below its peak (or NaN) and b is not at or
+    below TAIL_SLOPE_LIMIT; its value is then its integral over its panels
+    in [0, u_mid] and its remainder inf.  Any other row whose b is not
+    negative adds no tail and has remainder inf; every other remainder
+    is 0.
     """
-    if kinks is not None:
-        return _kinked_rows(log_f, kinks)
-    lv = np.atleast_2d(np.asarray(log_f(_QUAD_U), dtype=np.float64))
-    values, remainders, _, diverged = _integrate_rows(lv, _QUAD_U, _QUAD_DU, _QUAD_PAST_MID,
-                                                      _QUAD.n_mid)
-    return np.array(values), np.array(remainders), np.array(diverged)
+    rows = kinks.shape[0]
+    edges = np.empty((rows, _EDGES.size + kinks.shape[1]))
+    edges[:, :_EDGES.size] = _EDGES
+    edges[:, _EDGES.size:] = np.where((kinks > 0.0) & (kinks < _QUAD.u_far), kinks, 0.0)
+    edges.sort(axis=1)
+    half = np.diff(edges, axis=1)
+    half *= 0.5
+    u = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(rows, -1)
+    w = (half[:, :, None] * _GL_W).reshape(rows, -1)
+    lv = np.asarray(log_f(u), dtype=np.float64)
+    np.copyto(lv, -np.inf, where=w == 0.0)  # the nodes of an empty panel
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        peaks = np.max(lv, axis=1)
+        end, last_u = lv[:, -1], u[:, -1]
+        slopes = (end - lv[:, -2]) / (last_u - u[:, -2])
+        diverged = ~(end < peaks - NEGLIGIBLE_LOG_DROP) & ~(slopes <= TAIL_SLOPE_LIMIT)
+        decays = slopes < 0.0
+        tail = np.where(decays & ~diverged,
+                        np.exp(end + slopes * (_QUAD.u_far - last_u) - peaks) / -slopes, 0.0)
+        if diverged.any():
+            # a diverged row sums its panels in [0, u_mid] alone, scaled by its peak there
+            past_mid = diverged[:, None] & (u > _QUAD.u_mid)
+            lv[past_mid] = -np.inf
+            peaks[diverged] = np.max(lv[diverged], axis=1)
+        lv -= peaks[:, None]
+        np.exp(lv, out=lv)
+        lv *= w
+        values = np.exp(peaks) * (np.sum(lv, axis=1) + tail)
+    values[peaks == -np.inf] = 0.0
+    values[~(peaks < np.inf)] = np.inf  # a +inf or NaN peak
+    return values, np.where(diverged | ~decays, np.inf, 0.0), diverged
+
+
+def _condition_integral(log_f, kinks, linear):
+    """Arrays (values, remainders, diverged) of the integral of exp(log_f(u))
+    over [0, inf), one per row of log_f(u): each condition integral at a
+    block of scales, and each end of a Besov seminorm (one row).  kinks
+    holds the breakpoints in u of each row's log-integrand (one row of
+    kinks per row).  Where it is ``linear`` between them the rows are
+    exact (``_kinked_rows``); otherwise they take ``_panel_rows``.
+    """
+    return (_kinked_rows if linear else _panel_rows)(log_f, kinks)
 
 
 def _kinks(phi: YoungFunction, psi: WeightFunction, d: int, ls):
-    """The kinks in u of the first and of the second condition integral's
-    integrands at the column ls of ln s, one row per scale, or None for an
-    integral with a smooth form: Psi's kinks k sit at u = k + ln s in the
-    first and at u = -k - ln s in the second, Phi's at u = k - d ln s."""
-    if psi.log_kinks is None:
-        return None, None
-    first = psi.log_kinks + ls
-    if phi.log_kinks is None:
-        return first, None
-    return first, np.hstack([-ls - psi.log_kinks, phi.log_kinks - d * ls])
+    """The breakpoints in u of the first and of the second condition
+    integral's integrands at the column ls of ln s, one row per scale:
+    Psi's kinks k sit at u = k + ln s in the first and at u = -k - ln s
+    in the second, Phi's at u = k - d ln s."""
+    return psi.log_kinks + ls, np.hstack([-ls - psi.log_kinks, phi.log_kinks - d * ls])
 
 
 def _first_prefactor(phi: YoungFunction, d: int, ls):
@@ -342,33 +397,38 @@ def _condition_curve(s_list, phi: YoungFunction, psi: WeightFunction, d: int, lo
     inf where it overflows.  A diverged head adds 0 to a value.
 
     The heads from ``lower`` are one ``_anchored_heads`` call.  Each other
-    integral is a row per scale, on its kinks (``_kinks``) if it has them,
-    through ``_condition_integral`` in blocks of as many scales as keep
-    its rows within _BLOCK_VALUES node values (_BLOCK scales on the _QUAD
-    layout); a row depends on its own scale alone.  The prefactor is
-    math.exp per scale, as np.exp differs from it in the last bit on
-    about one argument in twenty.
+    integral is a row per scale on its breakpoints (``_kinks``), through
+    ``_condition_integral`` in blocks of as many scales as keep its rows
+    within _BLOCK_VALUES node values; a row depends on its own scale
+    alone.  The prefactor is math.exp per scale, as np.exp differs from
+    it in the last bit on about one argument in twenty.
     """
     n = len(s_list)
     heads = None if lower is None else _anchored_heads(psi, lower, s_list)
     ls = np.array([[math.log(s)] for s in s_list])
     head_kinks, tail_kinks = _kinks(phi, psi, d, ls)
-    integrated = (tail_kinks,) if heads is not None else (head_kinks, tail_kinks)
-    # nodes per row of the widest integral: _QUAD_U, or the kinks, 0, u_mid and the probe
-    width = max(_QUAD_U.size if k is None else k.shape[1] + 3 for k in integrated)
+    head_linear, tail_linear = psi.log_linear, psi.log_linear and phi.log_linear
+    integrated = [(tail_kinks, tail_linear)]
+    if heads is None:
+        integrated.append((head_kinks, head_linear))
+    # nodes per row of the widest integral: the kinks, 0, u_mid and the probe,
+    # or 16 per panel
+    width = max(k.shape[1] + 3 if lin else _GL_X.size * (_EDGES.size - 1 + k.shape[1])
+                for k, lin in integrated)
     step = max(1, _BLOCK_VALUES // width)
 
-    def rows(log_f, kinks):
-        blocks = [_condition_integral(log_f(ls[i:i + step]),
-                                      None if kinks is None else kinks[i:i + step])
+    def rows(log_f, kinks, linear):
+        blocks = [_condition_integral(log_f(ls[i:i + step]), kinks[i:i + step], linear)
                   for i in range(0, n, step)]
         return [np.concatenate(part) for part in zip(*blocks)]
 
     if heads is None:
-        head_val, head_rem, head_div = rows(lambda b: _first_log(psi, b), head_kinks)
+        head_val, head_rem, head_div = rows(lambda b: _first_log(psi, b), head_kinks,
+                                            head_linear)
     else:
         head_val, head_rem, head_div = heads, np.zeros(n), np.zeros(n, dtype=bool)
-    tail_val, tail_rem, tail_div = rows(lambda b: _second_log(phi, psi, d, b), tail_kinks)
+    tail_val, tail_rem, tail_div = rows(lambda b: _second_log(phi, psi, d, b), tail_kinks,
+                                        tail_linear)
     pref = np.array([_exp(x) for x in _first_prefactor(phi, d, ls)[:, 0].tolist()])
     with np.errstate(invalid="ignore", over="ignore"):
         first = pref * head_val
@@ -500,7 +560,7 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
     log_f = _second_log(phi, make_section5_weight(phi), 2, math.log(s))
     quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
     u = quad.nodes()
-    (value,), (remainder,), (slope,), _ = _integrate_rows(
+    (value,), (remainder,), (slope,) = _integrate_rows(
         log_f(u)[None, :], u, np.diff(u), int(np.searchsorted(u, quad.u_mid, "right")))
     # a NaN end slope or a non-finite value is a divergence too
     if not (slope < -1e-8 and remainder <= max(value, 1e-300)) or not math.isfinite(value):

@@ -11,7 +11,7 @@ is the root finder of the Luxemburg solve (``orlicz._luxemburg_rows``).
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,7 @@ def _as_array(t):
     return np.asarray(t, dtype=np.float64)
 
 
-_NO_KINKS = np.zeros(0)  # the breakpoints of a log form linear on the whole line
+_NO_KINKS = np.zeros(0)  # the breakpoints of a log form with none
 _NO_KINKS.flags.writeable = False
 
 
@@ -47,8 +47,9 @@ class YoungFunction:
     ``eval`` and ``inv`` accept scalars or numpy arrays.  ``log_inv``
     maps ln(x) to ln(inv(x)); unless given, ``inv`` is exp(log_inv(ln x))
     for x > 0 and 0 for x <= 0.  ``log_kinks`` holds the sorted
-    breakpoints in ln x of a ``log_inv`` linear between them and past the
-    last, or None for a smooth one.
+    breakpoints in ln x of ``log_inv``, where it may bend sharply or its
+    slope jump, and ``log_linear`` says whether it is linear between them
+    and past the last; by default it is smooth on the whole line.
     """
 
     kind: str
@@ -56,7 +57,8 @@ class YoungFunction:
     eval: Callable
     log_inv: Callable
     inv: Callable = None
-    log_kinks: np.ndarray = None
+    log_kinks: np.ndarray = field(default_factory=lambda: _NO_KINKS)
+    log_linear: bool = False
 
     def __post_init__(self):
         if self.inv is None:
@@ -69,15 +71,16 @@ class WeightFunction:
 
     ``log_eval`` maps ln(t) to ln(eval(t)); ``eval`` (unless given), every
     improper integral of a weight and its divergence verdict derive from it.
-    ``log_kinks`` holds the sorted breakpoints in ln t of a ``log_eval``
-    linear between them and past the last, or None for a smooth one.
+    ``log_kinks`` and ``log_linear`` describe ``log_eval`` as they do a
+    Young function's ``log_inv``.
     """
 
     kind: str
     params: dict
     log_eval: Callable
     eval: Callable = None
-    log_kinks: np.ndarray = None
+    log_kinks: np.ndarray = field(default_factory=lambda: _NO_KINKS)
+    log_linear: bool = False
 
     def __post_init__(self):
         if self.eval is None:
@@ -97,7 +100,7 @@ def make_power_young(p: float) -> YoungFunction:
         params={"p": p},
         eval=ev,
         log_inv=lambda lx: _as_array(lx) / p,
-        log_kinks=_NO_KINKS,
+        log_linear=True,
     )
 
 
@@ -155,7 +158,8 @@ def make_section5_young(alpha: float) -> YoungFunction:
     by three vectorised Newton steps in v = ln Phi(s) from ln s +- g, the
     shift at the matching points.  Past the edges the slope of ``outer``
     lies in [1 - alpha/8, 1] and bends little, so three steps reach
-    rounding for every alpha."""
+    rounding for every alpha.  The pieces meet at the breakpoints
+    +-ln r, and each is smooth."""
     if not 0.0 < alpha < E_MINUS_2:
         raise DomainError("section5 needs 0 < alpha < e^-2")
     r = SECTION5_R
@@ -168,23 +172,26 @@ def make_section5_young(alpha: float) -> YoungFunction:
     p_lin = (r * math.exp(-g) - math.exp(g) / r) / (r - 1.0 / r)
     q_lin = (math.exp(g) - math.exp(-g)) / (r - 1.0 / r)
     half_alpha = alpha / 2.0
+    kinks = np.array([-lr, lr])
+    kinks.flags.writeable = False
 
     def outer(v):
         """v - sign(v) alpha B / ln B with B = |v| / 2, for |v| >= ln r:
         taken as v - (alpha/2 v) / ln B, which rounds the same there, in
-        one new array; a smaller |v| gets a finite or infinite number."""
+        one new array; a smaller |v| gets a finite or infinite number,
+        and B = 0 or 1 divides by zero."""
         out = np.abs(v)
         out *= 0.5
-        with np.errstate(divide="ignore"):  # B = 0 or 1, only below ln r
-            np.log(out, out=out)
-            np.divide(half_alpha * v, out, out=out)
+        np.log(out, out=out)
+        np.divide(half_alpha * v, out, out=out)
         return np.subtract(v, out, out=out)
 
     def log_inv(lx):
         lx = _as_array(lx)
         scalar = lx.ndim == 0
         lx = np.atleast_1d(lx)
-        out = outer(lx)
+        with np.errstate(divide="ignore"):  # the middle, which the chord overwrites
+            out = outer(lx)
         mid = np.flatnonzero((lx >= -lr) & (lx < lr))
         out.put(mid, np.log(p_lin * np.exp(lx.take(mid)) + q_lin))
         return out[0] if scalar else out
@@ -209,6 +216,7 @@ def make_section5_young(alpha: float) -> YoungFunction:
         params={"alpha": alpha, "r": r, "p_lin": p_lin, "q_lin": q_lin},
         eval=ev,
         log_inv=log_inv,
+        log_kinks=kinks,
     )
 
 
@@ -232,6 +240,7 @@ def make_table_young(path: str) -> YoungFunction:
         eval=_exp_of(lambda ly: np.interp(ly, lt, lv), True),
         log_inv=lambda lx: np.interp(lx, lv, lt),
         log_kinks=lv,
+        log_linear=True,
     )
 
 
@@ -241,7 +250,7 @@ def make_power_weight(theta: float) -> WeightFunction:
         kind="powerweight",
         params={"theta": theta},
         log_eval=lambda lt: -theta * _as_array(lt),
-        log_kinks=_NO_KINKS,
+        log_linear=True,
     )
 
 
@@ -250,7 +259,8 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
 
     For the power preset with exponent p this collapses to
     t^(1 - 2/p), i.e. the critical power weight in dimension 2.  Its
-    kinks are those of ``phi.log_inv``, halved.
+    kinks are those of ``phi.log_inv``, halved, and it is linear between
+    them where ``phi.log_inv`` is.
     """
     def log_ev(lt):
         lt = _as_array(lt)
@@ -260,7 +270,8 @@ def make_section5_weight(phi: YoungFunction) -> WeightFunction:
         kind="section5weight" if phi.kind == "section5" else "pairedweight",
         params=dict(phi.params),
         log_eval=log_ev,
-        log_kinks=None if phi.log_kinks is None else phi.log_kinks / 2.0,
+        log_kinks=phi.log_kinks / 2.0,
+        log_linear=phi.log_linear,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -137,10 +138,45 @@ def test_section5_weight_ends_match_mpmath():
                                [lo] + [b for b in breaks if b > lo] + [mpmath.inf])
             bn = besov_orlicz_norm(f, PHI, psi, nodes=32, t_head=h, t_tail=8.0)
             got = bn.head_bound * h / bn.curve.values[0]
-            assert got == pytest.approx(float(want), rel=3e-5), h
+            assert got == pytest.approx(float(want), rel=1e-9), h
         for t_hi in (0.25, 2.0, 8.0):
             breaks = [math.log(SECTION5_R) / 2, 20, 50, 100, 300, 1e3]
             lo = mpmath.log(mpmath.mpf(t_hi))
             want = mpmath.quad(lambda big_h: mp_psi(mpmath.exp(big_h)),
                                [lo] + [b for b in breaks if b > lo] + [mpmath.inf])
-            assert saturated_tail(psi, 1.0, t_hi) == pytest.approx(float(want), rel=1e-7), t_hi
+            assert saturated_tail(psi, 1.0, t_hi) == pytest.approx(float(want), rel=1e-9), t_hi
+
+
+# The section5 weight's seminorm ends at t = h, at 30 digits: the integral
+# of Psi(t) dt over [0, h] (the head, besov_orlicz_norm's head_bound per
+# omega(h)/h) and of Psi(t) dt/t over [h, inf) (saturated_tail per
+# omega_sat), by mpmath.quad (mp.dps = 30) in u = |ln t - ln h|, split at
+# the weight's breakpoints ln t = +-e^2 and at u = 60, 1e3, 3e4.
+SECTION5_ENDS = {1.0: (45.3911780774162861905851464579, 1.4469652410861265443058656617),
+                 1.0 / 16: (41.3794782851318980470375686937, 23.1502799554609433322310670376)}
+
+
+def test_section5_weight_ends_match_30_digit_references():
+    psi = make_section5_weight(make_section5_young(0.1))
+    f = small_ball()
+    for h, (head, tail) in SECTION5_ENDS.items():
+        bn = besov_orlicz_norm(f, PHI, psi, nodes=32, t_head=h, t_tail=8.0)
+        assert bn.head_bound * h / bn.curve.values[0] == pytest.approx(head, rel=1e-9), h
+        assert saturated_tail(psi, 1.0, h) == pytest.approx(tail, rel=1e-9), h
+
+
+def test_a_modulus_near_float_max_keeps_its_finite_head():
+    # omega(h) = 5.64e306 at h = 0.01: omega(h) / h and the window's
+    # integrand overflow on their own scale, while the head
+    # omega(h) h^-theta / (1 - theta) = 1.13e308 is finite
+    f = GridFunction(0.01, (0.0,), np.array([2.0 ** 1023, 0.0, 2.0 ** 1022, 2.0 ** 1021]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bn = besov_orlicz_norm(f, make_power_young(1.3), make_power_weight(0.5))
+    omega_h = float(bn.curve.values[0])
+    assert omega_h == pytest.approx(5.642447957121747e306, rel=1e-12)
+    assert bn.head_bound == pytest.approx(omega_h * 0.01 ** -0.5 / 0.5, rel=1e-14)
+    assert math.isfinite(bn.tail_bound)
+    # the window adds at least omega(h) times the integral of t^-1.5 over
+    # [0.01, 0.06], 6.7e307, so the seminorm is past float max
+    assert bn.seminorm_part == math.inf

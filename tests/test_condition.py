@@ -300,10 +300,10 @@ def reference_integral(lv, u):
         return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
 
 
-def reference_decaying(lv, u, u_mid, diverged_nodes):
+def reference_decaying(lv, u, u_mid):
     """One row by the reverse running max: it stops after the first node
     past u_mid from which every later value is NEGLIGIBLE_LOG_DROP below
-    the peak.  Returns (value, remainder, slope, diverged)."""
+    the peak.  Returns (value, remainder, slope)."""
     with np.errstate(invalid="ignore"):
         low = np.maximum.accumulate(lv[::-1])[::-1] < np.max(lv) - NEGLIGIBLE_LOG_DROP
     past = np.flatnonzero(low & (u > u_mid))
@@ -312,10 +312,7 @@ def reference_decaying(lv, u, u_mid, diverged_nodes):
     with np.errstate(invalid="ignore", over="ignore"):
         slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
         remainder = float(np.exp(lv[cut - 1])) / -slope if slope < 0 else math.inf
-    if diverged_nodes is not None and not past.size and not slope <= TAIL_SLOPE_LIMIT:
-        n = diverged_nodes
-        return reference_integral(lv[:n], u[:n]), math.inf, slope, True
-    return reference_integral(lv[:cut], u[:cut]), remainder, slope, False
+    return reference_integral(lv[:cut], u[:cut]), remainder, slope
 
 
 def hand_made_rows(u):
@@ -338,21 +335,19 @@ def hand_made_rows(u):
     return {k: np.asarray(v, dtype=np.float64) for k, v in rows.items()}
 
 
-@pytest.mark.parametrize("diverged_nodes", [None, 7])
-def test_integrate_rows_matches_the_running_max_rule(diverged_nodes):
+def test_integrate_rows_matches_the_running_max_rule():
     u_mid = 6.0
     u = np.r_[np.linspace(0.0, u_mid, 7), u_mid * 1.5 ** np.arange(1, 11)]
     past_mid = int(np.searchsorted(u, u_mid, side="right"))
     rows = hand_made_rows(u)
     block = np.array(list(rows.values()))
-    got = _integrate_rows(block, u, np.diff(u), past_mid, diverged_nodes)
+    got = _integrate_rows(block, u, np.diff(u), past_mid)
     for i, (name, lv) in enumerate(rows.items()):
-        want = reference_decaying(lv, u, u_mid, diverged_nodes)
-        one = _integrate_rows(lv[None, :], u, np.diff(u), past_mid, diverged_nodes)
+        want = reference_decaying(lv, u, u_mid)
+        one = _integrate_rows(lv[None, :], u, np.diff(u), past_mid)
         for result in (tuple(part[i] for part in got), tuple(part[0] for part in one)):
             # equal as bit patterns, NaN included
-            assert np.array(result[:3]).tobytes() == np.array(want[:3]).tobytes(), name
-            assert result[3] == want[3], name
+            assert np.array(result).tobytes() == np.array(want).tobytes(), name
 
 
 def test_log_domain_integral_matches_the_reference_rule():
@@ -421,7 +416,7 @@ def test_kinked_table_pair_matches_mpmath_quadrature(tmp_path, d):
             # the diverged head keeps its integral over [0, u_mid] in u = ln s - ln t
             ls_col = np.array([[math.log(s)]])
             (head,), (rem,), (div,) = _condition_integral(_first_log(psi, ls_col),
-                                                          _kinks(phi, psi, d, ls_col)[0])
+                                                          _kinks(phi, psi, d, ls_col)[0], True)
             u_mid = ConditionQuad().u_mid
             cuts = sorted(k / 2 + ls for k in lv)
             want = mpmath.quad(lambda u: mpmath.exp(u - ls - log_inv(2 * (u - ls))),
@@ -434,7 +429,7 @@ def test_kinked_table_pair_matches_mpmath_quadrature(tmp_path, d):
 def test_a_kinked_row_diverges_exactly_when_its_last_slope_is_not_negative(slope):
     # e^-u up to the kink at u = 5, then e^(-5 + slope (u - 5)) to infinity
     log_f = lambda u: np.maximum(-u, -5.0 + slope * (u - 5.0))
-    (value,), (remainder,), (diverged,) = _condition_integral(log_f, np.array([[5.0]]))
+    (value,), (remainder,), (diverged,) = _condition_integral(log_f, np.array([[5.0]]), True)
     head = -math.expm1(-5.0)
     if slope < 0.0:
         assert not diverged and remainder == 0.0
@@ -449,13 +444,16 @@ def test_a_kinked_row_diverges_exactly_when_its_last_slope_is_not_negative(slope
 
 def test_a_section5_phi_with_a_power_weight_has_an_exact_first_row():
     # the first integrand has the kinks of Psi alone, none for a power
-    # weight, and is exact; the second has a smooth Phi and takes _QUAD_U
+    # weight, and is exact; the second holds the section5 Phi, smooth
+    # between its breakpoints, and takes the panels
     phi, psi = make_section5_young(0.1), make_power_weight(0.5)
+    assert psi.log_linear and not phi.log_linear
     ls = np.array([[math.log(1e3)]])
     first, second = _kinks(phi, psi, 2, ls)
-    assert first.shape == (1, 0) and second is None
+    assert first.shape == (1, 0)
+    np.testing.assert_array_equal(second, phi.log_kinks - 2 * ls)
     (head,), (remainder,), (diverged,) = _condition_integral(_first_log(psi, ls),
-                                                             first)
+                                                             first, True)
     # int_0^inf Psi(1/t) dt/t at s in u = ln s - ln t: int e^(-theta (u - ln s)) du
     assert head == pytest.approx(1e3 ** 0.5 / 0.5, rel=1e-14)
     assert remainder == 0.0 and not diverged
@@ -482,9 +480,11 @@ def sweep_pairs(tmp_path):
 
 @pytest.mark.parametrize("n_points", [17, 19, 97])
 def test_sweep_equals_the_scale_by_scale_values(tmp_path, n_points):
-    assert n_points % bol.condition._BLOCK  # a ragged last block
+    # the section5 pair's second-integral rows hold 16 x 22 panel nodes
+    step = bol.condition._BLOCK_VALUES // (16 * 22)
+    assert 1 < step < n_points and n_points % step  # a ragged last block
     # the 61-knot table pair's second-integral rows hold 2 * 61 + 3 nodes,
-    # so its sweep of 97 scales spans two blocks, the last part-filled
+    # so its sweep of 97 scales spans three blocks, the last part-filled
     assert 97 * (2 * 61 + 3) > bol.condition._BLOCK_VALUES
     for name, phi, psi, d, lower in sweep_pairs(tmp_path):
         rep = condition_sup(phi, psi, d, n_points=n_points, head_lower_limit=lower)
@@ -547,7 +547,119 @@ def test_sweep_names_the_first_overflowing_scale():
         except DomainError:
             first = s
             break
-    assert first is not None and s_grid.index(first) % bol.condition._BLOCK
+    # inside the one block of these 3-node rows, not at its start
+    assert first is not None and 0 < s_grid.index(first) < bol.condition._BLOCK_VALUES // 3
     with pytest.raises(DomainError) as exc:
         condition_sup(phi, psi, 5, s_range=(1e100, 1e200), n_points=21)
     assert str(exc.value).endswith(f"s = {first!r}")
+
+
+# The section5 pair (alpha = 0.1) in d = 2: pref * head + tail at 30 digits,
+# mpmath.quad (mp.dps = 30, the same digits at 45) of the integrands of
+# _first_log and _second_log written in mpmath, split at 0, every
+# breakpoint of the section5 forms inside (0, inf) and u = 60, 1e3, 3e4.
+SECTION5_VALUES = {
+    1e-6: 132.947833177653138279004289764,
+    1e-3: 140.413142679352985281620053299,
+    1.0: 134.121837475147508094042132935,
+    1e3: 127.5145920402605420158339967,
+    1e6: 127.860999334023856677471752063,
+    1e9: 129.016608647669553122072020455,
+    1e12: 130.065474480057784779566202608,
+}
+
+
+def test_section5_pair_matches_30_digit_references():
+    phi = make_section5_young(0.1)
+    psi = make_section5_weight(phi)
+    for s, want in SECTION5_VALUES.items():
+        cv = condition_value(s, phi, psi, 2)
+        assert cv.value == pytest.approx(want, rel=1e-9), s
+        assert cv.remainder == 0.0 and not cv.head_diverged and not cv.tail_diverged
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(16)
+    np.testing.assert_allclose(bol.condition._GL_X, x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bol.condition._GL_W, w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kink", [0.5, 5.0, 37.0])
+def test_a_panel_row_is_exact_on_exponential_pieces_split_at_its_breakpoints(kink):
+    # e^-|u - kink| on [0, inf) is 2 - e^-kink; its breakpoint is a panel
+    # edge, and breakpoints outside (0, u_far) make empty panels
+    (value,), (remainder,), (diverged,) = _condition_integral(
+        lambda u: -np.abs(u - kink), np.array([[kink, -3.0, 1e9]]), False)
+    assert value == pytest.approx(2.0 - math.exp(-kink), rel=1e-14)
+    assert remainder == 0.0 and not diverged
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.0, -1e-4, -0.01, -1.0])
+def test_a_panel_row_diverges_when_it_neither_drops_nor_decays_fast_enough(slope):
+    (value,), (remainder,), (diverged,) = _condition_integral(
+        lambda u: slope * u, np.zeros((1, 0)), False)
+    if slope <= -0.01:
+        # -0.01 u ends above TAIL_SLOPE_LIMIT but falls NEGLIGIBLE_LOG_DROP
+        # below its peak by u = 4500, so it converges; the tail from u_far
+        # is exact
+        assert not diverged and remainder == 0.0
+        assert value == pytest.approx(-1.0 / slope, rel=1e-13)
+    else:
+        # the value is the integral over [0, u_mid]
+        assert diverged and remainder == math.inf
+        u_mid = ConditionQuad().u_mid
+        grow = math.expm1(slope * u_mid) / slope if slope else u_mid
+        assert value == pytest.approx(grow, rel=1e-13)
+
+
+@pytest.mark.parametrize("theta, verdict, diverged_s",
+                         [(0.99, "bounded", math.nan), (1.0, "unbounded", 1e-6),
+                          (1.2, "unbounded", 1e-6)])
+def test_a_section5_phi_with_a_diverging_power_weight_keeps_its_verdict(theta, verdict,
+                                                                        diverged_s):
+    # with theta >= 1 the second integrand's log-slope tends to theta - 1
+    # plus alpha/2 over ln of its argument, above TAIL_SLOPE_LIMIT, so
+    # every scale's tail diverges; at theta = 0.99 it converges, slowly
+    phi, psi = make_section5_young(0.1), make_power_weight(theta)
+    rep = condition_sup(phi, psi, 2)
+    assert rep.verdict == verdict
+    assert np.array(rep.diverged_s).tobytes() == np.array(diverged_s).tobytes()
+    cv = condition_value(1.0, phi, psi, 2, raise_on_divergence=False)
+    assert not cv.head_diverged and cv.tail_diverged == (theta >= 1.0)
+    if theta >= 1.0:
+        with pytest.raises(DivergenceError) as exc:
+            condition_value(1.0, phi, psi, 2)
+        assert exc.value.end == "tail"
+
+
+def test_panel_rows_of_a_block_equal_their_one_row_calls_at_edge_values():
+    # (log-integrand, value, remainder, diverged): a row that diverges keeps
+    # its integral over [0, u_mid]; a NaN or +inf peak gives inf, all -inf 0
+    u_mid = ConditionQuad().u_mid
+    rows = {
+        "decaying": (lambda u: -u, 1.0, 0.0, False),
+        "slow": (lambda u: 2 * TAIL_SLOPE_LIMIT * u, -0.5 / TAIL_SLOPE_LIMIT, 0.0, False),
+        "nan_far": (lambda u: np.where(u > 100.0, np.nan, -u), -math.expm1(-u_mid),
+                    math.inf, True),
+        "inf_near": (lambda u: np.where(u < 1.0, np.inf, -u), math.inf, 0.0, False),
+        "all_minus_inf": (lambda u: np.full_like(u, -np.inf), 0.0, math.inf, True),
+        "plateau": (lambda u: np.zeros_like(u), u_mid, math.inf, True),
+        "rises": (lambda u: 0.02 * u, math.expm1(0.02 * u_mid) / 0.02, math.inf, True),
+    }
+    forms = [form for form, *_ in rows.values()]
+
+    def block(u):
+        return np.vstack([form(u[i]) for i, form in enumerate(forms)])
+
+    kinks = np.zeros((len(rows), 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _condition_integral(block, kinks, False)
+        for i, (name, (form, value, remainder, diverged)) in enumerate(rows.items()):
+            one = _condition_integral(lambda u: form(u[0])[None, :], kinks[:1], False)
+            assert np.array([part[i] for part in got]).tobytes() == \
+                np.array([part[0] for part in one]).tobytes(), name
+            assert got[0][i] == pytest.approx(value, rel=1e-13), name
+            assert got[1][i] == remainder and got[2][i] == diverged, name

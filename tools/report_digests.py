@@ -9,8 +9,10 @@ script); ``bol`` is imported from ROOT/src and the workload generators
 from ROOT/perfbench.  Run it on two checkouts and ``diff`` the outputs.
 Each line is ``sha256  key``.  The digest covers a command's exit code,
 stdout and stderr (or the text of what it raised), with the temporary
-directory of the grid and table files, ROOT and numpy's own directory
-(the paths in numpy's warnings) replaced by fixed tokens.  With
+directory of the grid and table files and ROOT replaced by fixed tokens.
+Each Python warning on stderr keeps its category and message, but its
+``file.py:LINE:`` and the source line echoed under it become one token,
+so code that moves without a change in behaviour keeps its digests.  With
 ``--text`` each line is instead the JSON list ``[key, text]`` of the
 digested text itself (``tools/report_drift.py`` compares two of them).
 
@@ -73,6 +75,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -92,6 +95,9 @@ import bol.orlicz  # noqa: E402
 import workloads  # noqa: E402
 
 TOKEN = "<tmp>"
+# a warning as warnings.formatwarning writes it: where, category, message,
+# then the source line of where, indented, when it can be read
+WARNING = re.compile(r"^\S.*?\.py:\d+: (\w+): (.*)\n(?:  .*\n)?", re.MULTILINE)
 CRIT = {2: "powerweight:theta=0.5384615384615385", 3: "powerweight:theta=0.3076923076923077"}
 # a table Phi whose log-log slope changes at each of its knots
 KINKED_T = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]
@@ -144,9 +150,7 @@ VARIANTS = [
 
 
 def emit(key, text, tmp):
-    key, text = key.replace(tmp, TOKEN), text.replace(tmp, TOKEN)
-    for path, token in ((ROOT, "<root>"), (os.path.dirname(np.__file__), "<numpy>")):
-        text = text.replace(path, token)
+    key, text = key.replace(tmp, TOKEN), text.replace(tmp, TOKEN).replace(ROOT, "<root>")
     if TEXT:
         print(json.dumps([key, text]))
     else:
@@ -160,7 +164,8 @@ def run_cli(argv):
             code = bol.cli.main(list(argv))
     except Exception as exc:
         return f"raised {exc!r}"
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    err = WARNING.sub(r"<warning>: \1: \2\n", err.getvalue())
+    return f"{code}\n{out.getvalue()}\n{err}"
 
 
 def run_job(job):
