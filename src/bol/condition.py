@@ -9,7 +9,9 @@ integrand is linear between them (power, ``powerweight``, a table and
 its paired weight) a row's nodes are its kinks and its value and
 verdict are exact; a form smooth between them (section5) takes 16-point
 Gauss-Legendre panels whose edges are a fixed set plus the row's own
-breakpoints.
+breakpoints.  Every integral is such a row, over [0, inf) or closed at
+an end: a head with a lower limit and both example bounds are closed
+rows.
 """
 
 import math
@@ -28,8 +30,9 @@ MAX_SCALES = 100_000  # scales per condition_sup sweep
 
 @dataclass(frozen=True)
 class ConditionQuad:
-    """Node layout of the second example bound, whose default u_mid and
-    u_far also bound the panels of the condition integrals.
+    """A node layout whose default u_mid and u_far bound the rows of the
+    condition integrals; ``nodes`` is a layout of its own, which no
+    integral here uses.
 
     The near grid is uniform on [0, u_mid]; beyond it nodes grow by a
     fixed multiplicative step up to u_far, so enlarging u_far only
@@ -75,16 +78,14 @@ def _gauss_legendre(n):
 
 _QUAD = ConditionQuad()  # u_mid and u_far of the condition integrals
 _GL_X, _GL_W = _gauss_legendre(16)
-# panel edges of a row smooth between its breakpoints: every 7.5 up to u_mid,
-# its doublings up to 30,720, then u_far; the row's breakpoints are added
+# panel edges of a row smooth between its breakpoints: every 7.5 up to u_mid
+# and its doublings up to 30,720; the row's breakpoints and last edge are added
 _EDGES = np.array([_QUAD.u_mid * k / 8 for k in range(9)]
-                  + [_QUAD.u_mid * 2.0 ** k for k in range(1, 10)] + [_QUAD.u_far])
+                  + [_QUAD.u_mid * 2.0 ** k for k in range(1, 10)])
 # node values per integral in one block of _condition_curve: 16 rows of the
 # section5 pair's 22 panels (BENCH_smooth_panels.json)
 _BLOCK_VALUES = 5_632
 _PROBE = 1024.0  # distance in u from a kinked row's last node to the node that reads its slope
-_LATTICE_STEP = 2.0 ** -10  # node spacing in w of the heads with a lower limit
-_LATTICE_CHUNK = 4096  # intervals per chunk of their running sum
 
 
 @dataclass(frozen=True)
@@ -134,125 +135,112 @@ def _interval_terms(lo, hi, du, peaks):
     return terms
 
 
-def _row_integrals(lv, du, cuts, peaks):
-    """The integral of exp of the piecewise-linear interpolant of each row
-    of lv over its first cuts[i] nodes, given the node spacings du and
-    each row's peak over those nodes: a list of floats, exact on every
-    node interval (``_interval_terms``) and max-scaled.
-
-    Each row's terms are scaled by its peak m and summed by np.sum over
-    the kept prefix; the row gives e^m times that sum, 0 when m = -inf
-    and inf when m is +inf or NaN.  The terms are built for all rows at
-    once, up to the longest prefix.
-    """
-    k = max(cuts)
-    terms = _interval_terms(lv[:, :k - 1], lv[:, 1:k], du[:k - 1], np.asarray(peaks)[:, None])
-    with np.errstate(over="ignore"):
-        return [float(np.exp(m)) * float(np.sum(row[:c - 1])) if math.isfinite(m)
-                else (0.0 if m == -math.inf else math.inf)
-                for row, c, m in zip(terms, cuts, peaks)]
-
-
 def log_domain_integral(log_vals, u):
     """Integral over the grid u of the exponential of the piecewise-linear
-    interpolant of log_vals: one row of ``_row_integrals``."""
+    interpolant of log_vals: ``_interval_terms`` on every node interval,
+    scaled by the peak m and summed by np.sum; e^m times that sum, 0 when
+    m = -inf and inf when m is +inf or NaN."""
     lv = np.asarray(log_vals, dtype=np.float64)
-    return _row_integrals(lv[None, :], np.diff(u), [lv.size], [float(np.max(lv))])[0]
+    m = float(np.max(lv))
+    if not math.isfinite(m):
+        return 0.0 if m == -math.inf else math.inf
+    with np.errstate(over="ignore"):
+        return float(np.exp(m)) * float(np.sum(_interval_terms(lv[:-1], lv[1:], np.diff(u), m)))
 
 
-def _integrate_rows(lv, u, du, past_mid):
-    """Integrate exp over [0, inf) of each row of lv, given on the nodes u
-    with spacings du: the kernel of ``section5_second_bound``.
-
-    A row stops after the first node past u_mid (index ``past_mid`` on)
-    from which it stays NEGLIGIBLE_LOG_DROP below its peak, or at the
-    last node when there is none; a NaN peak never counts as that drop.
-    Returns lists (values, remainders, slopes): the log-slope over the
-    last five nodes kept and the exponential tail past them, from which
-    the caller judges divergence.
-    """
-    n = lv.shape[1]
-    peaks = np.max(lv, axis=1)
-    with np.errstate(invalid="ignore"):
-        high = lv >= (peaks - NEGLIGIBLE_LOG_DROP)[:, None]
-    # one past each row's last node at or above the drop level (n when none is)
-    starts = np.maximum(n - np.argmax(high[:, ::-1], axis=1), past_mid).tolist()
-    cuts, remainders, slopes = [], [], []
-    with np.errstate(invalid="ignore", over="ignore"):
-        for row, start in zip(lv, starts):
-            cut = start + 1 if start < n else n
-            span = u[cut - 1] - u[cut - 5]
-            slope = float(row[cut - 1] - row[cut - 5]) / span if span > 0 else 0.0
-            cuts.append(cut)
-            remainders.append(float(np.exp(row[cut - 1])) / -slope if slope < 0 else math.inf)
-            slopes.append(slope)
-    # every node at or above the drop level is kept, the peak too
-    return _row_integrals(lv, du, cuts, peaks.tolist()), remainders, slopes
+def _tails(closed, decays, diverged, peaks, tail):
+    """(remainders, tails added to the values) of rows whose tails past
+    their last nodes are ``tail``, scaled by their peaks: a closed row
+    adds none and its remainder is the tail, inf where the row does not
+    decay; an open row adds the tail where it decays and has not
+    diverged, and its remainder is inf where it has not added it, else 0."""
+    if closed:
+        return np.where(decays, np.exp(peaks) * tail, np.inf), 0.0
+    added = decays & ~diverged
+    return np.where(added, 0.0, np.inf), np.where(added, tail, 0.0)
 
 
-def _kinked_rows(log_f, kinks):
+def _kinked_rows(log_f, kinks, ends):
     """(values, remainders, diverged) of the integral of exp(log_f(u)) over
-    [0, inf), one per row of kinks: the breakpoints in u of that row's
-    log-integrand, which is linear between them and past the last.
+    [0, inf), or over [0, ends[i]] where ends is given, one per row i of
+    kinks: the breakpoints in u of that row's log-integrand, which is
+    linear between them and past the last.
 
-    A row's nodes are 0, u_mid and its kinks, clipped to [0, inf) and
-    sorted, then a probe _PROBE past the last of them.  ``_interval_terms``
-    is exact on every interval.  The last piece, past the last kink, has
-    the slope b of the interval up to the probe, and past the probe's
-    value a it adds e^a / -b.  A row diverges when b is not negative or
-    one of its values is NaN; its value is then its integral over
-    [0, u_mid], as on the panels, and its remainder inf.  Every
-    other remainder is 0.  Each row is scaled by its peak over the nodes
-    it sums, so its value depends on its own kinks alone.
+    A row's nodes are 0, u_mid and its kinks, each moved to 0 unless it
+    lies inside (0, end) (end inf for an open row), sorted, then its end,
+    or for an open row a probe _PROBE past the last of them.  ``_interval_terms`` is exact on
+    every interval.  The last interval has the slope b of the
+    row's last piece, and past the last node's value a the row's tail is
+    e^a / -b.  An open row adds that tail; it diverges when b is not
+    negative or one of its values is NaN, and its value is then its
+    integral over [0, u_mid], as on the panels, and its remainder inf.
+    Every other open remainder is 0.  A closed row never diverges; its
+    remainder is its tail, inf where b is not negative.  Each row is
+    scaled by its peak over the nodes it sums, so its value depends on
+    its own kinks and end alone.
     """
     rows, k = kinks.shape
     u = np.empty((rows, k + 3))
     u[:, 0], u[:, 1] = 0.0, _QUAD.u_mid
-    np.maximum(kinks, 0.0, out=u[:, 2:-1])
+    u[:, 2:-1] = kinks
+    closed, inner = ends is not None, u[:, 1:-1]
+    np.copyto(inner, 0.0, where=~((inner > 0.0) & (inner < (ends[:, None] if closed else np.inf))))
     u[:, :-1].sort(axis=1)
-    u[:, -1] = u[:, -2] + _PROBE
+    u[:, -1] = ends if closed else u[:, -2] + _PROBE
     du = np.diff(u, axis=1)
     lv = np.asarray(log_f(u), dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         slopes = (lv[:, -1] - lv[:, -2]) / du[:, -1]
         peaks = np.max(lv, axis=1)
-        diverged = ~(slopes < 0.0) | np.isnan(peaks)
+        decays = slopes < 0.0
+        diverged = (~decays | np.isnan(peaks)) & (not closed)
         # a diverged row sums the intervals up to u_mid alone, scaled by its peak there
         past_mid = diverged[:, None] & (u > _QUAD.u_mid)
         if diverged.any():
             peaks[diverged] = np.max(np.where(past_mid, -np.inf, lv), axis=1)[diverged]
         terms = _interval_terms(lv[:, :-1], lv[:, 1:], du, peaks[:, None])
         terms[past_mid[:, 1:]] = 0.0
-        last = np.exp(lv[:, -1] - peaks) / -slopes
-        last[diverged] = 0.0
-        values = np.exp(peaks) * (np.sum(terms, axis=1) + last)
+        remainders, tail = _tails(closed, decays, diverged, peaks,
+                                  np.exp(lv[:, -1] - peaks) / -slopes)
+        values = np.exp(peaks) * (np.sum(terms, axis=1) + tail)
     values[peaks == -np.inf] = 0.0
     values[~(peaks < np.inf)] = np.inf  # a +inf or NaN peak
-    return values, np.where(diverged, np.inf, 0.0), diverged
+    return values, remainders, diverged
 
 
-def _panel_rows(log_f, kinks):
+def _panel_rows(log_f, kinks, ends):
     """(values, remainders, diverged) of the integral of exp(log_f(u)) over
-    [0, inf), one per row of kinks: the breakpoints in u of that row's
-    log-integrand, which is smooth between them.
+    [0, inf), or over [0, ends[i]] where ends is given, one per row i of
+    kinks: the breakpoints in u of that row's log-integrand, which is
+    smooth between them.
 
-    A row's panels have the edges _EDGES and its breakpoints inside
-    (0, u_far); a breakpoint outside makes an empty panel at 0, so every
-    row of a block has as many.  Each panel takes the 16-point
-    Gauss-Legendre rule, scaled by the row's peak over its nodes, so a
-    row's value depends on its own breakpoints alone.  The log-slope b
-    between the last two nodes extends the row past u_far, adding
-    e^a / -b for its value a there.  A row diverges when its last node
-    is not NEGLIGIBLE_LOG_DROP below its peak (or NaN) and b is not at or
-    below TAIL_SLOPE_LIMIT; its value is then its integral over its panels
-    in [0, u_mid] and its remainder inf.  Any other row whose b is not
-    negative adds no tail and has remainder inf; every other remainder
-    is 0.
+    A row's panels have the edges _EDGES, its breakpoints and its last
+    edge: u_far for an open row, its end for a closed one.  Where an end
+    lies past 61,440 the doublings of 30,720 below the largest end are
+    edges too.  An edge not inside (0, last edge) moves to 0 and makes an
+    empty panel there, so every row of a call has as many.  Each panel
+    takes the 16-point Gauss-Legendre rule, scaled by the row's peak over its nodes, so a
+    row's value depends on its own breakpoints and end alone.  The
+    log-slope b between the last two nodes extends the row past its last
+    edge, where it is worth e^a / -b for its value a there.  An open row
+    adds that tail.  It diverges when its last node is not
+    NEGLIGIBLE_LOG_DROP below its peak (or NaN) and b is not at or below
+    TAIL_SLOPE_LIMIT; its value is then its integral over its panels in
+    [0, u_mid] and its remainder inf.  Any other open row whose b is not
+    negative adds no tail and has remainder inf; every other open
+    remainder is 0.  A closed row never diverges; its remainder is its
+    tail, inf where b is not negative.
     """
-    rows = kinks.shape[0]
-    edges = np.empty((rows, _EDGES.size + kinks.shape[1]))
-    edges[:, :_EDGES.size] = _EDGES
-    edges[:, _EDGES.size:] = np.where((kinks > 0.0) & (kinks < _QUAD.u_far), kinks, 0.0)
+    rows, closed = kinks.shape[0], ends is not None
+    last, fixed = (ends, _EDGES.tolist()) if closed else (np.full(rows, _QUAD.u_far), _EDGES)
+    while closed and 2.0 * fixed[-1] < np.max(ends, initial=0.0):
+        fixed.append(2.0 * fixed[-1])
+    edges = np.empty((rows, len(fixed) + kinks.shape[1] + 1))
+    edges[:, :len(fixed)] = fixed
+    edges[:, len(fixed):-1] = kinks
+    edges[:, -1] = last
+    inner = edges[:, :-1]
+    np.copyto(inner, 0.0, where=~((inner > 0.0) & (inner < last[:, None])))
     edges.sort(axis=1)
     half = np.diff(edges, axis=1)
     half *= 0.5
@@ -264,10 +252,11 @@ def _panel_rows(log_f, kinks):
         peaks = np.max(lv, axis=1)
         end, last_u = lv[:, -1], u[:, -1]
         slopes = (end - lv[:, -2]) / (last_u - u[:, -2])
-        diverged = ~(end < peaks - NEGLIGIBLE_LOG_DROP) & ~(slopes <= TAIL_SLOPE_LIMIT)
+        diverged = (~(end < peaks - NEGLIGIBLE_LOG_DROP) & ~(slopes <= TAIL_SLOPE_LIMIT)
+                    & (not closed))
         decays = slopes < 0.0
-        tail = np.where(decays & ~diverged,
-                        np.exp(end + slopes * (_QUAD.u_far - last_u) - peaks) / -slopes, 0.0)
+        tail = np.exp(end + slopes * (last - last_u) - peaks) / -slopes
+        remainders, tail = _tails(closed, decays, diverged, peaks, tail)
         if diverged.any():
             # a diverged row sums its panels in [0, u_mid] alone, scaled by its peak there
             past_mid = diverged[:, None] & (u > _QUAD.u_mid)
@@ -279,18 +268,25 @@ def _panel_rows(log_f, kinks):
         values = np.exp(peaks) * (np.sum(lv, axis=1) + tail)
     values[peaks == -np.inf] = 0.0
     values[~(peaks < np.inf)] = np.inf  # a +inf or NaN peak
-    return values, np.where(diverged | ~decays, np.inf, 0.0), diverged
+    return values, remainders, diverged
 
 
-def _condition_integral(log_f, kinks, linear):
+def _condition_integral(log_f, kinks, linear, ends=None):
     """Arrays (values, remainders, diverged) of the integral of exp(log_f(u))
     over [0, inf), one per row of log_f(u): each condition integral at a
-    block of scales, and each end of a Besov seminorm (one row).  kinks
-    holds the breakpoints in u of each row's log-integrand (one row of
-    kinks per row).  Where it is ``linear`` between them the rows are
-    exact (``_kinked_rows``); otherwise they take ``_panel_rows``.
+    block of scales (closed for a head with a lower limit and for the
+    first example bound), each end of a Besov seminorm (one row) and the
+    second example bound (one closed row).  kinks holds the breakpoints in u of
+    each row's log-integrand (one row of kinks per row).  Where it is
+    ``linear`` between them the rows are exact (``_kinked_rows``);
+    otherwise they take ``_panel_rows``.  ``ends``, one finite end per
+    row, closes the rows: each is then the integral over [0, end], 0
+    for an end at or below 0.  A closed row never diverges, and its
+    remainder is the tail past its end, extrapolated from its last
+    log-slope.
     """
-    return (_kinked_rows if linear else _panel_rows)(log_f, kinks)
+    ends = None if ends is None else np.maximum(ends, 0.0)
+    return (_kinked_rows if linear else _panel_rows)(log_f, kinks, ends)
 
 
 def _kinks(phi: YoungFunction, psi: WeightFunction, d: int, ls):
@@ -328,60 +324,6 @@ def _second_log(phi: YoungFunction, psi: WeightFunction, d: int, ls):
     return log_f
 
 
-def _anchored_heads(psi: WeightFunction, lower, s_list):
-    """The integral of e^psi(w), psi = ``psi.log_eval``, from w = -ln s up
-    to the anchor w = -ln lower at each scale s of s_list: the head of the
-    first condition integral with lower limit ``lower``, 0 where s <= lower.
-
-    The nodes are -ln lower - k * _LATTICE_STEP, so they depend on lower
-    alone; a scale adds the interval from its last node down to -ln s.
-    Each interval follows ``_interval_terms``.  The running sum from the
-    anchor goes in whole chunks of _LATTICE_CHUNK intervals, each scaled
-    by its largest node value, and the sum over the chunks before a scale
-    is kept as e^ref * total.  So a scale's value does not depend on the
-    other scales of the call.  A head is 0 when every value it meets is
-    -inf, and inf when one is +inf or NaN.
-    """
-    if not lower > 0.0:
-        raise DomainError(f"the head lower limit must be positive, got {lower!r}")
-    top = -math.log(lower)
-    ws = np.array([-math.log(s) for s in s_list])
-    heads = np.zeros(ws.size)
-    inside = np.flatnonzero(ws < top)  # the scales s > lower
-    if not inside.size:
-        return heads
-    ws = ws[inside]
-    whole = np.floor((top - ws) / _LATTICE_STEP)  # whole intervals below the anchor
-    chunk_of = (whole // _LATTICE_CHUNK).astype(np.intp)
-    node_of = (whole - chunk_of * _LATTICE_CHUNK).astype(np.intp)
-    end_log = np.asarray(psi.log_eval(ws), dtype=np.float64)
-    steps = np.arange(_LATTICE_CHUNK + 1)
-    ref, total = -math.inf, 0.0
-    for j in range(int(chunk_of.max()) + 1):
-        w = top - (j * _LATTICE_CHUNK + steps) * _LATTICE_STEP
-        lv = np.asarray(psi.log_eval(w), dtype=np.float64)
-        m = float(np.max(lv))
-        m = math.inf if math.isnan(m) else m
-        run = np.zeros(_LATTICE_CHUNK + 1)
-        if m > -math.inf:
-            np.cumsum(_interval_terms(lv[:-1], lv[1:], _LATTICE_STEP, m), out=run[1:])
-        sel = np.flatnonzero(chunk_of == j)
-        if sel.size:
-            at = node_of[sel]
-            lo, hi = end_log[sel], lv[at]
-            with np.errstate(invalid="ignore", over="ignore"):
-                peak = np.maximum(np.maximum(lo, hi), max(ref, m))
-                val = np.exp(peak) * (total * np.exp(ref - peak) + run[at] * np.exp(m - peak)
-                                      + _interval_terms(lo, hi, w[at] - ws[sel], peak))
-            heads[inside[sel]] = np.where(peak > -np.inf,
-                                          np.where(peak < np.inf, val, np.inf), 0.0)
-        new_ref = max(ref, m)
-        if new_ref > -math.inf:
-            total = total * math.exp(ref - new_ref) + float(run[-1]) * math.exp(m - new_ref)
-            ref = new_ref
-    return heads
-
-
 def _exp(x):
     """math.exp(x), inf where it overflows."""
     try:
@@ -396,44 +338,40 @@ def _condition_curve(s_list, phi: YoungFunction, psi: WeightFunction, d: int, lo
     first integral from ``lower`` (None for 0), and the first prefactor,
     inf where it overflows.  A diverged head adds 0 to a value.
 
-    The heads from ``lower`` are one ``_anchored_heads`` call.  Each other
-    integral is a row per scale on its breakpoints (``_kinks``), through
-    ``_condition_integral`` in blocks of as many scales as keep its rows
-    within _BLOCK_VALUES node values; a row depends on its own scale
-    alone.  The prefactor is math.exp per scale, as np.exp differs from
-    it in the last bit on about one argument in twenty.
+    Each integral is a row per scale on its breakpoints (``_kinks``),
+    through ``_condition_integral`` in blocks of as many scales as keep
+    its rows within _BLOCK_VALUES node values; a row depends on its own
+    scale alone.  A head from ``lower`` is its row closed at
+    ln s - ln lower, exact on its range, so it adds no remainder.  The
+    prefactor is math.exp per scale, as np.exp differs from it in the
+    last bit on about one argument in twenty.
     """
+    if lower is not None and not lower > 0.0:
+        raise DomainError(f"the head lower limit must be positive, got {lower!r}")
     n = len(s_list)
-    heads = None if lower is None else _anchored_heads(psi, lower, s_list)
     ls = np.array([[math.log(s)] for s in s_list])
     head_kinks, tail_kinks = _kinks(phi, psi, d, ls)
-    head_linear, tail_linear = psi.log_linear, psi.log_linear and phi.log_linear
-    integrated = [(tail_kinks, tail_linear)]
-    if heads is None:
-        integrated.append((head_kinks, head_linear))
-    # nodes per row of the widest integral: the kinks, 0, u_mid and the probe,
-    # or 16 per panel
-    width = max(k.shape[1] + 3 if lin else _GL_X.size * (_EDGES.size - 1 + k.shape[1])
-                for k, lin in integrated)
+    head_ends = None if lower is None else ls[:, 0] - math.log(lower)
+    integrals = [(lambda b: _first_log(psi, b), head_kinks, psi.log_linear, head_ends),
+                 (lambda b: _second_log(phi, psi, d, b), tail_kinks,
+                  psi.log_linear and phi.log_linear, None)]
+    # nodes per row of the widest integral: the kinks, 0, u_mid and the last
+    # node, or 16 per panel
+    width = max(k.shape[1] + 3 if lin else _GL_X.size * (_EDGES.size + k.shape[1])
+                for _, k, lin, _ in integrals)
     step = max(1, _BLOCK_VALUES // width)
-
-    def rows(log_f, kinks, linear):
-        blocks = [_condition_integral(log_f(ls[i:i + step]), kinks[i:i + step], linear)
-                  for i in range(0, n, step)]
-        return [np.concatenate(part) for part in zip(*blocks)]
-
-    if heads is None:
-        head_val, head_rem, head_div = rows(lambda b: _first_log(psi, b), head_kinks,
-                                            head_linear)
-    else:
-        head_val, head_rem, head_div = heads, np.zeros(n), np.zeros(n, dtype=bool)
-    tail_val, tail_rem, tail_div = rows(lambda b: _second_log(phi, psi, d, b), tail_kinks,
-                                        tail_linear)
+    (head_val, head_rem, head_div), (tail_val, tail_rem, tail_div) = (
+        [np.concatenate(part) for part in zip(*[
+            _condition_integral(log_f(ls[i:i + step]), kinks[i:i + step], linear,
+                                None if ends is None else ends[i:i + step])
+            for i in range(0, n, step)])]
+        for log_f, kinks, linear, ends in integrals)
     pref = np.array([_exp(x) for x in _first_prefactor(phi, d, ls)[:, 0].tolist()])
     with np.errstate(invalid="ignore", over="ignore"):
         first = pref * head_val
         values = np.where(head_div | np.isnan(first), 0.0, first) + tail_val
-        remainders = np.where(np.isfinite(head_rem), pref * head_rem, np.inf) + tail_rem
+        head_rem = np.where(np.isfinite(head_rem), pref * head_rem, np.inf)
+        remainders = (head_rem if lower is None else 0.0) + tail_rem
     return values, remainders, head_div, tail_div, pref
 
 
@@ -525,7 +463,8 @@ def section5_first_bound(alpha: float, s_list):
     """The first condition integral of the section5 pair in d = 2, with
     lower limit r in place of 0; each value must stay below 2.
 
-    The heads are one ``_anchored_heads`` call with lower limit r.
+    The heads are first-integral rows closed at ln s - ln r, as in
+    ``_condition_curve`` with that lower limit.
     Returns rows (s, value, intermediate_bound, passes).
     """
     phi = make_section5_young(alpha)
@@ -533,11 +472,13 @@ def section5_first_bound(alpha: float, s_list):
     r = SECTION5_R
     if not all(r * (1 - 1e-12) <= s < math.inf for s in s_list):
         raise DomainError("first-bound scales must be finite and satisfy s >= r")
+    ls = np.array([math.log(s) for s in s_list]).reshape(-1, 1)
+    heads = _condition_integral(_first_log(psi, ls), _kinks(phi, psi, 2, ls)[0],
+                                psi.log_linear, ls[:, 0] - math.log(r))[0]
     rows = []
-    for s, head in zip(s_list, _anchored_heads(psi, r, s_list).tolist()):
-        ls = math.log(s)
-        value = math.exp(_first_prefactor(phi, 2, ls)) * head
-        beta = alpha / math.log(ls) if ls > 1 else 0.0
+    for s, log_s, head in zip(s_list, ls[:, 0].tolist(), heads.tolist()):
+        value = math.exp(_first_prefactor(phi, 2, log_s)) * head
+        beta = alpha / math.log(log_s) if log_s > 1 else 0.0
         inter = s ** (beta - 1.0) * (s ** (1.0 - beta) - r ** (1.0 - beta)) / (1.0 - beta)
         rows.append((s, value, inter, value < 2.0))
     return rows
@@ -547,23 +488,22 @@ def section5_second_bound(alpha: float, s: float, x_span: float = 1e5):
     """The second condition integral of the section5 pair in d = 2, plus
     a truncation remainder bound.
 
-    Integrates in u = ln t - ln s over a window of length x_span; node
-    positions are append-only in x_span so enlarging the window never
-    perturbs the shared prefix.  It diverges unless the integrand
-    decays at the truncation point (end log-slope below -1e-8) and the
-    remainder past it is at most the value, and whenever the value is not
-    finite.
+    One row of ``_condition_integral`` in u = ln t - ln s, closed at
+    x_span: enlarging the window moves only its panels past the last
+    doubling of 30,720 below the old end.  The remainder is the row's
+    tail past x_span, inf where the integrand does not decay there.  It
+    diverges unless the remainder is at most the value, and whenever the
+    value is not finite.
     """
     phi = make_section5_young(alpha)
+    psi = make_section5_weight(phi)
     if s < SECTION5_R * (1 - 1e-12) or not 0.0 < x_span < math.inf:
         raise DomainError("second bound needs s >= r and a finite, positive x_span")
-    log_f = _second_log(phi, make_section5_weight(phi), 2, math.log(s))
-    quad = ConditionQuad(u_mid=100.0, n_mid=2001, u_far=x_span, geo_step=1.002)
-    u = quad.nodes()
-    (value,), (remainder,), (slope,) = _integrate_rows(
-        log_f(u)[None, :], u, np.diff(u), int(np.searchsorted(u, quad.u_mid, "right")))
-    # a NaN end slope or a non-finite value is a divergence too
-    if not (slope < -1e-8 and remainder <= max(value, 1e-300)) or not math.isfinite(value):
+    ls = np.array([[math.log(s)]])
+    (value,), (remainder,), _ = _condition_integral(
+        _second_log(phi, psi, 2, ls), _kinks(phi, psi, 2, ls)[1],
+        psi.log_linear and phi.log_linear, np.array([x_span]))
+    if not remainder <= max(value, 1e-300) or not math.isfinite(value):
         raise DivergenceError("second-bound integrand does not decay past the window",
                               end="tail")
-    return value, remainder
+    return float(value), float(remainder)

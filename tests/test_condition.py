@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bol.condition
-from bol.condition import (NEGLIGIBLE_LOG_DROP, TAIL_SLOPE_LIMIT, ConditionQuad,
-                           _anchored_heads, _condition_curve, _condition_integral, _first_log,
-                           _integrate_rows,
-                           _kinks, condition_sup, condition_value,
+from bol.condition import (TAIL_SLOPE_LIMIT, ConditionQuad, _condition_curve,
+                           _condition_integral, _first_log, _kinks, condition_sup,
+                           condition_value,
                            log_domain_integral, section5_first_bound,
                            section5_second_bound)
 from bol.errors import DivergenceError, DomainError
@@ -216,6 +215,18 @@ def section5_log_inv_mp(phi, lx):
     return lx - alpha * (lx / 2) / mpmath.log(lx / 2)
 
 
+def test_section5_second_bound_keeps_its_value_on_wide_windows():
+    # at alpha = 0.005 the integrand falls by only about e^-7.5 up to
+    # u = 30,720; past 61,440 the doublings of 30,720 are panel edges, so a
+    # window far past the decay keeps the value.  The reference is
+    # mpmath.quad at 30 digits, split at u = 0, 1, 10, ..., 1e7.
+    want = 3797.60903335290617
+    for x_span in (2e5, 1e7, 1e300):
+        value, remainder = section5_second_bound(0.005, SECTION5_R, x_span=x_span)
+        assert value == pytest.approx(want, rel=1e-13), x_span
+        assert remainder < 1e-12 * value
+
+
 def test_section5_second_bound_matches_mpmath_quadrature():
     phi = make_section5_young(0.1)
     with mpmath.workdps(30):
@@ -226,7 +237,7 @@ def test_section5_second_bound_matches_mpmath_quadrature():
                            + [mpmath.inf])
     assert float(want) == pytest.approx(127.0045237538, rel=1e-11)
     value, _ = section5_second_bound(0.1, SECTION5_R)
-    assert value == pytest.approx(float(want), rel=1e-7)
+    assert value == pytest.approx(float(want), rel=1e-11)
 
 
 def test_section5_first_bound_matches_mpmath_quadrature():
@@ -243,17 +254,22 @@ def test_section5_first_bound_matches_mpmath_quadrature():
                               * mpmath.quad(integrand, [k, ls])))
     assert want == pytest.approx([0.91558912174936276, 1.0214253067167938], rel=1e-15)
     got = [value for _, value, _, _ in section5_first_bound(0.1, s_list)]
-    # the anchored lattice (step 2^-10 from r) is 1.8e-11 and 1.4e-11 off
-    assert got == pytest.approx(want, rel=1e-10)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("theta", [critical_theta(1.3, 2), 0.0, 0.8, 1.5])
 def test_power_heads_with_a_lower_limit_match_closed_form(theta):
-    # int_a^s t^theta dt/t: the rule is exact on a linear log-integrand
+    # int_a^s t^theta dt/t: the row closed at ln s - ln a is exact on a
+    # linear log-integrand, and 0 where that end is at or below 0
     a = 1e-3
-    s_grid = np.geomspace(1e-6, 1e12, 97).tolist()
-    heads = _anchored_heads(make_power_weight(theta), a, s_grid)
-    for s, head in zip(s_grid, heads):
+    s_grid = np.geomspace(1e-6, 1e12, 97).tolist() + [a * (1 - 1e-12)]
+    psi = make_power_weight(theta)
+    ls = np.array([[math.log(s)] for s in s_grid])
+    heads, remainders, diverged = _condition_integral(
+        _first_log(psi, ls), _kinks(make_power_young(1.3), psi, 2, ls)[0], True,
+        ls[:, 0] - math.log(a))
+    assert not diverged.any()
+    for s, head in zip(s_grid, heads.tolist()):
         if s <= a:
             assert head == 0.0
         else:
@@ -277,7 +293,7 @@ def test_section5_first_integral_with_a_lower_limit_matches_mpmath_quadrature():
                          * mpmath.quad(integrand, cuts))
             got = (condition_value(s, phi, psi, 2, head_lower_limit=a).value
                    - condition_value(s, phi, psi, 2, head_lower_limit=s).value)
-            assert got == pytest.approx(want, rel=1e-7), s
+            assert got == pytest.approx(want, rel=1e-8), s
 
 
 def test_section5_pair_verdict_is_bounded():
@@ -300,21 +316,6 @@ def reference_integral(lv, u):
         return float(np.exp(m)) * float(np.sum(np.diff(u) * np.exp(hi) * factor))
 
 
-def reference_decaying(lv, u, u_mid):
-    """One row by the reverse running max: it stops after the first node
-    past u_mid from which every later value is NEGLIGIBLE_LOG_DROP below
-    the peak.  Returns (value, remainder, slope)."""
-    with np.errstate(invalid="ignore"):
-        low = np.maximum.accumulate(lv[::-1])[::-1] < np.max(lv) - NEGLIGIBLE_LOG_DROP
-    past = np.flatnonzero(low & (u > u_mid))
-    cut = int(past[0]) + 1 if past.size else u.size
-    span = u[cut - 1] - u[cut - 5]
-    with np.errstate(invalid="ignore", over="ignore"):
-        slope = float(lv[cut - 1] - lv[cut - 5]) / span if span > 0 else 0.0
-        remainder = float(np.exp(lv[cut - 1])) / -slope if slope < 0 else math.inf
-    return reference_integral(lv[:cut], u[:cut]), remainder, slope
-
-
 def hand_made_rows(u):
     n = u.size
     rows = {
@@ -333,21 +334,6 @@ def hand_made_rows(u):
         "steps_near_the_series_switch": 5e-9 * np.arange(n) - 50.0,
     }
     return {k: np.asarray(v, dtype=np.float64) for k, v in rows.items()}
-
-
-def test_integrate_rows_matches_the_running_max_rule():
-    u_mid = 6.0
-    u = np.r_[np.linspace(0.0, u_mid, 7), u_mid * 1.5 ** np.arange(1, 11)]
-    past_mid = int(np.searchsorted(u, u_mid, side="right"))
-    rows = hand_made_rows(u)
-    block = np.array(list(rows.values()))
-    got = _integrate_rows(block, u, np.diff(u), past_mid)
-    for i, (name, lv) in enumerate(rows.items()):
-        want = reference_decaying(lv, u, u_mid)
-        one = _integrate_rows(lv[None, :], u, np.diff(u), past_mid)
-        for result in (tuple(part[i] for part in got), tuple(part[0] for part in one)):
-            # equal as bit patterns, NaN included
-            assert np.array(result).tobytes() == np.array(want).tobytes(), name
 
 
 def test_log_domain_integral_matches_the_reference_rule():
@@ -423,6 +409,46 @@ def test_kinked_table_pair_matches_mpmath_quadrature(tmp_path, d):
                                [0] + [u for u in cuts if 0 < u < u_mid] + [u_mid])
             assert div and rem == math.inf
             assert head == pytest.approx(float(want), rel=1e-12), s
+
+
+def test_kinked_table_heads_with_a_lower_limit_match_mpmath_quadrature(tmp_path):
+    # the first integral alone, in x = ln t from ln a to ln s: its rows
+    # close at ln s - ln a, between the halved knots of the paired weight,
+    # and are exact there
+    phi, psi, ts, vs = kinked_table_pair(tmp_path)
+    a = 1e-3
+    with mpmath.workdps(30):
+        lv = [mpmath.log(v) for v in vs]
+        log_inv = mp_interp(lv, [mpmath.log(t) for t in ts])
+        cuts = sorted(-k / 2 for k in lv)
+        for s in (1e-2, 1.0, 1e3, 1e6):
+            ls, la = mpmath.log(s), mpmath.log(a)
+            head = mpmath.quad(lambda x: mpmath.exp(-x - log_inv(-2 * x)),
+                               [la] + [x for x in cuts if la < x < ls] + [ls])
+            want = float(mpmath.exp(ls - log_inv(2 * ls)) * head)
+            got = (condition_value(s, phi, psi, 2, head_lower_limit=a,
+                                   raise_on_divergence=False).value
+                   - condition_value(s, phi, psi, 2, head_lower_limit=s,
+                                     raise_on_divergence=False).value)
+            assert got == pytest.approx(want, rel=1e-13), s
+
+
+@pytest.mark.parametrize("end", [-1.0, 0.0, 3.0, 5.0, 20.0, 100.0])
+@pytest.mark.parametrize("linear", [True, False])
+def test_a_closed_row_integrates_up_to_its_end_and_reports_its_tail(linear, end):
+    # e^-|u - 5| on [0, end]: exact on its kinks and on panels split there;
+    # the row never diverges, and its remainder is the tail past the end,
+    # e^(5 - end) from the slope -1, or inf where the row still rises
+    (value,), (remainder,), (diverged,) = _condition_integral(
+        lambda u: -np.abs(u - 5.0), np.array([[5.0]]), linear, np.array([end]))
+    e = max(end, 0.0)
+    want = math.exp(-5.0) * math.expm1(e) if e <= 5.0 else 2.0 - math.exp(-5.0) - math.exp(5.0 - e)
+    assert not diverged
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    if e > 5.0:
+        assert remainder == pytest.approx(math.exp(5.0 - e), rel=1e-12)
+    else:
+        assert remainder == math.inf
 
 
 @pytest.mark.parametrize("slope", [1e-9, 0.0, -1e-4, -0.5])

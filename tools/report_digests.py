@@ -37,14 +37,17 @@ ends in a part-filled block, the section5 pair also with a lower limit,
 a power pair in d = 5 on scales 1e100 to 1e200 whose first prefactor
 overflows at the 8th of its 21 scales, inside one kinked block (exit 3),
 and ``example5`` at scale multiples 1, 1.5 and 1e6, the first bound at
-s = r and one whose lower-limit integral spans more than one chunk of
-its running sum), ``norms`` of the staircase with theta = 0.9995, whose
+s = r and one whose head spans several panels, with a second-bound
+window of 200,000, past the last fixed panel edge, and with alpha = 0.01
+on a window of 1,000, whose remainder exceeds its value (exit 3)),
+``norms`` of the staircase with theta = 0.9995, whose
 seminorm head has log-slope -0.0005, ``sufficiency_molecule_estimates``
 in d = 1, 2, 3, ``check-condition`` in d = 2 and 3 with a ``table:``
 Young function whose log-log slope changes at each knot and the weight
-paired with it, the commands run with a ``table:`` Young function
-sampled from t^1.3 (``necessity`` and ``norms`` also with the weight
-paired with it),
+paired with it (in d = 2 also with a lower limit on the first integral,
+whose rows close between the knots), the commands run with a ``table:``
+Young function sampled from t^1.3 (``necessity`` and ``norms`` also with
+the weight paired with it),
 and ``norms`` at the ends of the Luxemburg solve: a 3x3 grid at spacing
 1e60 and 1e-200, and a table Phi whose clamped ends keep the modular
 above 1 (no finite norm) or at most 1 (norm 0), and ``norms`` with the
@@ -125,6 +128,8 @@ VARIANTS = [
     ["example5", "--alpha", "0.1"],
     ["example5", "--s-multiples", "1,1.5,1000000"],
     ["example5", "--alpha", "0.05"],
+    ["example5", "--x-span", "200000"],
+    ["example5", "--alpha", "0.01", "--x-span", "1000"],
     ["necessity"],
     ["necessity", "--dim", "3"],
     ["necessity", "--dim", "4"],
@@ -250,6 +255,8 @@ def table_outputs(tmp):
     for argv in (["check-condition", "--phi", kinked, "--psi", f"paired:phi={kinked}"],
                  ["check-condition", "--phi", kinked, "--psi", f"paired:phi={kinked}",
                   "--dim", "3"],
+                 ["check-condition", "--phi", kinked, "--psi", f"paired:phi={kinked}",
+                  "--head-lower-limit", "1e-3"],
                  ["check-condition", "--phi", phi, "--psi", CRIT[2]],
                  ["check-condition", "--phi", phi, "--psi", CRIT[3], "--dim", "3"],
                  ["necessity", "--phi", phi, "--psi", CRIT[2]],
