@@ -166,25 +166,27 @@ def _kinked_rows(log_f, kinks, ends):
     kinks: the breakpoints in u of that row's log-integrand, which is
     linear between them and past the last.
 
-    A row's nodes are 0, u_mid and its kinks, each moved to 0 unless it
-    lies inside (0, end) (end inf for an open row), sorted, then its end,
-    or for an open row a probe _PROBE past the last of them.  ``_interval_terms`` is exact on
-    every interval.  The last interval has the slope b of the
-    row's last piece, and past the last node's value a the row's tail is
-    e^a / -b.  An open row adds that tail; it diverges when b is not
-    negative or one of its values is NaN, and its value is then its
-    integral over [0, u_mid], as on the panels, and its remainder inf.
-    Every other open remainder is 0.  A closed row never diverges; its
-    remainder is its tail, inf where b is not negative.  Each row is
-    scaled by its peak over the nodes it sums, so its value depends on
-    its own kinks and end alone.
+    An open row's nodes are 0, u_mid and its kinks clipped to [0, inf),
+    sorted, then a probe _PROBE past the last of them; a closed row moves
+    each of u_mid and its kinks not inside (0, end) to 0 and ends at its
+    end.
+    ``_interval_terms`` is exact on every interval.  The last interval
+    has the slope b of the row's last piece, and past the last node's
+    value a the row's tail is e^a / -b, taken by ``_tails``.  An open
+    row diverges when b is not negative or one of its values is NaN, and
+    its value is then its integral over [0, u_mid], as on the panels; a
+    closed row never diverges.  Each row is scaled by its peak over the
+    nodes it sums, so its value depends on its own kinks and end alone.
     """
     rows, k = kinks.shape
     u = np.empty((rows, k + 3))
     u[:, 0], u[:, 1] = 0.0, _QUAD.u_mid
-    u[:, 2:-1] = kinks
     closed, inner = ends is not None, u[:, 1:-1]
-    np.copyto(inner, 0.0, where=~((inner > 0.0) & (inner < (ends[:, None] if closed else np.inf))))
+    if closed:
+        u[:, 2:-1] = kinks
+        np.copyto(inner, 0.0, where=(inner <= 0.0) | (inner >= ends[:, None]))
+    else:
+        np.maximum(kinks, 0.0, out=u[:, 2:-1])
     u[:, :-1].sort(axis=1)
     u[:, -1] = ends if closed else u[:, -2] + _PROBE
     du = np.diff(u, axis=1)
@@ -193,7 +195,7 @@ def _kinked_rows(log_f, kinks, ends):
         slopes = (lv[:, -1] - lv[:, -2]) / du[:, -1]
         peaks = np.max(lv, axis=1)
         decays = slopes < 0.0
-        diverged = (~decays | np.isnan(peaks)) & (not closed)
+        diverged = np.zeros(rows, dtype=bool) if closed else ~decays | np.isnan(peaks)
         # a diverged row sums the intervals up to u_mid alone, scaled by its peak there
         past_mid = diverged[:, None] & (u > _QUAD.u_mid)
         if diverged.any():
@@ -222,14 +224,11 @@ def _panel_rows(log_f, kinks, ends):
     takes the 16-point Gauss-Legendre rule, scaled by the row's peak over its nodes, so a
     row's value depends on its own breakpoints and end alone.  The
     log-slope b between the last two nodes extends the row past its last
-    edge, where it is worth e^a / -b for its value a there.  An open row
-    adds that tail.  It diverges when its last node is not
+    edge, where its tail is e^a / -b for its value a there, taken by
+    ``_tails``.  An open row diverges when its last node is not
     NEGLIGIBLE_LOG_DROP below its peak (or NaN) and b is not at or below
     TAIL_SLOPE_LIMIT; its value is then its integral over its panels in
-    [0, u_mid] and its remainder inf.  Any other open row whose b is not
-    negative adds no tail and has remainder inf; every other open
-    remainder is 0.  A closed row never diverges; its remainder is its
-    tail, inf where b is not negative.
+    [0, u_mid].  A closed row never diverges.
     """
     rows, closed = kinks.shape[0], ends is not None
     last, fixed = (ends, _EDGES.tolist()) if closed else (np.full(rows, _QUAD.u_far), _EDGES)
@@ -239,13 +238,14 @@ def _panel_rows(log_f, kinks, ends):
     edges[:, :len(fixed)] = fixed
     edges[:, len(fixed):-1] = kinks
     edges[:, -1] = last
-    inner = edges[:, :-1]
+    inner = edges[:, :-1] if closed else edges[:, len(fixed):-1]  # _EDGES lie below u_far
     np.copyto(inner, 0.0, where=~((inner > 0.0) & (inner < last[:, None])))
     edges.sort(axis=1)
     half = np.diff(edges, axis=1)
     half *= 0.5
-    u = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(rows, -1)
-    w = (half[:, :, None] * _GL_W).reshape(rows, -1)
+    nodes = half.shape[1] * _GL_X.size
+    u = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(rows, nodes)
+    w = (half[:, :, None] * _GL_W).reshape(rows, nodes)
     lv = np.asarray(log_f(u), dtype=np.float64)
     np.copyto(lv, -np.inf, where=w == 0.0)  # the nodes of an empty panel
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

@@ -180,6 +180,7 @@ def test_section5_first_bound_below_two():
 def test_section5_first_bound_domain():
     with pytest.raises(DomainError):
         section5_first_bound(0.1, [1.0])
+    assert section5_first_bound(0.1, []) == []
 
 
 def test_section5_second_bound_converges_under_doubling():
