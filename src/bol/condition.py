@@ -169,13 +169,12 @@ def _kinked_rows(log_f, kinks, ends):
     An open row's nodes are 0, u_mid and its kinks clipped to [0, inf),
     sorted, then a probe _PROBE past the last of them; a closed row moves
     each of u_mid and its kinks not inside (0, end) to 0 and ends at its
-    end.
-    ``_interval_terms`` is exact on every interval.  The last interval
-    has the slope b of the row's last piece, and past the last node's
-    value a the row's tail is e^a / -b, taken by ``_tails``.  An open
-    row diverges when b is not negative or one of its values is NaN, and
-    its value is then its integral over [0, u_mid], as on the panels; a
-    closed row never diverges.  Each row is scaled by its peak over the
+    end.  ``_interval_terms`` is exact on every interval.  The last
+    interval has the slope b of the row's last piece, and past the last
+    node's value a the row's tail is e^a / -b, taken by ``_tails``.  An
+    open row diverges when b is not negative or one of its values is NaN,
+    and its value is then its integral over [0, u_mid], as on the panels;
+    a closed row never diverges.  Each row is scaled by its peak over the
     nodes it sums, so its value depends on its own kinks and end alone.
     """
     rows, k = kinks.shape
@@ -221,11 +220,11 @@ def _panel_rows(log_f, kinks, ends):
     lies past 61,440 the doublings of 30,720 below the largest end are
     edges too.  An edge not inside (0, last edge) moves to 0 and makes an
     empty panel there, so every row of a call has as many.  Each panel
-    takes the 16-point Gauss-Legendre rule, scaled by the row's peak over its nodes, so a
-    row's value depends on its own breakpoints and end alone.  The
-    log-slope b between the last two nodes extends the row past its last
-    edge, where its tail is e^a / -b for its value a there, taken by
-    ``_tails``.  An open row diverges when its last node is not
+    takes the 16-point Gauss-Legendre rule, scaled by the row's peak over
+    its nodes, so a row's value depends on its own breakpoints and end
+    alone.  The log-slope b between the last two nodes extends the row
+    past its last edge, where its tail is e^a / -b for its value a there,
+    taken by ``_tails``.  An open row diverges when its last node is not
     NEGLIGIBLE_LOG_DROP below its peak (or NaN) and b is not at or below
     TAIL_SLOPE_LIMIT; its value is then its integral over its panels in
     [0, u_mid].  A closed row never diverges.
@@ -276,14 +275,13 @@ def _condition_integral(log_f, kinks, linear, ends=None):
     over [0, inf), one per row of log_f(u): each condition integral at a
     block of scales (closed for a head with a lower limit and for the
     first example bound), each end of a Besov seminorm (one row) and the
-    second example bound (one closed row).  kinks holds the breakpoints in u of
-    each row's log-integrand (one row of kinks per row).  Where it is
-    ``linear`` between them the rows are exact (``_kinked_rows``);
+    second example bound (one closed row).  kinks holds the breakpoints
+    in u of each row's log-integrand (one row of kinks per row).  Where
+    it is ``linear`` between them the rows are exact (``_kinked_rows``);
     otherwise they take ``_panel_rows``.  ``ends``, one finite end per
-    row, closes the rows: each is then the integral over [0, end], 0
-    for an end at or below 0.  A closed row never diverges, and its
-    remainder is the tail past its end, extrapolated from its last
-    log-slope.
+    row, closes the rows: each is then the integral over [0, end], 0 for
+    an end at or below 0.  A closed row never diverges, and its remainder
+    is the tail past its end, extrapolated from its last log-slope.
     """
     ends = None if ends is None else np.maximum(ends, 0.0)
     return (_kinked_rows if linear else _panel_rows)(log_f, kinks, ends)
@@ -355,23 +353,25 @@ def _condition_curve(s_list, phi: YoungFunction, psi: WeightFunction, d: int, lo
     integrals = [(lambda b: _first_log(psi, b), head_kinks, psi.log_linear, head_ends),
                  (lambda b: _second_log(phi, psi, d, b), tail_kinks,
                   psi.log_linear and phi.log_linear, None)]
-    # nodes per row of the widest integral: the kinks, 0, u_mid and the last
-    # node, or 16 per panel
+    # nodes per row of the widest integral: its kinks, 0, u_mid and an end, or 16 a panel
     width = max(k.shape[1] + 3 if lin else _GL_X.size * (_EDGES.size + k.shape[1])
                 for _, k, lin, _ in integrals)
     step = max(1, _BLOCK_VALUES // width)
-    (head_val, head_rem, head_div), (tail_val, tail_rem, tail_div) = (
-        [np.concatenate(part) for part in zip(*[
-            _condition_integral(log_f(ls[i:i + step]), kinks[i:i + step], linear,
-                                None if ends is None else ends[i:i + step])
-            for i in range(0, n, step)])]
-        for log_f, kinks, linear, ends in integrals)
+
+    def rows(log_f, kinks, linear, ends):
+        blocks = [_condition_integral(log_f(ls[i:i + step]), kinks[i:i + step], linear,
+                                      None if ends is None else ends[i:i + step])
+                  for i in range(0, n, step)]
+        return [np.concatenate(part) for part in zip(*blocks)]
+
+    (head_val, head_rem, head_div), (tail_val, tail_rem, tail_div) = [
+        rows(*integral) for integral in integrals]
     pref = np.array([_exp(x) for x in _first_prefactor(phi, d, ls)[:, 0].tolist()])
     with np.errstate(invalid="ignore", over="ignore"):
         first = pref * head_val
         values = np.where(head_div | np.isnan(first), 0.0, first) + tail_val
-        head_rem = np.where(np.isfinite(head_rem), pref * head_rem, np.inf)
-        remainders = (head_rem if lower is None else 0.0) + tail_rem
+        remainders = tail_rem if lower is not None else (
+            np.where(np.isfinite(head_rem), pref * head_rem, np.inf) + tail_rem)
     return values, remainders, head_div, tail_div, pref
 
 
