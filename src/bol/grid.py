@@ -143,8 +143,10 @@ def save_grid_function(f: GridFunction, path: str) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for v in f.values.ravel(order="C"):
-            fh.write(repr(float(v)) + "\n")
+        # one write per row of the last axis: few calls, and no string of
+        # the whole body
+        for row in f.values.reshape(-1, f.shape[-1]):
+            fh.write("\n".join(map(repr, row.tolist())) + "\n")
 
 
 def load_grid_function(path: str) -> GridFunction:

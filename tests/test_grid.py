@@ -365,6 +365,93 @@ def test_l1_shift_sums_take_one_transform_per_threshold_set(monkeypatch):
         assert norm == pytest.approx(_shift_l1_by_cells(box, k, h), rel=1e-13)
 
 
+def test_power_shift_sums_take_one_stacked_transform(monkeypatch):
+    # the signed 8 x 8 box with zero cells inside has K' = 5 nonzero
+    # levels: a p = 2.5 cache takes one forward FFT, of the stacked level
+    # indicators on the 2 n_i - 1 = 15 lengths, and its quadratic form
+    f = random_piecewise_constant(np.random.default_rng(11), dim=2, n=10, n_pieces=3)
+    box = f.support_box()
+    levels = np.unique(box[box != 0.0]).size
+    assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and levels == 5
+    assert levels <= bol.orlicz._form_levels((15, 15))
+
+    spy = mock.Mock(wraps=np.fft.rfftn)
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    cache = ShiftNormCache(f, make_power_young(2.5))
+    cache.sup_up_to(f.spacing)
+    assert [(call.args[0].shape, call.args[1]) for call in spy.call_args_list] == [
+        ((levels, 8, 8), (15, 15))]
+    shifts = lattice_shifts(2, math.hypot(7.0, 7.0))
+    shifts = _by_length(shifts[(np.abs(shifts) < 8).all(axis=1)])
+    assert levels * 4 * bol.orlicz._FFT_COST <= len(shifts) == cache.evaluated
+    for k, norm in zip(shifts, cache._norms):
+        want = (_shift_power_sum_by_cells(box, k, 2.5) * f.cell_volume) ** (1.0 / 2.5)
+        assert norm == pytest.approx(want, rel=1e-13)
+
+
+def test_power_shift_sums_past_the_form_take_two_transforms_per_level(monkeypatch):
+    # 40 levels on a 12 x 12 box are more than the form takes on the 23 x 23
+    # spectrum, so each level takes two transforms of the box, no stack, and
+    # the rule counts 2K' of them: with shifts to spare for K' but not for
+    # 2K', the shifts are summed directly
+    rng = np.random.default_rng(14)
+    a = rng.choice(rng.uniform(-2.0, 2.0, 40), (12, 12))
+    levels = np.unique(a).size
+    shape = (_fft_len(23),) * 2
+    assert levels > bol.orlicz._form_levels(shape)
+    shifts = _half_ball(a, 30.0)
+    spy = mock.Mock(wraps=np.fft.rfftn)
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    got = 2.0 * math.fsum(np.abs(a).ravel() ** 1.3) - _inside_by_levels(
+        a, np.abs(a) ** 1.3, 1.3, np.unique(np.append(a, 0.0)), shape)[tuple(shifts.T)]
+    assert [call.args[0].shape for call in spy.call_args_list] == [(12, 12)] * (2 * levels)
+    for k, s in zip(shifts, got):
+        assert s == pytest.approx(_shift_power_sum_by_cells(a, k, 1.3), rel=1e-12)
+
+    spy.reset_mock()
+    direct = mock.Mock(wraps=bol.orlicz._inside_by_overlaps)
+    monkeypatch.setattr(bol.orlicz, "_inside_by_overlaps", direct)
+    for cost, route in ((len(shifts) / (8 * levels), "levels"), (len(shifts) / (4 * levels), "direct")):
+        monkeypatch.setattr(bol.orlicz, "_FFT_COST", cost)
+        _shift_sums(a, shifts, 1.3)
+        assert (direct.call_count, spy.called) == ((0, True) if route == "levels" else (1, False))
+        spy.reset_mock()
+        direct.reset_mock()
+
+
+@st.composite
+def few_level_boxes(draw):
+    """(a, p): 1-3 signed nonzero levels on a box in d = 1-3 with zero
+    cells allowed inside it, one level in [1/2, 1] and the others spread
+    over 1e-150 ... 1, so that a form entry c(v, w) with |w| << |v| cancels."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(3 if dim == 1 else 2, (9, 5, 3)[dim - 1])) for _ in range(dim))
+    sizes = [draw(st.floats(0.5, 1.0))] + [
+        10.0 ** draw(st.floats(-150.0, 0.0)) for _ in range(draw(st.integers(0, 2)))]
+    values = [draw(st.sampled_from([-1.0, 1.0])) * size for size in sizes]
+    cells = arrays(np.int64, shape, elements=st.integers(0, len(values)))
+    a = np.append(0.0, values)[draw(cells)]
+    return a, draw(st.sampled_from([1.3, 2.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=few_level_boxes())
+@example(case=(np.array([1.0, 0.0, 1e-150, -1e-150, 1.0]), 2.5))
+@example(case=(np.array([[0.75, 1e-9], [0.0, -0.75]]), 1.3))
+def test_quadratic_form_matches_cell_loops_on_few_levels(case):
+    # 2 sum |a|^p - D_k from the stacked indicators and the quadratic form
+    # equals the cell loop within 1e-14 sum |a|^p for every |k_i| < n_i
+    a, p = case
+    shape = tuple(_fft_len(2 * n - 1) for n in a.shape)
+    levels = np.unique(np.append(a, 0.0))
+    assert len(levels) - 1 <= bol.orlicz._form_levels(shape)
+    deficit = _inside_by_levels(a, np.abs(a) ** p, p, levels, shape)
+    total = math.fsum(np.abs(a).ravel() ** p)
+    for k in itertools.product(*(range(1 - n, n) for n in a.shape)):
+        got = 2.0 * total - deficit[k]
+        assert got == pytest.approx(_shift_power_sum_by_cells(a, k, p), rel=0.0, abs=1e-14 * total)
+
+
 @pytest.mark.parametrize("route", ["fft", "direct"])
 @pytest.mark.parametrize("p", [1.0, 1.3, 2.5])
 @pytest.mark.parametrize("shape, radius", [((12,), 4.5), ((6, 10), 3.2), ((4, 5, 7), 2.3)])
@@ -571,6 +658,19 @@ def test_serialization_roundtrip(tmp_path):
     # CR line ends too
     path.write_bytes("\r".join([header] + lines).encode())
     assert np.array_equal(load_grid_function(str(path)).values, f.values)
+
+
+def test_grid_file_holds_each_value_on_its_own_line(tmp_path):
+    # the body is repr of each value in C order, one a line; -0.0, a
+    # subnormal, 1e300 and 0.1 load back bit for bit
+    values = np.array([[-0.0, 5e-324, 1e300], [0.1, -2.5, 3.0]])
+    f = GridFunction(0.5, (1.0, -2.0), values)
+    path = tmp_path / "f.grid"
+    save_grid_function(f, str(path))
+    header = '{"dim": 2, "origin": [1.0, -2.0], "shape": [2, 3], "spacing": 0.5}\n'
+    assert path.read_text() == header + "".join(repr(float(v)) + "\n" for v in values.ravel())
+    g = load_grid_function(str(path))
+    assert g.values.tobytes() == values.tobytes()
 
 
 # `1_0` and two values on the first line are cases of test_cli's BAD_GRID_INPUTS

@@ -59,7 +59,11 @@ of four cells of 1e308 at spacing 1, whose norm is past float max (exit
 at spacing 0.01, whose largest value is 2^1023, and ``norms --psi
 powerweight:theta=...`` of a power Phi on grids whose every cell is a
 distinct value (40 cells in d = 1, 32x32 and 6x5x7 cells), whose shift
-sums all take the direct evaluator, and ``l1_modulus`` of an
+sums all take the direct evaluator, and ``norms`` of power pairs at
+p = 2.5 and 1.3 on piecewise-constant grids with few levels (signed with
+zero cells inside, 40 cells in d = 1 and 8x7x6 cells, and a one-level
+ring of 9x11 cells), whose shift sums all take the level sets, and
+``l1_modulus`` of an
 all-negative grid and of a signed grid with zero cells inside, in d = 1
 (40 cells, 20h) and d = 3 (8x7x6 cells, 4h), and of a signed 9x13 grid
 at 8.5h, the largest radius short of saturation, all of which take the
@@ -315,6 +319,33 @@ def distinct_outputs(tmp):
         emit(" ".join(argv), run_cli(argv), tmp)
 
 
+def level_outputs(tmp):
+    """``norms`` of power pairs at p = 2.5 and 1.3 on piecewise-constant
+    grids with few levels: signed with zero cells inside, in d = 1 (40
+    cells) and d = 3 (8x7x6 cells), and a one-level ring in d = 2 (9x11
+    cells, a 3x3 hole): few levels for their shifts, so every shift sum
+    takes the level sets."""
+    from bol.grid import GridFunction, save_grid_function
+
+    rng = np.random.default_rng(11)
+    grids = []
+    for shape, psi in (((40,), "powerweight:theta=0.5"), ((8, 7, 6), CRIT[3])):
+        levels = rng.uniform(0.2, 3.0, 3)
+        vals = rng.choice([-levels[0], 0.0, levels[1], levels[2]], shape)
+        # nonzero corners keep the support box the whole grid, zeros inside
+        vals[(0,) * len(shape)] = vals[(-1,) * len(shape)] = levels[2]
+        grids.append((vals, psi))
+    ring = np.full((9, 11), 1.7)
+    ring[3:6, 4:7] = 0.0
+    grids.append((ring, CRIT[2]))
+    for vals, psi in grids:
+        path = os.path.join(tmp, f"levels_{vals.ndim}d.grid")
+        save_grid_function(GridFunction(1.0 / vals.shape[0], (0.0,) * vals.ndim, vals), path)
+        for phi in ("power:p=2.5", "power:p=1.3"):
+            argv = ["norms", "--input", path, "--phi", phi, "--psi", psi]
+            emit(" ".join(argv), run_cli(argv), tmp)
+
+
 def coarea_outputs(tmp):
     """``l1_modulus`` of piecewise-constant grids in d = 1 and 3, one
     all-negative and one signed with zero cells inside, and of a signed
@@ -402,6 +433,7 @@ def main():
         table_outputs(tmp)
         solve_edge_outputs(tmp)
         distinct_outputs(tmp)
+        level_outputs(tmp)
         coarea_outputs(tmp)
         grid_file_outputs(tmp)
         override_outputs(tmp)
