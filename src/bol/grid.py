@@ -143,10 +143,11 @@ def save_grid_function(f: GridFunction, path: str) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        # one write per row of the last axis: few calls, and no string of
-        # the whole body
-        for row in f.values.reshape(-1, f.shape[-1]):
-            fh.write("\n".join(map(repr, row.tolist())) + "\n")
+        # one write per 1024 values in C order: few calls, and a string of
+        # about 20 KB at a time in every dimension
+        flat = f.values.ravel()
+        for start in range(0, flat.size, 1024):
+            fh.write("\n".join(map(repr, flat[start:start + 1024].tolist())) + "\n")
 
 
 def load_grid_function(path: str) -> GridFunction:

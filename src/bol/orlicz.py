@@ -381,14 +381,13 @@ def _fft_len(n):
         n += 1
 
 
-def _form_levels(shape):
-    """The most nonzero levels that ``_inside_by_levels`` sums through its
-    quadratic form on the real-FFT lengths ``shape``.  The half form costs
-    K'(K' + 1)/2 products per spectrum point, a transform about log2 of
-    the points, so up to 2 log2(points) levels the form costs less than
-    one more transform per level; it also bounds the stack, K' spectra
-    held at once."""
-    return 2.0 * math.log2(math.prod(shape[:-1]) * (shape[-1] // 2 + 1))
+# the most nonzero levels the quadratic form of _inside_by_levels takes: its
+# stack holds K' spectra at once and rfftn about as many again, so the cap
+# bounds the peak by about 32 spectra on every box (94 MB on a 64^3 box with
+# 16 levels, 6.1 times the 15 MB of two transforms per level).  Every
+# besov_pc power box has at most 14 levels; past the cap _shift_sums sums the
+# shifts directly (BENCH_level_spectra.json)
+_FORM_LEVELS = 16
 
 
 def _inside_by_levels(a, mag, p, levels, shape):
@@ -397,24 +396,18 @@ def _inside_by_levels(a, mag, p, levels, shape):
     over the K' nonzero ``levels`` (the distinct values of ``a``),
     D_k = sum_vw C_vw corr(1_{a=v}, 1_{a=w})(k), where
     C_vw = c(v, w) = |v|^p + |w|^p - |v - w|^p and
-    corr(u, g)(k) = sum_x u(x) g(x + k); the zero level adds c(u, 0) = 0.
+    corr(u, g)(k) = sum_x u(x) g(x + k); the zero level adds c(u, 0) = 0
+    (``mag`` is unused).
 
-    Up to ``_form_levels`` levels the K' indicators are one stack and one
-    real FFT, F_v on each row.  C is real and symmetric, so the spectrum
-    sum_vw C_vw conj(F_v) F_w is real: sum_v Re(conj(F_v) G_v) with
-    G_v = C_vv F_v + 2 sum_(w>v) C_vw F_w, one real quadratic form on the
-    float view of the stack (re and im side by side), summed row by row.
-    Past that, G_v is the transform of sum_w C_vw 1_{a=w} =
-    |v|^p + ``mag`` - |a - v|^p, two real FFTs per level and no stack.
-    Either way the spectrum is summed before one inverse transform."""
+    The K' indicators are one stack and one real FFT, F_v on each row.  C
+    is real and symmetric, so the spectrum sum_vw C_vw conj(F_v) F_w is
+    real: sum_v Re(conj(F_v) G_v) with G_v = C_vv F_v + 2 sum_(w>v) C_vw F_w,
+    one real quadratic form on the float view of the stack (re and im side
+    by side), summed row by row before one inverse transform.  The stack
+    holds K' spectra, so ``_shift_sums`` calls this for at most
+    ``_FORM_LEVELS`` levels."""
     axes, half = tuple(range(a.ndim)), shape[:-1] + (shape[-1] // 2 + 1,)
     values = levels[levels != 0.0]
-    if len(values) > _form_levels(shape):
-        spec = np.zeros(half, dtype=np.complex128)
-        for v in values:
-            spec += (np.conj(np.fft.rfftn(a == v, shape, axes))
-                     * np.fft.rfftn(abs(v) ** p + mag - np.abs(a - v) ** p, shape, axes))
-        return np.fft.irfftn(spec, shape, axes)
     stack = np.fft.rfftn(a == values.reshape((-1,) + (1,) * a.ndim), shape,
                          tuple(range(1, a.ndim + 1)))
     x = stack.reshape(len(values), math.prod(half)).view(np.float64)
@@ -423,8 +416,10 @@ def _inside_by_levels(a, mag, p, levels, shape):
     form = 2.0 * (power[:, None] + power - np.abs(values[:, None] - values) ** p)
     form.flat[::len(values) + 1] *= 0.5
     spec = np.zeros(x.shape[1])
+    # einsum's own loop, not BLAS: on a 48^3 box with 8 levels a threaded
+    # gemv took the rows 44-47 ms against einsum's 5-9 ms on two cores
     for i, row in enumerate(x):
-        spec += row * (form[i, i:] @ x[i:])
+        spec += row * np.einsum("j,jk->k", form[i, i:], x[i:])
     return np.fft.irfftn((spec[0::2] + spec[1::2]).reshape(half), shape, axes)
 
 
@@ -451,14 +446,12 @@ def _coarea_deficit(a, mag, p, levels, shape):
     return 2.0 * np.fft.irfftn(spec, shape, axes)
 
 
-# an FFT route costs its forward transforms (T = K', or 2K' for more levels
-# than _form_levels at p != 1), each counted on 2^d times the box, at
-# _FFT_COST shifts of the direct route apiece, and is taken where that is at
-# most the shift count.  p != 1, the 140 power boxes of besov_pc and
-# rough_grids at seeds 101-110: 8.6-71 shifts per transform per 2^d on the
-# 50 besov_pc boxes (T = K', level route faster, break-even 1.8-11.6), at
-# most 0.23 on the 90 rough ones (T = 2K', direct faster, break-even
-# 1.9-4.1); any value in 0.24-8.5 picks the faster route on all 140
+# an FFT route costs its K' forward transforms, each counted on 2^d times the
+# box, at _FFT_COST shifts of the direct route apiece, and is taken where that
+# is at most the shift count.  p != 1, the 50 besov_pc power boxes at seeds
+# 101-110 (at most 14 levels): 8.6-71 shifts per transform per 2^d, the level
+# route faster on all 50 (break-even 1.8-8.8), so any value up to 8.5 takes
+# it; the 90 rough_grids boxes are past _FORM_LEVELS and take the direct sums
 # (BENCH_level_spectra.json).  p = 1, the 69 non-saturated l1_modulus calls
 # of corpus_bv at seeds 101-103: 6.6-268 at 16h and 64h (coarea faster,
 # break-even 1.1-4.6), 0.4-1.0 at 4h (routes within 0.5 ms, break-even
@@ -478,18 +471,17 @@ def _shift_sums(a, shifts, p):
 
     where c(u, 0) = 0, so only the overlap O of the box and its translate
     adds to the deficit D_k.  With K' the distinct nonzero values, an FFT
-    route costs T = K' forward transforms: at p = 1 one per threshold set
-    (the coarea formula, ``_coarea_deficit``), else one of the stacked
-    level indicators, summed through a quadratic form
-    (``_inside_by_levels``); past ``_form_levels`` levels the level sets
-    take two transforms per level instead, T = 2K'.  The route is taken
-    where T times 2^d times ``_FFT_COST`` is at most the shift count, else
-    D_k is summed directly over O (``_inside_by_overlaps``).  Both FFT
-    evaluators return the whole correlation on the lengths
-    _fft_len(n_i + min(n_i - 1, reach)), reach the largest |k_i| of
-    ``shifts``: the correlation vanishes for |k_i| >= n_i, so no k of
-    ``shifts`` meets a wrapped lag, and D_k is read at index k (a
-    negative k_i wraps once, as |k_i| < L_i).  The
+    route costs K' forward transforms: at p = 1 one per threshold set (the
+    coarea formula, ``_coarea_deficit``), else one of the stacked level
+    indicators, summed through a quadratic form (``_inside_by_levels``),
+    which holds K' spectra at once and so takes at most ``_FORM_LEVELS``
+    levels.  The route is taken where K' times 2^d times ``_FFT_COST`` is
+    at most the shift count, else D_k is summed directly over O
+    (``_inside_by_overlaps``).  Both FFT evaluators return the whole
+    correlation on the lengths _fft_len(n_i + min(n_i - 1, reach)), reach
+    the largest |k_i| of ``shifts``: the correlation vanishes for
+    |k_i| >= n_i, so no k of ``shifts`` meets a wrapped lag, and D_k is
+    read at index k (a negative k_i wraps once, as |k_i| < L_i).  The
     difference 2 sum |a|^p - D_k carries an absolute rounding error near
     1e-15 sum |a|^p on every route, so a shift with S_k far below
     sum |a|^p (a long plateau) has a relative error above that of a direct
@@ -500,18 +492,14 @@ def _shift_sums(a, shifts, p):
     # the counts are unused, but a bare np.unique imports numpy.ma (~30 ms);
     # an all-zero f has an empty box, no nonzero level and no shift
     levels, _ = np.unique(np.append(a, 0.0), return_counts=True)
-    transforms, deficit = len(levels) - 1, None
-    # the lengths only where K' transforms pass the rule: most direct calls
-    # skip them
-    if len(shifts) and transforms * 2 ** a.ndim * _FFT_COST <= len(shifts):
+    transforms = len(levels) - 1
+    if (len(shifts) and (p == 1.0 or transforms <= _FORM_LEVELS)
+            and transforms * 2 ** a.ndim * _FFT_COST <= len(shifts)):
         reach = int(np.abs(shifts).max())
         shape = tuple(_fft_len(n + min(n - 1, reach)) for n in a.shape)
-        if p != 1.0 and transforms > _form_levels(shape):
-            transforms *= 2
-        if transforms * 2 ** a.ndim * _FFT_COST <= len(shifts):
-            evaluate = _coarea_deficit if p == 1.0 else _inside_by_levels
-            deficit = evaluate(a, mag, p, levels, shape)[tuple(shifts.T)]
-    if deficit is None:
+        evaluate = _coarea_deficit if p == 1.0 else _inside_by_levels
+        deficit = evaluate(a, mag, p, levels, shape)[tuple(shifts.T)]
+    else:
         deficit = _inside_by_overlaps(a, mag, shifts, p)
     return np.maximum(2.0 * mag.sum() - deficit, 0.0)
 

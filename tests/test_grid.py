@@ -373,7 +373,7 @@ def test_power_shift_sums_take_one_stacked_transform(monkeypatch):
     box = f.support_box()
     levels = np.unique(box[box != 0.0]).size
     assert box.shape == (8, 8) and (box == 0.0).any() and (box < 0.0).any() and levels == 5
-    assert levels <= bol.orlicz._form_levels((15, 15))
+    assert levels <= bol.orlicz._FORM_LEVELS
 
     spy = mock.Mock(wraps=np.fft.rfftn)
     monkeypatch.setattr(np.fft, "rfftn", spy)
@@ -389,45 +389,41 @@ def test_power_shift_sums_take_one_stacked_transform(monkeypatch):
         assert norm == pytest.approx(want, rel=1e-13)
 
 
-def test_power_shift_sums_past_the_form_take_two_transforms_per_level(monkeypatch):
-    # 40 levels on a 12 x 12 box are more than the form takes on the 23 x 23
-    # spectrum, so each level takes two transforms of the box, no stack, and
-    # the rule counts 2K' of them: with shifts to spare for K' but not for
-    # 2K', the shifts are summed directly
+def test_power_shift_sums_past_the_form_are_summed_directly(monkeypatch):
+    # a 12 x 12 box has shifts to spare for K' transforms at K' = 17: with
+    # one level more than the form takes the shifts are summed directly and
+    # no FFT runs, and merging two of its levels puts it on the level route
     rng = np.random.default_rng(14)
-    a = rng.choice(rng.uniform(-2.0, 2.0, 40), (12, 12))
-    levels = np.unique(a).size
-    shape = (_fft_len(23),) * 2
-    assert levels > bol.orlicz._form_levels(shape)
+    levels = bol.orlicz._FORM_LEVELS + 1
+    values = rng.uniform(0.2, 2.0, levels) * rng.choice([-1.0, 1.0], levels)
+    a = values[rng.permutation(np.arange(144) % levels).reshape(12, 12)]
     shifts = _half_ball(a, 30.0)
+    assert levels * 4 * bol.orlicz._FFT_COST <= len(shifts)
     spy = mock.Mock(wraps=np.fft.rfftn)
     monkeypatch.setattr(np.fft, "rfftn", spy)
-    got = 2.0 * math.fsum(np.abs(a).ravel() ** 1.3) - _inside_by_levels(
-        a, np.abs(a) ** 1.3, 1.3, np.unique(np.append(a, 0.0)), shape)[tuple(shifts.T)]
-    assert [call.args[0].shape for call in spy.call_args_list] == [(12, 12)] * (2 * levels)
-    for k, s in zip(shifts, got):
-        assert s == pytest.approx(_shift_power_sum_by_cells(a, k, 1.3), rel=1e-12)
-
-    spy.reset_mock()
     direct = mock.Mock(wraps=bol.orlicz._inside_by_overlaps)
     monkeypatch.setattr(bol.orlicz, "_inside_by_overlaps", direct)
-    for cost, route in ((len(shifts) / (8 * levels), "levels"), (len(shifts) / (4 * levels), "direct")):
-        monkeypatch.setattr(bol.orlicz, "_FFT_COST", cost)
-        _shift_sums(a, shifts, 1.3)
-        assert (direct.call_count, spy.called) == ((0, True) if route == "levels" else (1, False))
+    for box, route in ((a, "direct"), (np.where(a == values[-1], values[0], a), "levels")):
+        assert np.unique(box).size == (levels if route == "direct" else levels - 1)
+        got = _shift_sums(box, shifts, 1.3)
+        assert (direct.call_count, spy.call_count) == ((1, 0) if route == "direct" else (0, 1))
+        for k, s in zip(shifts, got):
+            assert s == pytest.approx(_shift_power_sum_by_cells(box, k, 1.3), rel=1e-12)
         spy.reset_mock()
         direct.reset_mock()
 
 
 @st.composite
 def few_level_boxes(draw):
-    """(a, p): 1-3 signed nonzero levels on a box in d = 1-3 with zero
-    cells allowed inside it, one level in [1/2, 1] and the others spread
-    over 1e-150 ... 1, so that a form entry c(v, w) with |w| << |v| cancels."""
+    """(a, p): 1 to ``_FORM_LEVELS`` signed nonzero levels on a box in
+    d = 1-3 with zero cells allowed inside it, one level in [1/2, 1] and
+    the others spread over 1e-150 ... 1, so that a form entry c(v, w) with
+    |w| << |v| cancels."""
     dim = draw(st.integers(1, 3))
-    shape = tuple(draw(st.integers(3 if dim == 1 else 2, (9, 5, 3)[dim - 1])) for _ in range(dim))
+    shape = tuple(draw(st.integers(3 if dim == 1 else 2, (24, 6, 3)[dim - 1])) for _ in range(dim))
     sizes = [draw(st.floats(0.5, 1.0))] + [
-        10.0 ** draw(st.floats(-150.0, 0.0)) for _ in range(draw(st.integers(0, 2)))]
+        10.0 ** draw(st.floats(-150.0, 0.0))
+        for _ in range(draw(st.integers(0, bol.orlicz._FORM_LEVELS - 1)))]
     values = [draw(st.sampled_from([-1.0, 1.0])) * size for size in sizes]
     cells = arrays(np.int64, shape, elements=st.integers(0, len(values)))
     a = np.append(0.0, values)[draw(cells)]
@@ -438,13 +434,15 @@ def few_level_boxes(draw):
 @given(case=few_level_boxes())
 @example(case=(np.array([1.0, 0.0, 1e-150, -1e-150, 1.0]), 2.5))
 @example(case=(np.array([[0.75, 1e-9], [0.0, -0.75]]), 1.3))
+@example(case=(np.array([0.0] + [s * 10.0 ** -e for e in range(0, 150, 20) for s in (1.0, -1.0)]),
+               2.5))
 def test_quadratic_form_matches_cell_loops_on_few_levels(case):
     # 2 sum |a|^p - D_k from the stacked indicators and the quadratic form
     # equals the cell loop within 1e-14 sum |a|^p for every |k_i| < n_i
     a, p = case
     shape = tuple(_fft_len(2 * n - 1) for n in a.shape)
     levels = np.unique(np.append(a, 0.0))
-    assert len(levels) - 1 <= bol.orlicz._form_levels(shape)
+    assert len(levels) - 1 <= bol.orlicz._FORM_LEVELS
     deficit = _inside_by_levels(a, np.abs(a) ** p, p, levels, shape)
     total = math.fsum(np.abs(a).ravel() ** p)
     for k in itertools.product(*(range(1 - n, n) for n in a.shape)):
@@ -671,6 +669,13 @@ def test_grid_file_holds_each_value_on_its_own_line(tmp_path):
     assert path.read_text() == header + "".join(repr(float(v)) + "\n" for v in values.ravel())
     g = load_grid_function(str(path))
     assert g.values.tobytes() == values.tobytes()
+    # 2,500 values cross the writes of 1,024 values at a time
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, 2500)
+    values[[0, 1023, 1024, 2047, 2499]] = [-0.0, 5e-324, 1e300, 0.1, -2.5]
+    save_grid_function(GridFunction(0.5, (1.0,), values), str(path))
+    body = path.read_text().split("\n", 1)[1]
+    assert body == "".join(repr(float(v)) + "\n" for v in values)
+    assert load_grid_function(str(path)).values.tobytes() == values.tobytes()
 
 
 # `1_0` and two values on the first line are cases of test_cli's BAD_GRID_INPUTS
